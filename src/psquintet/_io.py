@@ -18,6 +18,12 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _umask() -> int:
+    mask = os.umask(0o022)    # the only way to read it is to set it
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str, text: str) -> int:
     """Write text to path via temp+rename; returns the byte count."""
     data = text.encode("utf-8")
@@ -27,6 +33,9 @@ def atomic_write_text(path: str, text: str) -> int:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
         try:
             with os.fdopen(fd, "wb") as fh:
+                # mkstemp creates mode 0600 and os.replace keeps it; give
+                # the file the mode open() would: 0666 less the umask
+                os.fchmod(fh.fileno(), 0o666 & ~_umask())
                 fh.write(data)
             os.replace(tmp, path)
         except BaseException:

@@ -37,6 +37,7 @@ import numpy as np
 
 from ._io import atomic_write_text, canonical_json, fmt17
 from .dh_pipeline import (
+    MAX_DIRECT_SOLUTIONS,
     DhParams,
     GammaDecomposition,
     ProblemInstance,
@@ -58,7 +59,7 @@ from .errors import (
 from .exp_sums import Family, GapKind, SumSpec, asym_gap, export_tscan, moment_integral, tscan
 from .numerics import SmoothingKernel, kernel_eval, kernel_fourier, kernel_fourier_bound
 from .ps_primes import GammaParam, export_table
-from .quintet_search import export_solutions, search_mitm
+from .quintet_search import export_solutions, search_mitm, within_radius
 
 _DEFAULT_BUDGETS = {"memory_mb": 2048.0, "max_nodes": 1024, "time_s": 1200.0}
 _THEOREM_EXP = {
@@ -327,16 +328,20 @@ def _full_run(cfg: RunConfig, threads: int, with_diagnostics: bool) -> RunReport
     kern = _kernel_for(params)
     deadline.check("tables")
 
+    # one search serves the report and the direct count: each keeps the
+    # prefix of the sorted list that lies inside its own radius
     radius = effective_radius(cfg, tables)
-    sols = search_mitm(inst, tables, radius, limit=10 ** 6, threads=threads,
-                       memory_mb=cfg.budgets["memory_mb"])
+    found = search_mitm(inst, tables, max(radius, kern.epsilon),
+                        limit=MAX_DIRECT_SOLUTIONS, threads=threads,
+                        memory_mb=cfg.budgets["memory_mb"])
+    sols = within_radius(inst, found, radius)[:10 ** 6]
     deadline.check("search")
 
-    direct = gamma_direct(inst, params, kern, tables, threads=threads,
-                          memory_mb=cfg.budgets["memory_mb"])
+    direct = gamma_direct(inst, params, kern, tables, solutions=found)
     deadline.check("direct sum")
     dec = gamma_integral(inst, params, kern, tables, 512, threads=threads,
-                         nodes_cap=cfg.budgets["max_nodes"], direct=direct)
+                         nodes_cap=cfg.budgets["max_nodes"], direct=direct,
+                         deadline=lambda: deadline.check("integral"))
     deadline.check("integral")
 
     ts, vals = _scan_grid(params, inst, tables)

@@ -41,7 +41,7 @@ from .numerics import (
     oscillatory_integral,
 )
 from .ps_primes import GammaParam, PsPrimeTable, build_table
-from .quintet_search import search_mitm
+from .quintet_search import search_mitm, within_radius
 
 _EPS_EXP = {
     2: lambda g: (71.0 - 72.0 * g) / 58.0,
@@ -49,6 +49,8 @@ _EPS_EXP = {
     4: lambda g: (245.0 - 246.0 * g) / 232.0,
 }
 _THEOREM_RANGE = {2: "71/72", 3: "129/130", 4: "245/246"}
+# solutions the direct count may sum before it refuses as truncated
+MAX_DIRECT_SOLUTIONS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -160,20 +162,25 @@ def instance_tables(inst: ProblemInstance, params: DhParams) -> list[PsPrimeTabl
 
 def gamma_direct(inst: ProblemInstance, params: DhParams,
                  kern: SmoothingKernel, tables, *,
-                 max_solutions: int = 10 ** 7, threads: int = 1,
-                 memory_mb: float = 2048.0) -> float:
+                 max_solutions: int = MAX_DIRECT_SOLUTIONS, threads: int = 1,
+                 memory_mb: float = 2048.0, solutions=None) -> float:
     """Kernel-weighted quintuple sum, enumerated through the pair search.
 
     The kernel vanishes outside |value| < eps, so only near-solutions are
     enumerated (radius = kernel support); everything else contributes zero.
+    solutions, if given, is a search_mitm result at a radius >= eps with
+    limit max_solutions; it stands in for the search.
     """
     if any(len(t) == 0 for t in tables):
         return 0.0
-    try:
-        sols = search_mitm(inst, tables, kern.epsilon, limit=max_solutions,
-                           threads=threads, memory_mb=memory_mb)
-    except CapacityExceeded as exc:
-        raise BudgetExceeded(str(exc)) from exc
+    if solutions is None:
+        try:
+            solutions = search_mitm(inst, tables, kern.epsilon,
+                                    limit=max_solutions, threads=threads,
+                                    memory_mb=memory_mb)
+        except CapacityExceeded as exc:
+            raise BudgetExceeded(str(exc)) from exc
+    sols = within_radius(inst, solutions, kern.epsilon)
     if len(sols) >= max_solutions:
         raise BudgetExceeded(
             f"solution count reached the {max_solutions} cap; "
@@ -217,7 +224,7 @@ def _integrand(inst: ProblemInstance, kern: SmoothingKernel, tables):
                 return np.zeros_like(t, dtype=complex)
             u = (lam * t)[:, None] * base[None, :]
             u -= np.rint(u)
-            acc = acc * (np.exp((2j * np.pi) * u) @ w)
+            acc = acc * np.einsum("ij,j->i", np.exp((2j * np.pi) * u), w)
         u = eta * t
         u -= np.rint(u)
         return acc * np.exp((2j * np.pi) * u)
@@ -229,12 +236,15 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
                    kern: SmoothingKernel, tables, grid: int = 512, *,
                    rel_tol: float = 1e-9, threads: int = 1,
                    nodes_cap: int = 1024,
-                   direct: Optional[float] = None) -> GammaDecomposition:
+                   direct: Optional[float] = None,
+                   deadline=None) -> GammaDecomposition:
     """Main-range A, oscillatory-range B, and the tail bound C.
 
     A integrates over |t| < Delta and B over Delta <= |t| <= H; both use the
     conjugate symmetry of the integrand to evaluate only t >= 0 and return
-    exactly real values. grid floors the panel count per region.
+    exactly real values. grid floors the resolution per region: each is
+    integrated as if it held at least grid/4 cycles. deadline is handed to
+    oscillatory_integral, which calls it between chunks of integrand points.
     """
     if grid < 512:
         raise ValueError(f"grid must be >= 512, got {grid}")
@@ -248,7 +258,7 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
         floor_freq = grid / (4.0 * (hi - lo))
         spec = QuadratureSpec(lo, hi, max(freq, floor_freq), rel_tol)
         half = oscillatory_integral(f, spec, threads=threads,
-                                    nodes_cap=nodes_cap)
+                                    nodes_cap=nodes_cap, deadline=deadline)
         return complex(2.0 * half.real, 0.0)
 
     a = region(0.0, params.Delta)

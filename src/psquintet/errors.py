@@ -1,7 +1,7 @@
 """Shared exception types.
 
 Every failure mode that crosses a module boundary gets a named class here so
-the CLI can map it to a stable exit code (see cli.EXIT_CODES).
+the CLI can map it to a stable exit code (see cli.main).
 """
 
 
@@ -26,7 +26,11 @@ class DegenerateRatio(PsQuintetError):
 
 
 class NonConvergence(PsQuintetError):
-    """Quadrature node doubling hit its cap without the estimates settling."""
+    """Quadrature estimates did not agree within the per-panel node cap.
+
+    Raised also when the cap is below the node count that the panels' cycles
+    call for, before any integrand evaluation.
+    """
 
 
 class BudgetExceeded(PsQuintetError):

@@ -21,6 +21,10 @@ rationals, so the CDF polynomial evaluates exactly in Fraction arithmetic; only
 the final conversion back to float rounds. A cached-grid interpolation was
 rejected: it cannot keep the three regimes exact nor support 1e-8 relative
 agreement between the closed form and quadrature of theta.
+
+The oscillatory quadrature cuts its range into panels of many cycles of the
+integrand's top frequency and takes each panel's Gauss-Legendre node count
+from the cycles it holds (see oscillatory_integral).
 """
 
 from __future__ import annotations
@@ -41,8 +45,12 @@ Rational = Fraction
 _SNAP_TOL = 1e-9          # continued-fraction integer snap (see cf_convergents)
 _MAX_CF_DEN = 10 ** 15    # denominators beyond double resolution are noise
 
-# Fixed quadrature chunking: reduction order must not depend on thread count.
-_PANEL_CHUNK = 4096
+# Quadrature panels span at most this many cycles of the top frequency.
+_PANEL_CYCLES = 64
+# Integrand points per quadrature chunk. Chunk boundaries depend on the node
+# count alone, so the reduction order, and with it every bit of the result,
+# is the same for any thread count; the bound also caps working memory.
+_CHUNK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,8 +189,9 @@ def dirichlet_approx(alpha: float, Q: int) -> Rational:
 class QuadratureSpec:
     """Panelized quadrature request for a possibly oscillatory integrand.
 
-    max_frequency is the largest |d/dt of the phase in cycles| over [lo, hi];
-    panels are kept at or below a quarter period of that frequency.
+    max_frequency bounds |d/dt of the phase in cycles| over [lo, hi]; the
+    panels and their node counts follow the cycles it implies (see
+    oscillatory_integral).
     """
 
     lo: float
@@ -208,27 +217,35 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _leggauss_cache[n]
 
 
-def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int) -> tuple[complex, float]:
-    """Gauss-Legendre over every panel; returns (total, sum of |panel| values).
+def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
+                deadline=None) -> tuple[complex, float]:
+    """Gauss-Legendre over every panel; returns (integral of f, integral of |f|).
 
-    Panels are processed in fixed chunks of _PANEL_CHUNK and partial sums are
-    combined in chunk-index order, so the result is bit-identical for any
-    thread count.
+    Panels are processed in chunks of about _CHUNK_POINTS integrand points and
+    partial sums are combined in chunk-index order, so the result is
+    bit-identical for any thread count. deadline, if given, is called before
+    each chunk and may raise to abandon the integral.
     """
     xs, ws = _leggauss(nodes)
     n_panels = len(edges) - 1
+    per_chunk = max(1, _CHUNK_POINTS // nodes)
 
     def one_chunk(start: int) -> tuple[complex, float]:
-        stop = min(start + _PANEL_CHUNK, n_panels)
+        if deadline is not None:
+            deadline()
+        stop = min(start + per_chunk, n_panels)
         e0, e1 = edges[start:stop], edges[start + 1:stop + 1]
         mid = (e0 + e1) / 2
         half = (e1 - e0) / 2
         t = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
         vals = np.broadcast_to(np.asarray(f(t), dtype=complex), t.shape)
-        panel = (vals.reshape(-1, nodes) @ ws) * half
-        return complex(np.sum(panel)), float(np.sum(np.abs(panel)))
+        vals = vals.reshape(-1, nodes)
+        # einsum rather than matmul: BLAS would add threads of its own
+        panel = np.einsum("ij,j->i", vals, ws) * half
+        mass = np.einsum("ij,j->i", np.abs(vals), ws) * half
+        return complex(np.sum(panel)), float(np.sum(mass))
 
-    starts = range(0, n_panels, _PANEL_CHUNK)
+    starts = range(0, n_panels, per_chunk)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one_chunk, starts))
@@ -243,31 +260,41 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int) -> tuple[complex
 
 
 def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
-                         nodes_init: int = 8, nodes_cap: int = 1024) -> complex:
+                         nodes_init: int = 8, nodes_cap: int = 1024,
+                         deadline=None) -> complex:
     """Integrate a vectorized complex integrand f over [spec.lo, spec.hi].
 
-    Panel width <= 1/(4*max_frequency) (single panel when max_frequency == 0);
-    the per-panel Gauss-Legendre node count doubles until two successive
-    estimates agree to rel_tol. Raises NonConvergence at the node cap. The
-    agreement scale has a floor proportional to the accumulated |panel| mass so
-    integrals that cancel to ~0 still converge.
+    The range is cut into equal panels of at most _PANEL_CYCLES cycles of
+    max_frequency (a single panel when max_frequency == 0). A Gauss-Legendre
+    rule with n nodes is exact to degree 2n - 1, and e(x t) over c cycles
+    needs a degree a little above pi*c, so panels start at n nodes, the
+    smallest nodes_init * 2^j with at least two nodes per cycle, and are
+    compared with 2n nodes; a panel of fewer cycles gets fewer nodes. The
+    estimates agree to rel_tol * scale on the first comparison for any
+    integrand band-limited to max_frequency; otherwise n doubles until they
+    do. scale = max(|estimate|, 1e-3 * integral of |f|), so integrals that
+    cancel to about zero still converge. Raises NonConvergence once 2n would
+    exceed nodes_cap, before any evaluation when nodes_cap < 2n at the start.
+    deadline, if given, is called before each chunk of integrand evaluations
+    (see _panel_sums).
     """
-    width = spec.hi - spec.lo
-    if spec.max_frequency > 0:
-        n_panels = max(1, math.ceil(width * 4 * spec.max_frequency))
-    else:
-        n_panels = 1
+    cycles = (spec.hi - spec.lo) * spec.max_frequency
+    n_panels = max(1, math.ceil(cycles / _PANEL_CYCLES))
     edges = np.linspace(spec.lo, spec.hi, n_panels + 1)
+    start = nodes_init
+    while start < 2.0 * cycles / n_panels:
+        start *= 2
 
-    prev, prev_mass = _panel_sums(f, edges, nodes_init, threads)
-    nodes = nodes_init * 2
-    while nodes <= nodes_cap:
-        cur, mass = _panel_sums(f, edges, nodes, threads)
-        scale = max(abs(cur), 1e-3 * mass)
-        if abs(cur - prev) <= spec.rel_tol * scale:
+    nodes = start
+    if 2 * nodes <= nodes_cap:
+        prev, _ = _panel_sums(f, edges, nodes, threads, deadline)
+    while 2 * nodes <= nodes_cap:
+        nodes *= 2
+        cur, mass = _panel_sums(f, edges, nodes, threads, deadline)
+        if abs(cur - prev) <= spec.rel_tol * max(abs(cur), 1e-3 * mass):
             return cur
         prev = cur
-        nodes *= 2
     raise NonConvergence(
         f"no agreement to rel_tol={spec.rel_tol} within {nodes_cap} nodes/panel "
-        f"({n_panels} panels on [{spec.lo}, {spec.hi}])")
+        f"({n_panels} panels of {cycles / n_panels:.4g} cycles on "
+        f"[{spec.lo}, {spec.hi}], starting at {start} nodes)")

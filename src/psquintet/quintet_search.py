@@ -14,6 +14,7 @@ the returned ordering is reproducible bit for bit across thread counts.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -178,6 +179,18 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
         raise CapacityExceeded(f"{len(hits)} candidates exceed the "
                                f"{_MAX_HITS} certification ceiling")
     return _finalize(inst, hits, radius, limit)
+
+
+def within_radius(inst, sols, radius: float) -> list[QuintetSolution]:
+    """The solutions with exact |value| < radius, from a search result.
+
+    sols is ordered as search_mitm returns it (exact |value| ascending), so
+    the kept solutions are a prefix, found by bisection on exact values.
+    """
+    rad = Fraction(radius)
+    cut = bisect.bisect_left(sols, True,
+                             key=lambda s: abs(_exact_value(inst, s.p)) >= rad)
+    return list(sols[:cut])
 
 
 def brute_oracle(inst, tables, radius: float, limit: int = 10 ** 8) -> list[QuintetSolution]:

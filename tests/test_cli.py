@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import stat
+import time
 
 import numpy as np
 import pytest
 
+from psquintet import cli
 from psquintet.cli import (
     RunConfig,
     RunReport,
@@ -16,7 +19,13 @@ from psquintet.cli import (
     parse_config,
     serialize_config,
 )
-from psquintet.dh_pipeline import DhParams, GammaDecomposition
+from psquintet.dh_pipeline import (
+    DhParams,
+    GammaDecomposition,
+    derive_params,
+    gamma_direct,
+    instance_tables,
+)
 from psquintet.errors import AdmissibilityError, SchemaError
 from psquintet.ps_primes import GammaParam, build_table
 from psquintet.quintet_search import QuintetSolution
@@ -205,6 +214,17 @@ def test_primes_subcommand(tmp_path, capsys):
     assert "PS primes" in capsys.readouterr().out
 
 
+def test_outputs_take_the_umask_mode(tmp_path):
+    cfg = write_cfg(tmp_path / "c.json")
+    out = tmp_path / "o"
+    old = os.umask(0o022)
+    try:
+        assert main(["primes", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.filemode((out / "primes.csv").stat().st_mode) == "-rw-r--r--"
+
+
 def test_kernel_subcommand(tmp_path):
     cfg = write_cfg(tmp_path / "c.json")
     out = tmp_path / "o"
@@ -356,3 +376,43 @@ def test_exit_code_time_budget(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.json", budgets={"time_s": 1e-9})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "time budget" in capsys.readouterr().err
+
+
+def test_time_budget_bounds_the_quadrature(tmp_path, capsys):
+    # the pinned instance spends seconds in the A/B integral; the budget
+    # must stop it there, not after it
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=29, radius="theorem",
+                    budgets={"time_s": 1})
+    t0 = time.monotonic()
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    elapsed = time.monotonic() - t0
+    assert "time budget" in capsys.readouterr().err
+    assert elapsed < 4.0
+
+
+@pytest.mark.parametrize("radius", [0.8, 5.0])
+def test_one_search_serves_solutions_and_direct(monkeypatch, radius):
+    # pinned instance (kernel support 0.973); the integral is not under test
+    conf = parse_config(make_doc(q0_floor=29, radius=radius))
+    calls = []
+    search = cli.search_mitm
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "search_mitm", counted)
+    monkeypatch.setattr(cli, "gamma_integral", lambda *a, direct, **k:
+                        GammaDecomposition(0j, 0j, 0.0, 0j, direct))
+    run = cli._full_run(conf, 1, with_diagnostics=False)
+    inst = conf.instance
+    params = derive_params(inst, conf.q0_floor)
+    tables = instance_tables(inst, params)
+    kern = cli._kernel_for(params)
+    assert calls == [max(radius, kern.epsilon)]
+    # the same results as separate searches at the two radii
+    want = search(inst, tables, radius, limit=10 ** 6)
+    assert list(run.solutions) == want
+    assert want
+    assert run.decomposition.direct == gamma_direct(inst, params, kern, tables)
+    assert run.decomposition.direct > 0

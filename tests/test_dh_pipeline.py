@@ -18,6 +18,7 @@ from psquintet import (
     gamma_integral,
     instance_tables,
     kernel_eval,
+    search_mitm,
     tail_bound,
 )
 
@@ -194,6 +195,21 @@ class TestGammaDirect:
         want = math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
         assert want > 0
         assert got == pytest.approx(want, rel=1e-10)
+
+    def test_wider_search_stands_in(self):
+        inst, params, tables, kern = tiny_setup()
+        wide = search_mitm(inst, tables, 3 * kern.epsilon, limit=10 ** 6)
+        n = len(search_mitm(inst, tables, kern.epsilon, limit=10 ** 6))
+        assert len(wide) > n + 1
+        want = gamma_direct(inst, params, kern, tables)
+        assert gamma_direct(inst, params, kern, tables, solutions=wide) == want
+        # a wider list cut at the cap is complete inside the kernel support
+        # as long as it reaches past it
+        assert gamma_direct(inst, params, kern, tables, max_solutions=n + 1,
+                            solutions=wide[:n + 1]) == want
+        with pytest.raises(BudgetExceeded):
+            gamma_direct(inst, params, kern, tables, max_solutions=n,
+                         solutions=wide[:n])
 
     def test_budget_exceeded(self):
         inst, params, tables, kern = tiny_setup()

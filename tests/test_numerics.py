@@ -11,10 +11,11 @@ Oracles used here:
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from psquintet.errors import NonConvergence
+from psquintet.errors import BudgetExceeded, NonConvergence
 from psquintet.numerics import (
     QuadratureSpec,
     SmoothingKernel,
@@ -253,6 +254,90 @@ class TestOscillatoryIntegral:
         with pytest.raises(NonConvergence):
             oscillatory_integral(noisy, QuadratureSpec(0.0, 1.0, 0.0, 1e-9),
                                  nodes_cap=64)
+
+    @pytest.mark.parametrize("freq", [32.0, 37.0])
+    def test_whole_cycles_cancel_over_many_panels(self, freq):
+        # 32 puts exactly 64 cycles in each of the 50 panels, so every panel
+        # integral is ~0 and only the integral of |f| gives a usable scale
+        got = oscillatory_integral(lambda t: np.exp(2j * np.pi * freq * t),
+                                   QuadratureSpec(0.0, 100.0, freq))
+        assert abs(got) < 1e-9
+
+    def test_multi_frequency_closed_form(self):
+        freqs = (-39.5, 17.25, 3.125, 40.0)
+        amps = (0.75, 2.0, -1.5j, 1.0)
+        lo, hi = 0.3, 64.7
+
+        def f(t):
+            return sum(a * np.exp(2j * np.pi * (nu * t - np.rint(nu * t)))
+                       for a, nu in zip(amps, freqs))
+
+        spec = QuadratureSpec(lo, hi, 40.0, 1e-9)
+        got = oscillatory_integral(f, spec)
+        with mpmath.workdps(30):
+            want = complex(mpmath.fsum(
+                a * (mpmath.expjpi(2 * mpmath.mpf(nu) * hi)
+                     - mpmath.expjpi(2 * mpmath.mpf(nu) * lo))
+                / (2j * mpmath.pi * nu) for a, nu in zip(amps, freqs)))
+        assert abs(got - want) <= spec.rel_tol * abs(want)
+
+    def test_thread_count_invariance_with_more_chunks_than_threads(self):
+        calls = []
+
+        def f(t):
+            calls.append(len(t))
+            return np.exp(2j * np.pi * 37.0 * t) / (1 + t * t)
+
+        spec = QuadratureSpec(0.0, 3000.0, 37.0, 1e-10)
+        one = oscillatory_integral(f, spec, threads=1)
+        chunks = len(calls)
+        three = oscillatory_integral(f, spec, threads=3)
+        assert chunks > 2 * 3          # two node levels, each over > 3 chunks
+        assert sorted(calls[chunks:]) == sorted(calls[:chunks])
+        assert one == three
+
+    @pytest.mark.parametrize("cap", [64, 128, 255])
+    def test_cap_below_starting_nodes_raises(self, cap):
+        # 64 cycles in one panel start at 128 nodes, compared against 256
+        calls = []
+
+        def f(t):
+            calls.append(len(t))
+            return np.exp(2j * np.pi * 64.0 * t)
+
+        with pytest.raises(NonConvergence):
+            oscillatory_integral(f, QuadratureSpec(0.0, 1.0, 64.0), nodes_cap=cap)
+        assert calls == []
+        assert oscillatory_integral(f, QuadratureSpec(0.0, 1.0, 64.0),
+                                    nodes_cap=256) == pytest.approx(0, abs=1e-12)
+        assert calls == [128, 256]
+
+    def test_nodes_follow_cycles_per_panel(self):
+        for freq, first in [(0.0, 8), (3.0, 8), (5.0, 16), (20.0, 64), (64.0, 128),
+                            (6400.0, 128)]:
+            calls = []
+
+            def f(t):
+                calls.append(len(t))
+                return np.ones_like(t, dtype=complex)
+
+            oscillatory_integral(f, QuadratureSpec(0.0, 1.0, freq))
+            panels = max(1, math.ceil(freq / 64))
+            assert calls[0] == first * panels, freq
+
+    def test_deadline_stops_between_chunks(self):
+        ticks = []
+
+        def deadline():
+            ticks.append(1)
+            if len(ticks) > 3:
+                raise BudgetExceeded("time budget exhausted")
+
+        with pytest.raises(BudgetExceeded):
+            oscillatory_integral(lambda t: np.exp(2j * np.pi * 37.0 * t),
+                                 QuadratureSpec(0.0, 3000.0, 37.0),
+                                 deadline=deadline)
+        assert len(ticks) == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from psquintet import (
     search_mitm,
     solutions_to_dicts,
 )
+from psquintet.quintet_search import within_radius
 
 GP = GammaParam(0.99)
 SQRT2 = math.sqrt(2)
@@ -149,6 +150,13 @@ class TestSolutionContract:
     def test_limit_truncates(self):
         top = search_mitm(self.inst, self.tables, 8.0, limit=3)
         assert top == self.sols[:3]
+
+    def test_within_radius_is_the_narrower_search(self):
+        cuts = [3.0, abs(self.sols[len(self.sols) // 2].value), 8.0, 100.0]
+        for radius in cuts:
+            want = search_mitm(self.inst, self.tables, min(radius, 8.0),
+                               limit=10 ** 6)
+            assert within_radius(self.inst, self.sols, radius) == want
 
 
 class TestErrors:
