@@ -54,6 +54,7 @@ from .errors import (
     EmptyWindow,
     IoError,
     NonConvergence,
+    PsQuintetError,
     SchemaError,
 )
 from .exp_sums import Family, GapKind, SumSpec, asym_gap, export_tscan, moment_integral, tscan
@@ -62,11 +63,14 @@ from .ps_primes import GammaParam, export_table
 from .quintet_search import export_solutions, search_mitm, within_radius
 
 _DEFAULT_BUDGETS = {"memory_mb": 2048.0, "max_nodes": 1024, "time_s": 1200.0}
-_THEOREM_EXP = {
-    2: lambda g: (71.0 - 72.0 * g) / 29.0,
-    3: lambda g: (129.0 - 130.0 * g) / 58.0,
-    4: lambda g: (245.0 - 246.0 * g) / 116.0,
-}
+# exit code and stderr label per error class; any other error propagates
+_EXIT_CODES = (
+    ((SchemaError, AdmissibilityError, DegenerateRatio, EmptyWindow), 2,
+     "config error"),
+    ((BudgetExceeded, CapacityExceeded), 3, "budget exceeded"),
+    ((NonConvergence,), 4, "quadrature failed to converge"),
+    ((IoError,), 1, "io error"),
+)
 
 
 @dataclass(frozen=True)
@@ -116,12 +120,20 @@ def parse_config(text: str) -> RunConfig:
     violated theorem hypotheses (sign pattern, gamma range) raise
     AdmissibilityError.
     """
+    return _config_from_doc(_json_object(text))
+
+
+def _json_object(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
+    return doc
+
+
+def _config_from_doc(doc: dict) -> RunConfig:
     known = {"lambdas", "eta", "k", "gamma", "theta", "lambda0", "q0_floor",
              "radius", "budgets", "seed", "output_dir"}
     for key in doc:
@@ -152,8 +164,8 @@ def parse_config(text: str) -> RunConfig:
     if not (0.0 < lambda0 < 1.0):
         raise SchemaError("$.lambda0", f"must be in (0,1), got {lambda0}")
     q0_floor = _want(doc, "q0_floor", int, "$.q0_floor", default=20)
-    if q0_floor < 1:
-        raise SchemaError("$.q0_floor", f"must be >= 1, got {q0_floor}")
+    if q0_floor < 2:
+        raise SchemaError("$.q0_floor", f"must be >= 2, got {q0_floor}")
     radius = doc.get("radius", "theorem")
     if isinstance(radius, str):
         if radius != "theorem":
@@ -174,6 +186,8 @@ def parse_config(text: str) -> RunConfig:
             raise SchemaError(f"$.budgets.{key}", "must be a positive number")
         budgets[key] = int(v) if key == "max_nodes" else float(v)
     seed = _want(doc, "seed", int, "$.seed", default=0)
+    if seed < 0:
+        raise SchemaError("$.seed", f"must be >= 0, got {seed}")
     output_dir = _want(doc, "output_dir", str, "$.output_dir", default="out")
 
     inst = ProblemInstance(tuple(float(l) for l in lambdas), eta, k,
@@ -199,7 +213,7 @@ def effective_radius(cfg: RunConfig, tables) -> float:
     if cfg.radius != "theorem":
         return float(cfg.radius)
     inst = cfg.instance
-    exp = _THEOREM_EXP[inst.k](inst.gamma.gamma) + inst.theta_exp
+    exp = inst.gamma.theorem_exponent(inst.k) + inst.theta_exp
     occupied = [t for t in tables if len(t)]
     if not occupied:
         return 1.0  # windows empty; downstream raises EmptyWindow anyway
@@ -320,11 +334,15 @@ def _diagnostics(cfg: RunConfig, params: DhParams, tables,
     return out
 
 
+def _params_tables(cfg: RunConfig) -> tuple[DhParams, list]:
+    params = derive_params(cfg.instance, cfg.q0_floor)
+    return params, instance_tables(cfg.instance, params)
+
+
 def _full_run(cfg: RunConfig, threads: int, with_diagnostics: bool) -> RunReport:
     deadline = _Deadline(cfg.budgets["time_s"])
     inst = cfg.instance
-    params = derive_params(inst, cfg.q0_floor)
-    tables = instance_tables(inst, params)
+    params, tables = _params_tables(cfg)
     kern = _kernel_for(params)
     deadline.check("tables")
 
@@ -358,38 +376,20 @@ def _load_config(args) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise SchemaError("$", f"cannot read config {args.config}: {exc}") from exc
-    cfg = parse_config(text)
-    if args.out is not None:
-        cfg = RunConfig(cfg.instance, cfg.q0_floor, cfg.radius, cfg.budgets,
-                        args.out, cfg.seed)
-    if args.seed is not None:
-        cfg = RunConfig(cfg.instance, cfg.q0_floor, cfg.radius, cfg.budgets,
-                        cfg.output_dir, args.seed)
-    if args.q0_floor is not None:
-        cfg = RunConfig(cfg.instance, args.q0_floor, cfg.radius, cfg.budgets,
-                        cfg.output_dir, cfg.seed)
-    if args.radius is not None:
-        if args.radius != "theorem":
-            try:
-                r = float(args.radius)
-            except ValueError:
-                raise SchemaError("$.radius",
-                                  f'must be a number or "theorem", '
-                                  f'got "{args.radius}"') from None
-            if not (r > 0 and math.isfinite(r)):
-                raise SchemaError("$.radius", f"must be positive, got {r}")
-            cfg = RunConfig(cfg.instance, cfg.q0_floor, r, cfg.budgets,
-                            cfg.output_dir, cfg.seed)
-        else:
-            cfg = RunConfig(cfg.instance, cfg.q0_floor, "theorem",
-                            cfg.budgets, cfg.output_dir, cfg.seed)
-    return cfg
+    doc = _json_object(text)
+    try:
+        radius = float(args.radius)
+    except (TypeError, ValueError):
+        radius = args.radius    # None, "theorem" or a string the check rejects
+    flags = {"output_dir": args.out, "seed": args.seed,
+             "q0_floor": args.q0_floor, "radius": radius}
+    doc.update((key, v) for key, v in flags.items() if v is not None)
+    return _config_from_doc(doc)
 
 
 def _cmd_primes(cfg: RunConfig, threads: int) -> int:
     inst = cfg.instance
-    params = derive_params(inst, cfg.q0_floor)
-    tables = instance_tables(inst, params)
+    _, tables = _params_tables(cfg)
     path = os.path.join(cfg.output_dir, "primes.csv")
     export_table(tables[0], path)
     print(f"{len(tables[0])} PS primes in the square window "
@@ -425,10 +425,8 @@ def _cmd_kernel(cfg: RunConfig, threads: int) -> int:
 
 
 def _cmd_sums(cfg: RunConfig, threads: int) -> int:
-    inst = cfg.instance
-    params = derive_params(inst, cfg.q0_floor)
-    tables = instance_tables(inst, params)
-    ts, vals = _scan_grid(params, inst, tables)
+    params, tables = _params_tables(cfg)
+    ts, vals = _scan_grid(params, cfg.instance, tables)
     path = os.path.join(cfg.output_dir, "tscan.csv")
     export_tscan(path, ts, vals, {"Delta": params.Delta, "H": params.H})
     print(f"{len(ts)} scan points on [0, {params.H:.6g}] -> {path}")
@@ -449,11 +447,9 @@ def _cmd_gamma(cfg: RunConfig, threads: int) -> int:
 
 
 def _cmd_search(cfg: RunConfig, threads: int) -> int:
-    inst = cfg.instance
-    params = derive_params(inst, cfg.q0_floor)
-    tables = instance_tables(inst, params)
+    _, tables = _params_tables(cfg)
     radius = effective_radius(cfg, tables)
-    sols = search_mitm(inst, tables, radius, limit=10 ** 6, threads=threads,
+    sols = search_mitm(cfg.instance, tables, radius, limit=10 ** 6, threads=threads,
                        memory_mb=cfg.budgets["memory_mb"])
     path = os.path.join(cfg.output_dir, "solutions.csv")
     export_solutions(path, sols)
@@ -515,18 +511,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return _COMMANDS[args.command](cfg, max(1, args.threads))
-    except (SchemaError, AdmissibilityError, DegenerateRatio, EmptyWindow) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetExceeded, CapacityExceeded) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except NonConvergence as exc:
-        print(f"quadrature failed to converge: {exc}", file=sys.stderr)
-        return 4
-    except IoError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
+    except PsQuintetError as exc:
+        for classes, code, label in _EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

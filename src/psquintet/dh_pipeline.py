@@ -7,8 +7,8 @@ derived parameters follow:
 
     X     = q0^(58/27)        q0 a convergent denominator of lambda1/lambda2
     Delta = X^(-27/29) log X
-    eps   = X^(e_k(gamma) + theta)   (e_2 = (71-72g)/58, e_3 = (129-130g)/116,
-                                      e_4 = (245-246g)/232)
+    eps   = X^(e_k(gamma)/2 + theta)  e_k the theorem exponent (a - b*gamma)/c
+                                      of ps_primes.THEOREM_TRIPLES
     H     = log^2 X / eps
 
 The smoothed count Gamma = sum over PS-prime quintuples of
@@ -40,15 +40,9 @@ from .numerics import (
     kernel_fourier,
     oscillatory_integral,
 )
-from .ps_primes import GammaParam, PsPrimeTable, build_table
+from .ps_primes import THEOREM_TRIPLES, GammaParam, PsPrimeTable, build_table
 from .quintet_search import search_mitm, within_radius
 
-_EPS_EXP = {
-    2: lambda g: (71.0 - 72.0 * g) / 58.0,
-    3: lambda g: (129.0 - 130.0 * g) / 116.0,
-    4: lambda g: (245.0 - 246.0 * g) / 232.0,
-}
-_THEOREM_RANGE = {2: "71/72", 3: "129/130", 4: "245/246"}
 # solutions the direct count may sum before it refuses as truncated
 MAX_DIRECT_SOLUTIONS = 10 ** 7
 
@@ -79,9 +73,9 @@ class ProblemInstance:
         if not isinstance(self.gamma, GammaParam):
             raise TypeError("gamma must be a GammaParam")
         if not self.gamma.theorem_admissible(self.k):
+            a, b, _ = THEOREM_TRIPLES[self.k]
             raise AdmissibilityError(
-                f"gamma={self.gamma.gamma} < {_THEOREM_RANGE[self.k]} "
-                f"for k={self.k}")
+                f"gamma={self.gamma.gamma} < {a}/{b} for k={self.k}")
         if not (self.theta_exp > 0 and math.isfinite(self.theta_exp)):
             raise ValueError(f"theta_exp must be positive, got {self.theta_exp}")
         if not (0.0 < self.lambda0 < 1.0):
@@ -129,11 +123,12 @@ def derive_params(inst: ProblemInstance, q0_floor="auto") -> DhParams:
     """Derived scales from the coefficient ratio.
 
     q0 is the smallest convergent denominator of lambda1/lambda2 at or above
-    the floor ("auto" means 2); small floors keep X at desk scale.
+    the floor ("auto" means 2); small floors keep X at desk scale. The floor
+    is at least 2: q0 = 1 gives X = 1 and Delta = 0.
     """
     floor = 2 if q0_floor == "auto" else int(q0_floor)
-    if floor < 1:
-        raise ValueError(f"q0 floor must be >= 1, got {q0_floor}")
+    if floor < 2:
+        raise ValueError(f"q0 floor must be >= 2, got {q0_floor}")
     ratio = inst.lambdas[0] / inst.lambdas[1]
     q0 = None
     for conv in cf_convergents(ratio, 64):
@@ -147,7 +142,7 @@ def derive_params(inst: ProblemInstance, q0_floor="auto") -> DhParams:
     x = float(q0) ** (58.0 / 27.0)
     logx = math.log(x)
     delta = x ** (-27.0 / 29.0) * logx
-    eps = x ** (_EPS_EXP[inst.k](inst.gamma.gamma) + inst.theta_exp)
+    eps = x ** (inst.gamma.theorem_exponent(inst.k) / 2 + inst.theta_exp)
     h = logx ** 2 / eps
     return DhParams(q0=q0, X=x, Delta=delta, eps=eps, H=h)
 

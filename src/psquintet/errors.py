@@ -1,7 +1,8 @@
 """Shared exception types.
 
 Every failure mode that crosses a module boundary gets a named class here so
-the CLI can map it to a stable exit code (see cli.main).
+the CLI can map it to a stable exit code: cli._EXIT_CODES holds the one
+table of error classes, exit codes and message labels.
 """
 
 

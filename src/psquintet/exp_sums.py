@@ -24,7 +24,7 @@ import numpy as np
 
 from ._io import atomic_write_text, fmt17
 from .errors import AdmissibilityError, SpecMismatch
-from .numerics import QuadratureSpec, dirichlet_approx, oscillatory_integral
+from .numerics import QuadratureSpec, oscillatory_integral
 from .ps_primes import GammaParam, PsPrimeTable, sieve_primes, window_bounds
 
 
@@ -149,13 +149,6 @@ def eval_sum(spec: SumSpec, t: float, table=None) -> complex:
     return oscillatory_integral(f, qspec)
 
 
-def min_pair(spec: SumSpec, t: float, lambda1: float, lambda2: float, table=None) -> float:
-    """min(|sum at lambda1*t|, |sum at lambda2*t|); the two-twist floor."""
-    a = abs(eval_sum(spec, lambda1 * t, table))
-    b = abs(eval_sum(spec, lambda2 * t, table))
-    return min(a, b)
-
-
 def _grid_values(spec: SumSpec, ts: np.ndarray, table) -> np.ndarray:
     """Vectorized eval_sum over a t grid for the finite-sum families."""
     if spec.family in (Family.S, Family.Sigma):
@@ -245,22 +238,6 @@ def asym_gap(kind: GapKind, k: int, gamma, x_max: float, lambda0: float,
     logs_g = np.log(np.maximum(gaps, 1e-300))
     slope = float(np.polyfit(logs_x, logs_g, 1)[0])
     return gaps[-1], slope
-
-
-def weyl_bound_check(t: float, N: int) -> tuple[float, float, bool]:
-    """|sum_{p<=N} e(t p^2) log p| against the quartic rational-t envelope.
-
-    rhs = 10 * N^1.05 * (1/q + 1/sqrt(N) + q/N^2)^(1/4) with a/q the
-    Dirichlet approximation of t at Q = N. Slack constants make the check
-    falsifiable without claiming the sharp implied constant.
-    """
-    if N > 10 ** 6:
-        raise ValueError(f"N must be <= 1e6, got {N}")
-    primes = sieve_primes(2, N).astype(np.float64)
-    lhs = float(abs(np.sum(np.log(primes) * _phases(t, primes ** 2))))
-    q = dirichlet_approx(t, N).denominator
-    rhs = 10.0 * N ** 1.05 * (1.0 / q + N ** -0.5 + q / N ** 2) ** 0.25
-    return lhs, rhs, lhs <= rhs
 
 
 def tscan(spec: SumSpec, ts, table=None) -> np.ndarray:

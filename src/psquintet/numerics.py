@@ -38,10 +38,6 @@ import numpy as np
 
 from .errors import NonConvergence
 
-# The spec'd Rational (reduced numerator/denominator pair) is exactly what
-# fractions.Fraction provides; no reason to reinvent it.
-Rational = Fraction
-
 _SNAP_TOL = 1e-9          # continued-fraction integer snap (see cf_convergents)
 _MAX_CF_DEN = 10 ** 15    # denominators beyond double resolution are noise
 
@@ -122,7 +118,7 @@ def kernel_fourier_bound(kern: SmoothingKernel, x):
     return float(out) if out.ndim == 0 else out
 
 
-def cf_convergents(alpha: float, n: int) -> list[Rational]:
+def cf_convergents(alpha: float, n: int) -> list[Fraction]:
     """First n continued-fraction convergents of alpha, in lowest terms.
 
     The walk runs in exact rational arithmetic on the binary value of alpha,
@@ -136,7 +132,7 @@ def cf_convergents(alpha: float, n: int) -> list[Rational]:
         raise ValueError("alpha must be finite")
     if n < 1:
         raise ValueError("n must be >= 1")
-    out: list[Rational] = []
+    out: list[Fraction] = []
     h_prev, h_prev2 = 1, 0
     k_prev, k_prev2 = 0, 1
     x = Fraction(float(alpha))
@@ -162,7 +158,7 @@ def cf_convergents(alpha: float, n: int) -> list[Rational]:
     return out
 
 
-def dirichlet_approx(alpha: float, Q: int) -> Rational:
+def dirichlet_approx(alpha: float, Q: int) -> Fraction:
     """Best rational a/q with q <= Q in the sense |q*alpha - a|.
 
     Returns the last convergent with denominator <= Q. That convergent
@@ -173,7 +169,7 @@ def dirichlet_approx(alpha: float, Q: int) -> Rational:
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    best: Rational | None = None
+    best: Fraction | None = None
     for conv in cf_convergents(alpha, 64):
         if conv.denominator <= Q:
             best = conv

@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from ._io import atomic_write_text, fmt17
-from .errors import CapacityExceeded, IoError
+from .errors import CapacityExceeded
 
 MP_DPS = 50              # escalation precision for membership decisions
 _GUARD = 1e-9            # distance-to-integer below which floats are not trusted
@@ -32,7 +32,9 @@ _SEGMENT = 1 << 22       # sieve segment length (bools)
 _MAX_SPAN = 1 << 34      # refuse absurd single-call ranges
 
 _DENSITY_GAMMA_MIN = 2426 / 2817
-_THEOREM_GAMMA_MIN = {2: 71 / 72, 3: 129 / 130, 4: 245 / 246}
+# the paper's theorem for each power k, as (a, b, c): it holds for
+# gamma > a/b with the radius exponent (a - b*gamma)/c + theta
+THEOREM_TRIPLES = {2: (71, 72, 29), 3: (129, 130, 58), 4: (245, 246, 116)}
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,13 @@ class GammaParam:
         return self.gamma > _DENSITY_GAMMA_MIN
 
     def theorem_admissible(self, k: int) -> bool:
-        return self.gamma > _THEOREM_GAMMA_MIN[k]
+        a, b, _ = THEOREM_TRIPLES[k]
+        return self.gamma > a / b
+
+    def theorem_exponent(self, k: int) -> float:
+        """(a - b*gamma)/c of the power-k theorem; the radius adds theta."""
+        a, b, c = THEOREM_TRIPLES[k]
+        return (a - b * self.gamma) / c
 
 
 def sieve_primes(lo: int, hi: int, max_span: int = _MAX_SPAN) -> np.ndarray:
@@ -127,10 +135,6 @@ class PsPrimeTable:
     weights: np.ndarray = field(repr=False)
     density_ratio: float = 0.0
 
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return [(int(p), float(w)) for p, w in zip(self.primes, self.weights)]
-
     def __len__(self) -> int:
         return len(self.primes)
 
@@ -192,27 +196,3 @@ def export_table(table: PsPrimeTable, path: str) -> int:
     for p, w in zip(table.primes, table.weights):
         writer.writerow([int(p), fmt17(w)])
     return atomic_write_text(path, buf.getvalue())
-
-
-def import_table(path: str, gamma, x_max: float, lambda0: float, k: int) -> PsPrimeTable:
-    """Rebuild a table from an export; weights are taken verbatim from the file."""
-    gp = gamma if isinstance(gamma, GammaParam) else GammaParam(float(gamma))
-    primes: list[int] = []
-    weights: list[float] = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["p", "weight"]:
-                raise IoError(f"{path}: expected header p,weight, got {header}")
-            for row in reader:
-                primes.append(int(row[0]))
-                weights.append(float(row[1]))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    t_top = x_max ** (1.0 / k)
-    ratio = len(primes) / (t_top ** gp.gamma / math.log(t_top)) if t_top > 1 else 0.0
-    return PsPrimeTable(gamma=gp, x_max=float(x_max), lambda0=float(lambda0),
-                        k=int(k), primes=np.asarray(primes, dtype=np.int64),
-                        weights=np.asarray(weights, dtype=np.float64),
-                        density_ratio=float(ratio))

@@ -28,12 +28,6 @@ from ._io import atomic_write_text, fmt17
 from .errors import CapacityExceeded, EmptyWindow, SpecMismatch
 from .ps_primes import PsPrimeTable
 
-_THEOREM_EXP = {
-    2: lambda g: (71.0 - 72.0 * g) / 29.0,
-    3: lambda g: (129.0 - 130.0 * g) / 58.0,
-    4: lambda g: (245.0 - 246.0 * g) / 116.0,
-}
-
 # hard ceiling on certified candidates per search, independent of the
 # caller's memory budget
 _MAX_HITS = 10 ** 7
@@ -50,14 +44,15 @@ class QuintetSolution:
 
 @dataclass(frozen=True)
 class HalfSumArray:
-    """Sorted partial sums with index pairs to recover the primes."""
+    """Sorted pair sums a_i + b_j, each with its flat index i*n_b + j."""
 
     sums: np.ndarray
-    pairs: np.ndarray
+    index: np.ndarray
+    n_b: int
 
     def __post_init__(self):
-        if len(self.sums) != len(self.pairs):
-            raise ValueError("sums and pairs length mismatch")
+        if len(self.sums) != len(self.index):
+            raise ValueError("sums and index length mismatch")
 
     @classmethod
     def build(cls, lam_a: float, tab_a: PsPrimeTable,
@@ -65,10 +60,8 @@ class HalfSumArray:
         a = lam_a * tab_a.primes.astype(np.float64) ** 2
         b = lam_b * tab_b.primes.astype(np.float64) ** 2
         sums = (a[:, None] + b[None, :]).ravel()
-        ia, ib = np.divmod(np.arange(len(sums)), len(b))
         order = np.argsort(sums, kind="stable")
-        pairs = np.stack([ia[order], ib[order]], axis=1).astype(np.int64)
-        return cls(sums=sums[order], pairs=pairs)
+        return cls(sums=sums[order], index=order, n_b=len(b))
 
 
 def _check_tables(inst, tables) -> list[PsPrimeTable]:
@@ -113,7 +106,7 @@ def _finalize(inst, hits, radius: float, limit: int) -> list[QuintetSolution]:
             kept.append((abs(v), p, v))
     kept.sort(key=lambda rec: (rec[0], rec[1]))
     g = inst.gamma.gamma
-    exp = _THEOREM_EXP[inst.k](g) + inst.theta_exp
+    exp = inst.gamma.theorem_exponent(inst.k) + inst.theta_exp
     out = []
     for _, p, v in kept[:limit]:
         max_p = max(p)
@@ -137,7 +130,8 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
         raise ValueError(f"limit must be positive, got {limit}")
     tables = _check_tables(inst, tables)
     n = [len(t) for t in tables]
-    # pair arrays dominate: sums float64 + two int64 index columns
+    # estimate of the pair arrays at 32 bytes per pair; a call's measured
+    # peak is larger
     est_bytes = 32 * (n[0] * n[1] + n[2] * n[3])
     if est_bytes > memory_mb * 2 ** 20:
         raise CapacityExceeded(
@@ -162,9 +156,9 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
         hi = np.searchsorted(left.sums, -r + band, side="right")
         out = []
         for j in np.flatnonzero(hi > lo):
-            i3, i4 = right34.pairs[j]
+            i3, i4 = divmod(int(right34.index[j]), right34.n_b)
             for m in range(lo[j], hi[j]):
-                i1, i2 = left.pairs[m]
+                i1, i2 = divmod(int(left.index[m]), left.n_b)
                 out.append((int(pr1[i1]), int(pr2[i2]),
                             int(pr3[i3]), int(pr4[i4]), p5))
         return out
@@ -215,12 +209,6 @@ def brute_oracle(inst, tables, radius: float, limit: int = 10 ** 8) -> list[Quin
                          int(tables[2].primes[i3]), int(tables[3].primes[i4]),
                          int(p5)))
     return _finalize(inst, hits, radius, limit)
-
-
-def solutions_to_dicts(sols) -> list[dict]:
-    return [{"p": list(s.p), "value": s.value, "weight": s.weight,
-             "max_p": s.max_p, "meets_theorem_radius": s.meets_theorem_radius}
-            for s in sols]
 
 
 def export_solutions(path: str, sols) -> int:

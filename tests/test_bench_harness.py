@@ -1,0 +1,36 @@
+"""The benchmark's traced run still finds every name it patches.
+
+psqbench/traced_cli.py wraps functions by name at fixed module sites
+(cli.derive_params, dh_pipeline.search_mitm, exp_sums.oscillatory_integral,
+...); a renamed or removed site makes every traced invocation fail. These
+tests run it as the benchmark does, on configs small enough to take well
+under a second.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("k,gamma", [(2, 0.99), (3, 0.995)])
+def test_traced_verify_runs(tmp_path, k, gamma):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "lambdas": [1.4142135623730951, 1.0, 1.0, 1.0, -3.0], "eta": 0.0,
+        "k": k, "gamma": gamma, "theta": 0.001, "q0_floor": 5,
+        "radius": "theorem", "seed": 1}))
+    trace = tmp_path / "trace.json"
+    run = subprocess.run(
+        [sys.executable, "psqbench/traced_cli.py", "src", str(trace), "time",
+         "verify", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(trace.read_text())
+    names = {span[2] for span in doc["spans"]}
+    assert "dh_pipeline.derive_params" in names
+    assert doc["counts"]["quintet_search.search_mitm_calls"] == 1

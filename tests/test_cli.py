@@ -26,7 +26,17 @@ from psquintet.dh_pipeline import (
     gamma_direct,
     instance_tables,
 )
-from psquintet.errors import AdmissibilityError, SchemaError
+from psquintet.errors import (
+    AdmissibilityError,
+    BudgetExceeded,
+    CapacityExceeded,
+    DegenerateRatio,
+    EmptyWindow,
+    IoError,
+    NonConvergence,
+    SchemaError,
+    SpecMismatch,
+)
 from psquintet.ps_primes import GammaParam, build_table
 from psquintet.quintet_search import QuintetSolution
 
@@ -110,6 +120,8 @@ def test_top_level_must_be_object():
     (make_doc(budgets={"fuel": 3}), "$.budgets.fuel"),
     (make_doc(budgets={"memory_mb": -1}), "$.budgets.memory_mb"),
     (make_doc(seed="zero"), "$.seed"),
+    (make_doc(q0_floor=1), "$.q0_floor"),
+    (make_doc(seed=-1), "$.seed"),
 ])
 def test_schema_error_carries_field_path(doc, path):
     with pytest.raises(SchemaError) as exc:
@@ -144,6 +156,37 @@ def test_theorem_radius_covers_window_extremes():
     want = max(float(table.primes[0]) ** exp, float(table.primes[-1]) ** exp)
     got = effective_radius(cfg, [table] * 5)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# the three theorems as the modules spelled them before they shared a table
+OLD_THEOREMS = {
+    2: (lambda g: (71.0 - 72.0 * g) / 29.0, lambda g: (71.0 - 72.0 * g) / 58.0,
+        71 / 72, "71/72"),
+    3: (lambda g: (129.0 - 130.0 * g) / 58.0,
+        lambda g: (129.0 - 130.0 * g) / 116.0, 129 / 130, "129/130"),
+    4: (lambda g: (245.0 - 246.0 * g) / 116.0,
+        lambda g: (245.0 - 246.0 * g) / 232.0, 245 / 246, "245/246"),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_theorem_exponents_match_old_literals(k):
+    radius_exp, eps_exp, g_min, text = OLD_THEOREMS[k]
+    below, above = math.nextafter(g_min, 0.0), math.nextafter(g_min, 1.0)
+    assert [GammaParam(g).theorem_admissible(k) for g in (below, g_min, above)] \
+        == [False, False, True]
+    with pytest.raises(AdmissibilityError, match=text):
+        parse_config(make_doc(k=k, gamma=g_min))
+    table = build_table(GammaParam(0.99), 961.0, 0.02, 2)
+    rng = np.random.default_rng(k)
+    for g in [above, *rng.uniform(g_min, 1.0, size=50)]:
+        g = float(g)
+        cfg = parse_config(make_doc(k=k, gamma=g, theta=0.002))
+        exp = radius_exp(g) + 0.002
+        assert effective_radius(cfg, [table] * 5) == max(
+            float(table.primes[0]) ** exp, float(table.primes[-1]) ** exp)
+        params = derive_params(cfg.instance, 12)
+        assert params.eps == params.X ** (eps_exp(g) + 0.002)
 
 
 # ------------------------------------------------------------ emit_report
@@ -350,6 +393,74 @@ def test_exit_code_config_error(tmp_path, capsys):
     p.write_text(make_doc(lambdas=[1.0, 2.0, 1.0, 1.0, 3.0]))
     assert main(["gamma", "--config", str(p), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over,flags,path", [
+    ({"q0_floor": 1}, [], "$.q0_floor"),
+    ({}, ["--q0-floor", "0"], "$.q0_floor"),
+    ({}, ["--q0-floor", "1"], "$.q0_floor"),
+    ({"seed": -1}, [], "$.seed"),
+    ({}, ["--seed", "-5"], "$.seed"),
+])
+@pytest.mark.parametrize("command", ["gamma", "search"])
+def test_rejected_field_writes_nothing(tmp_path, capsys, command, over, flags,
+                                       path):
+    cfg = write_cfg(tmp_path / "c.json", **over)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_override_before_validation(tmp_path):
+    # the flag replaces the config's value before the one validation runs
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=0, seed=-1)
+    out = tmp_path / "o"
+    assert main(["primes", "--config", cfg, "--out", str(out),
+                 "--q0-floor", "5", "--seed", "3"]) == 0
+    assert (out / "primes.csv").exists()
+
+
+def test_exit_code_io_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.json")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["primes", "--config", cfg, "--out", str(blocker)]) == 1
+    assert "io error" in capsys.readouterr().err
+
+
+def test_exit_code_degenerate_ratio(tmp_path, capsys):
+    # lambda1/lambda2 = 2 has the single convergent 2/1, below any floor
+    cfg = write_cfg(tmp_path / "c.json", lambdas=[2.0, 1.0, 1.0, 1.0, -3.0])
+    assert main(["gamma", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "no convergent denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc,code,label", [
+    (SchemaError("$.x", "m"), 2, "config error"),
+    (AdmissibilityError("m"), 2, "config error"),
+    (DegenerateRatio("m"), 2, "config error"),
+    (EmptyWindow("m"), 2, "config error"),
+    (BudgetExceeded("m"), 3, "budget exceeded"),
+    (CapacityExceeded("m"), 3, "budget exceeded"),
+    (NonConvergence("m"), 4, "quadrature failed to converge"),
+    (IoError("m"), 1, "io error"),
+])
+def test_exit_code_per_error_class(tmp_path, monkeypatch, capsys, exc, code,
+                                   label):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "_load_config", fail)
+    assert main(["primes", "--config", write_cfg(tmp_path / "c.json")]) == code
+    assert capsys.readouterr().err == f"{label}: {exc}\n"
+
+
+def test_unmapped_error_propagates(tmp_path, monkeypatch):
+    def fail(args):
+        raise SpecMismatch("m")
+    monkeypatch.setattr(cli, "_load_config", fail)
+    with pytest.raises(SpecMismatch):
+        main(["primes", "--config", write_cfg(tmp_path / "c.json")])
 
 
 def test_exit_code_missing_config(tmp_path, capsys):

@@ -115,6 +115,8 @@ class TestDeriveParams:
     def test_bad_floor(self):
         with pytest.raises(ValueError):
             derive_params(make_inst(), 0)
+        with pytest.raises(ValueError):    # q0 = 1 gives X = 1, Delta = 0
+            derive_params(make_inst(), 1)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

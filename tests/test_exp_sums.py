@@ -15,11 +15,9 @@ from psquintet import (
     build_table,
     eval_sum,
     export_tscan,
-    min_pair,
     moment_integral,
     sieve_primes,
     tscan,
-    weyl_bound_check,
     window_bounds,
 )
 
@@ -186,17 +184,6 @@ class TestSpecValidation:
             SumSpec(Family.U, 2, 100.0, 1.5)
 
 
-class TestMinPair:
-    def test_is_min_of_two_twists(self):
-        gp = GammaParam(0.95)
-        table = build_table(gp, 1000.0, 0.1, 2)
-        spec = SumSpec(Family.S, 2, 1000.0, 0.1, gp)
-        t, l1, l2 = 0.033, math.sqrt(2), -1.0
-        want = min(abs(eval_sum(spec, l1 * t, table)),
-                   abs(eval_sum(spec, l2 * t, table)))
-        assert min_pair(spec, t, l1, l2, table) == want
-
-
 class TestMoments:
     def test_single_term_unit_moment(self):
         # window holding only n=1: the sum is e(t), |.|^m == 1
@@ -273,34 +260,6 @@ class TestAsymGap:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             asym_gap(GapKind.S_vs_Sigma, 2, 0.9, 1600.0, 0.1, [])
-
-
-class TestWeylCheck:
-    def test_rational_zero(self):
-        lhs, rhs, ok = weyl_bound_check(0.0, 100)
-        # at t=0 the sum is Chebyshev theta(100) = 83.7284 (primes only,
-        # no higher prime powers)
-        want = math.fsum(math.log(p) for p in sieve_primes(2, 100))
-        assert lhs == pytest.approx(want, rel=1e-13)
-        assert lhs == pytest.approx(83.7284, abs=5e-4)
-        assert ok
-
-    def test_half_integer(self):
-        lhs, rhs, ok = weyl_bound_check(0.5, 1000)
-        # e(p^2/2) = -1 for odd p, +1 for p=2
-        want = abs(2 * math.log(2) -
-                   math.fsum(math.log(p) for p in sieve_primes(2, 1000)))
-        assert lhs == pytest.approx(want, rel=1e-12)
-        assert ok
-
-    def test_irrational(self):
-        lhs, rhs, ok = weyl_bound_check((1 + math.sqrt(5)) / 2, 10000)
-        assert ok
-        assert 0 < lhs < rhs
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            weyl_bound_check(0.1, 2 * 10 ** 6)
 
 
 class TestScan:

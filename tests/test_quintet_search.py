@@ -16,7 +16,6 @@ from psquintet import (
     build_table,
     export_solutions,
     search_mitm,
-    solutions_to_dicts,
 )
 from psquintet.quintet_search import within_radius
 
@@ -61,13 +60,24 @@ class TestHalfSumArray:
         assert np.all(np.diff(arr.sums) >= 0)
         a = SQRT2 * tab.primes.astype(float) ** 2
         b = -1.0 * tab.primes.astype(float) ** 2
-        for i in (0, 5, len(arr.sums) - 1):
-            ia, ib = arr.pairs[i]
+        assert arr.n_b == len(tab)
+        assert sorted(arr.index.tolist()) == list(range(len(arr.sums)))
+        for i in range(len(arr.sums)):
+            ia, ib = divmod(int(arr.index[i]), arr.n_b)
             assert arr.sums[i] == a[ia] + b[ib]
+
+    def test_ties_keep_flat_index_order(self):
+        # lambda_b = -lambda_a: every diagonal pair sums to 0; the stable
+        # sort keeps them in flat-index order, so the search is reproducible
+        tab = build_table(GP, 1500.0, 0.1, 2)
+        arr = HalfSumArray.build(1.0, tab, -1.0, tab)
+        zeros = arr.index[arr.sums == 0.0].tolist()
+        assert zeros == [i * (len(tab) + 1) for i in range(len(tab))]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            HalfSumArray(sums=np.zeros(3), pairs=np.zeros((2, 2), dtype=np.int64))
+            HalfSumArray(sums=np.zeros(3), index=np.zeros(2, dtype=np.int64),
+                         n_b=1)
 
 
 class TestSearchExamples:
@@ -204,7 +214,7 @@ class TestErrors:
 
 
 class TestExport:
-    def test_csv_and_dicts(self, tmp_path):
+    def test_csv(self, tmp_path):
         inst = make_inst(lambda0=0.02)
         tab = build_table(GP, 961.0, 0.02, 2)
         sols = search_mitm(inst, [tab] * 5, 8.0, limit=5)
@@ -220,6 +230,3 @@ class TestExport:
         assert tuple(int(v) for v in first[:5]) == sols[0].p
         assert float(first[5]) == sols[0].value
         assert first[7] in ("true", "false")
-        dicts = solutions_to_dicts(sols)
-        assert dicts[0]["p"] == list(sols[0].p)
-        assert dicts[0]["value"] == sols[0].value
