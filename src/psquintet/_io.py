@@ -1,4 +1,4 @@
-"""Small shared IO helpers: canonical float text and atomic file writes.
+"""Small shared IO helpers: canonical float text, CSV text and atomic file writes.
 
 Every float that reaches disk goes through fmt17 (17 significant digits, the
 shortest width that round-trips any double), and every file is written to a
@@ -8,6 +8,8 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import tempfile
 
@@ -16,6 +18,15 @@ from .errors import IoError
 
 def fmt17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV document with "\n" line ends: the header line, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _umask() -> int:

@@ -23,19 +23,17 @@ numeric kernels use fixed reduction orders regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from ._io import atomic_write_text, canonical_json, fmt17
+from ._io import atomic_write_text, canonical_json, csv_text, fmt17
 from .dh_pipeline import (
     MAX_DIRECT_SOLUTIONS,
     DhParams,
@@ -76,11 +74,11 @@ _EXIT_CODES = (
 @dataclass(frozen=True)
 class RunConfig:
     instance: ProblemInstance
-    q0_floor: int = 20
-    radius: Union[float, str] = "theorem"
-    budgets: dict = field(default_factory=lambda: dict(_DEFAULT_BUDGETS))
-    output_dir: str = "out"
-    seed: int = 0
+    q0_floor: int
+    radius: Union[float, str]
+    budgets: dict
+    output_dir: str
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -95,11 +93,10 @@ class Diagnostic:
 class RunReport:
     params: DhParams
     decomposition: GammaDecomposition
-    solutions_found: int
-    diagnostics: tuple = ()
-    solutions: tuple = ()
-    scan_ts: Optional[np.ndarray] = None
-    scan_values: Optional[np.ndarray] = None
+    diagnostics: tuple
+    solutions: tuple
+    scan_ts: np.ndarray
+    scan_values: np.ndarray
 
 
 def _want(doc: dict, key: str, kinds, path: str, default=None, required=False):
@@ -184,7 +181,9 @@ def _config_from_doc(doc: dict) -> RunConfig:
             raise SchemaError(f"$.budgets.{key}", "unknown budget")
         if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
             raise SchemaError(f"$.budgets.{key}", "must be a positive number")
-        budgets[key] = int(v) if key == "max_nodes" else float(v)
+        if key == "max_nodes" and not isinstance(v, int):
+            raise SchemaError(f"$.budgets.{key}", f"must be an integer, got {v}")
+        budgets[key] = v if key == "max_nodes" else float(v)
     seed = _want(doc, "seed", int, "$.seed", default=0)
     if seed < 0:
         raise SchemaError("$.seed", f"must be >= 0, got {seed}")
@@ -234,7 +233,7 @@ def report_to_dict(report: RunReport) -> dict:
         "C_bound": dec.C_bound,
         "direct": dec.direct,
         "rel_gap": dec.rel_gap,
-        "solutions_found": report.solutions_found,
+        "solutions_found": len(report.solutions),
         "diagnostics": [{"name": d.name, "value": d.value, "bound": d.bound,
                          "pass": d.passed} for d in report.diagnostics],
     }
@@ -252,19 +251,14 @@ def emit_report(report: RunReport, out_dir: str) -> dict:
         canonical_json(report_to_dict(report)))
     sizes["solutions.csv"] = export_solutions(
         os.path.join(out_dir, "solutions.csv"), report.solutions)
-    ts = report.scan_ts if report.scan_ts is not None else []
-    vals = report.scan_values if report.scan_values is not None else []
     sizes["tscan.csv"] = export_tscan(
-        os.path.join(out_dir, "tscan.csv"), ts, vals,
+        os.path.join(out_dir, "tscan.csv"), report.scan_ts, report.scan_values,
         {"Delta": report.params.Delta, "H": report.params.H})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "value", "bound", "pass"])
-    for d in report.diagnostics:
-        writer.writerow([d.name, fmt17(d.value), fmt17(d.bound),
-                         "true" if d.passed else "false"])
+    rows = ([d.name, fmt17(d.value), fmt17(d.bound),
+             "true" if d.passed else "false"] for d in report.diagnostics)
     sizes["diagnostics.csv"] = atomic_write_text(
-        os.path.join(out_dir, "diagnostics.csv"), buf.getvalue())
+        os.path.join(out_dir, "diagnostics.csv"),
+        csv_text(["name", "value", "bound", "pass"], rows))
     return sizes
 
 
@@ -284,9 +278,9 @@ def _kernel_for(params: DhParams) -> SmoothingKernel:
     return SmoothingKernel(params.eps, max(1, math.floor(math.log(params.X))))
 
 
-def _scan_grid(params: DhParams, inst: ProblemInstance, tables, n: int = 513):
+def _scan_grid(params: DhParams, inst: ProblemInstance, tables):
     spec = SumSpec(Family.S, 2, tables[0].x_max, inst.lambda0, inst.gamma)
-    ts = np.linspace(0.0, params.H, n)
+    ts = np.linspace(0.0, params.H, 513)
     return ts, tscan(spec, ts, tables[0])
 
 
@@ -365,8 +359,7 @@ def _full_run(cfg: RunConfig, threads: int, with_diagnostics: bool) -> RunReport
     ts, vals = _scan_grid(params, inst, tables)
     diags = _diagnostics(cfg, params, tables, dec) if with_diagnostics else []
     deadline.check("diagnostics")
-    return RunReport(params=params, decomposition=dec,
-                     solutions_found=len(sols), diagnostics=tuple(diags),
+    return RunReport(params=params, decomposition=dec, diagnostics=tuple(diags),
                      solutions=tuple(sols), scan_ts=ts, scan_values=vals)
 
 
@@ -405,21 +398,15 @@ def _cmd_kernel(cfg: RunConfig, threads: int) -> int:
     params = derive_params(cfg.instance, cfg.q0_floor)
     kern = _kernel_for(params)
     eps = kern.epsilon
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["y", "theta"])
-    for y in np.linspace(-eps, eps, 257):
-        writer.writerow([fmt17(y), fmt17(kernel_eval(kern, float(y)))])
     p1 = os.path.join(cfg.output_dir, "kernel_theta.csv")
-    atomic_write_text(p1, buf.getvalue())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "fourier", "bound"])
-    for x in np.geomspace(1e-2 / eps, 1e2 / eps, 257):
-        writer.writerow([fmt17(x), fmt17(float(kernel_fourier(kern, x))),
-                         fmt17(float(kernel_fourier_bound(kern, x)))])
+    atomic_write_text(p1, csv_text(["y", "theta"], (
+        [fmt17(y), fmt17(kernel_eval(kern, float(y)))]
+        for y in np.linspace(-eps, eps, 257))))
     p2 = os.path.join(cfg.output_dir, "kernel_fourier.csv")
-    atomic_write_text(p2, buf.getvalue())
+    atomic_write_text(p2, csv_text(["x", "fourier", "bound"], (
+        [fmt17(x), fmt17(float(kernel_fourier(kern, x))),
+         fmt17(float(kernel_fourier_bound(kern, x)))]
+        for x in np.geomspace(1e-2 / eps, 1e2 / eps, 257))))
     print(f"kernel (eps={eps:.6g}, l={kern.l}) -> {p1}, {p2}")
     return 0
 
@@ -459,20 +446,12 @@ def _cmd_search(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, threads: int) -> int:
-    report = _full_run(cfg, threads, with_diagnostics=True)
+def _cmd_verify(cfg: RunConfig, threads: int, with_diagnostics: bool = True) -> int:
+    report = _full_run(cfg, threads, with_diagnostics)
     sizes = emit_report(report, cfg.output_dir)
     for d in report.diagnostics:
         print(f"{'PASS' if d.passed else 'FAIL'} {d.name}: "
               f"value={fmt17(d.value)} bound={fmt17(d.bound)}")
-    for name in sorted(sizes):
-        print(f"wrote {os.path.join(cfg.output_dir, name)} ({sizes[name]} bytes)")
-    return 0
-
-
-def _cmd_report(cfg: RunConfig, threads: int) -> int:
-    report = _full_run(cfg, threads, with_diagnostics=False)
-    sizes = emit_report(report, cfg.output_dir)
     for name in sorted(sizes):
         print(f"wrote {os.path.join(cfg.output_dir, name)} ({sizes[name]} bytes)")
     return 0
@@ -485,7 +464,8 @@ _COMMANDS = {
     "gamma": _cmd_gamma,
     "search": _cmd_search,
     "verify": _cmd_verify,
-    "report": _cmd_report,
+    # a lambda, not functools.partial: its __doc__ is None like the others'
+    "report": lambda cfg, threads: _cmd_verify(cfg, threads, with_diagnostics=False),
 }
 
 

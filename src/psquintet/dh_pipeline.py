@@ -35,7 +35,7 @@ from .errors import (
 from .numerics import (
     QuadratureSpec,
     SmoothingKernel,
-    cf_convergents,
+    _cf_walk,
     kernel_eval,
     kernel_fourier,
     oscillatory_integral,
@@ -119,32 +119,40 @@ class GammaDecomposition:
         return abs(self.total - self.direct) / scale
 
 
-def derive_params(inst: ProblemInstance, q0_floor="auto") -> DhParams:
+def main_range_cutoff(x: float) -> float:
+    """Delta = X^(-27/29) log X, where the main range |t| < Delta ends."""
+    return x ** (-27.0 / 29.0) * math.log(x)
+
+
+def derive_params(inst: ProblemInstance, q0_floor: int = 2) -> DhParams:
     """Derived scales from the coefficient ratio.
 
     q0 is the smallest convergent denominator of lambda1/lambda2 at or above
-    the floor ("auto" means 2); small floors keep X at desk scale. The floor
-    is at least 2: q0 = 1 gives X = 1 and Delta = 0.
+    the floor; small floors keep X at desk scale. The floor is at least 2:
+    q0 = 1 gives X = 1 and Delta = 0. A theta so large that eps overflows
+    raises AdmissibilityError.
     """
-    floor = 2 if q0_floor == "auto" else int(q0_floor)
+    floor = int(q0_floor)
     if floor < 2:
         raise ValueError(f"q0 floor must be >= 2, got {q0_floor}")
     ratio = inst.lambdas[0] / inst.lambdas[1]
-    q0 = None
-    for conv in cf_convergents(ratio, 64):
-        if conv.denominator >= floor:
-            q0 = conv.denominator
-            break
+    convs, ended = _cf_walk(ratio, 64)
+    q0 = next((c.denominator for c in convs if c.denominator >= floor), None)
     if q0 is None:
+        why = ("the ratio is rational with too small a denominator" if ended else
+               f"the convergent walk stopped at denominator {convs[-1].denominator}"
+               + (" after 64 terms" if len(convs) == 64 else ": the next is over 10^15"))
         raise DegenerateRatio(
             f"lambda1/lambda2 = {ratio} has no convergent denominator >= "
-            f"{floor}; the ratio is rational with too small a denominator")
+            f"{floor}; {why}")
     x = float(q0) ** (58.0 / 27.0)
-    logx = math.log(x)
-    delta = x ** (-27.0 / 29.0) * logx
-    eps = x ** (inst.gamma.theorem_exponent(inst.k) / 2 + inst.theta_exp)
-    h = logx ** 2 / eps
-    return DhParams(q0=q0, X=x, Delta=delta, eps=eps, H=h)
+    try:
+        eps = x ** (inst.gamma.theorem_exponent(inst.k) / 2 + inst.theta_exp)
+    except OverflowError:
+        raise AdmissibilityError(f"theta={inst.theta_exp}: eps = X^(e/2 + theta) "
+                                 f"overflows at X={x}") from None
+    h = math.log(x) ** 2 / eps
+    return DhParams(q0=q0, X=x, Delta=main_range_cutoff(x), eps=eps, H=h)
 
 
 def instance_tables(inst: ProblemInstance, params: DhParams) -> list[PsPrimeTable]:
@@ -243,6 +251,10 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
     """
     if grid < 512:
         raise ValueError(f"grid must be >= 512, got {grid}")
+    if params.H <= params.Delta:
+        raise AdmissibilityError(
+            f"H={params.H} <= Delta={params.Delta}: theta={inst.theta_exp} "
+            f"leaves no oscillatory range at X={params.X}")
     ks = (2, 2, 2, 2, inst.k)
     freq = sum(abs(l) * float(np.max(t.primes)) ** kj if len(t) else 0.0
                for l, t, kj in zip(inst.lambdas, tables, ks))

@@ -43,6 +43,7 @@ _MAX_CF_DEN = 10 ** 15    # denominators beyond double resolution are noise
 
 # Quadrature panels span at most this many cycles of the top frequency.
 _PANEL_CYCLES = 64
+_NODES_INIT = 8    # node counts per panel are _NODES_INIT * 2^j
 # Integrand points per quadrature chunk. Chunk boundaries depend on the node
 # count alone, so the reduction order, and with it every bit of the result,
 # is the same for any thread count; the bound also caps working memory.
@@ -126,8 +127,13 @@ def cf_convergents(alpha: float, n: int) -> list[Fraction]:
     A double that encodes an intended rational (e.g. 7/3) carries rounding in
     its last ulps which would sprout garbage partial quotients; a residual
     within _SNAP_TOL of an integer is therefore snapped and the expansion
-    terminated there.
+    terminated there. The walk also stops before a denominator above 10^15.
     """
+    return _cf_walk(alpha, n)[0]
+
+
+def _cf_walk(alpha: float, n: int) -> tuple[list[Fraction], bool]:
+    """cf_convergents plus a flag: False if the cap or n, not alpha, ended it."""
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if n < 1:
@@ -148,14 +154,14 @@ def cf_convergents(alpha: float, n: int) -> list[Fraction]:
         h = a * h_prev + h_prev2
         k = a * k_prev + k_prev2
         if k > _MAX_CF_DEN:
-            break
+            return out, False
         out.append(Fraction(h, k))
         if terminal or x == a:
-            break
+            return out, True
         h_prev2, h_prev = h_prev, h
         k_prev2, k_prev = k_prev, k
         x = 1 / (x - a)
-    return out
+    return out, False
 
 
 def dirichlet_approx(alpha: float, Q: int) -> Fraction:
@@ -256,15 +262,14 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
 
 
 def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
-                         nodes_init: int = 8, nodes_cap: int = 1024,
-                         deadline=None) -> complex:
+                         nodes_cap: int = 1024, deadline=None) -> complex:
     """Integrate a vectorized complex integrand f over [spec.lo, spec.hi].
 
     The range is cut into equal panels of at most _PANEL_CYCLES cycles of
     max_frequency (a single panel when max_frequency == 0). A Gauss-Legendre
     rule with n nodes is exact to degree 2n - 1, and e(x t) over c cycles
     needs a degree a little above pi*c, so panels start at n nodes, the
-    smallest nodes_init * 2^j with at least two nodes per cycle, and are
+    smallest _NODES_INIT * 2^j with at least two nodes per cycle, and are
     compared with 2n nodes; a panel of fewer cycles gets fewer nodes. The
     estimates agree to rel_tol * scale on the first comparison for any
     integrand band-limited to max_frequency; otherwise n doubles until they
@@ -277,7 +282,7 @@ def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
     cycles = (spec.hi - spec.lo) * spec.max_frequency
     n_panels = max(1, math.ceil(cycles / _PANEL_CYCLES))
     edges = np.linspace(spec.lo, spec.hi, n_panels + 1)
-    start = nodes_init
+    start = _NODES_INIT
     while start < 2.0 * cycles / n_panels:
         start *= 2
 

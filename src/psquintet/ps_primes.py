@@ -14,15 +14,13 @@ is decisive.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
 
-from ._io import atomic_write_text, fmt17
+from ._io import atomic_write_text, csv_text, fmt17
 from .errors import CapacityExceeded
 
 MP_DPS = 50              # escalation precision for membership decisions
@@ -190,9 +188,5 @@ def ps_prime_count(limit: int, gamma) -> int:
 
 def export_table(table: PsPrimeTable, path: str) -> int:
     """CSV dump, header p,weight, 17-significant-digit weights; returns bytes."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "weight"])
-    for p, w in zip(table.primes, table.weights):
-        writer.writerow([int(p), fmt17(w)])
-    return atomic_write_text(path, buf.getvalue())
+    rows = ([int(p), fmt17(w)] for p, w in zip(table.primes, table.weights))
+    return atomic_write_text(path, csv_text(["p", "weight"], rows))

@@ -15,8 +15,6 @@ the returned ordering is reproducible bit for bit across thread counts.
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt17
+from ._io import atomic_write_text, csv_text, fmt17
 from .errors import CapacityExceeded, EmptyWindow, SpecMismatch
 from .ps_primes import PsPrimeTable
 
@@ -213,11 +211,8 @@ def brute_oracle(inst, tables, radius: float, limit: int = 10 ** 8) -> list[Quin
 
 def export_solutions(path: str, sols) -> int:
     """CSV p1..p5,value,max_p,meets_theorem_radius; row order preserved."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p1", "p2", "p3", "p4", "p5", "value", "max_p",
-                     "meets_theorem_radius"])
-    for s in sols:
-        writer.writerow([*s.p, fmt17(s.value), s.max_p,
-                         "true" if s.meets_theorem_radius else "false"])
-    return atomic_write_text(path, buf.getvalue())
+    rows = ([*s.p, fmt17(s.value), s.max_p,
+             "true" if s.meets_theorem_radius else "false"] for s in sols)
+    return atomic_write_text(path, csv_text(
+        ["p1", "p2", "p3", "p4", "p5", "value", "max_p", "meets_theorem_radius"],
+        rows))

@@ -122,6 +122,8 @@ def test_top_level_must_be_object():
     (make_doc(seed="zero"), "$.seed"),
     (make_doc(q0_floor=1), "$.q0_floor"),
     (make_doc(seed=-1), "$.seed"),
+    (make_doc(budgets={"max_nodes": 0.5}), "$.budgets.max_nodes"),
+    (make_doc(budgets={"max_nodes": 300.7}), "$.budgets.max_nodes"),
 ])
 def test_schema_error_carries_field_path(doc, path):
     with pytest.raises(SchemaError) as exc:
@@ -199,9 +201,9 @@ def tiny_report(solutions=(), diagnostics=()):
                              C_bound=5.27, total=complex(2.0, 0.0),
                              direct=2.0028)
     return RunReport(params=params, decomposition=dec,
-                     solutions_found=len(solutions),
                      diagnostics=tuple(diagnostics),
-                     solutions=tuple(solutions))
+                     solutions=tuple(solutions),
+                     scan_ts=np.array([]), scan_values=np.array([], dtype=complex))
 
 
 def test_empty_report_manifest(tmp_path):
@@ -349,6 +351,14 @@ def test_report_subcommand_skips_diagnostics(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     assert doc["diagnostics"] == []
     assert doc["solutions_found"] > 0
+    # report is verify without the diagnostics, and its report.json is gamma's
+    out_g, out_v = tmp_path / "g", tmp_path / "v"
+    assert main(["gamma", "--config", cfg, "--out", str(out_g)]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(out_v)]) == 0
+    assert (out / "report.json").read_bytes() == (out_g / "report.json").read_bytes()
+    for name in ("solutions.csv", "tscan.csv"):
+        assert (out / name).read_bytes() == (out_v / name).read_bytes()
+    assert (out / "diagnostics.csv").read_text() == "name,value,bound,pass\n"
 
 
 # ----------------------------------------------------- flags and exit codes
@@ -409,6 +419,27 @@ def test_rejected_field_writes_nothing(tmp_path, capsys, command, over, flags,
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
     assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("over,command,needle", [
+    ({"budgets": {"max_nodes": 0.5}}, "gamma", "$.budgets.max_nodes"),
+    ({"budgets": {"max_nodes": 300.7}}, "gamma", "$.budgets.max_nodes"),
+    # H = log^2 X / eps falls below Delta: no oscillatory range is left
+    ({"theta": 1.5, "q0_floor": 12}, "gamma", "theta=1.5"),
+    ({"theta": 1.5, "q0_floor": 12}, "report", "theta=1.5"),
+    ({"theta": 1.5, "q0_floor": 12}, "verify", "theta=1.5"),
+    # eps = X^(e/2 + theta) overflows in every subcommand
+    *(({"theta": 1000}, command, "theta=1000")
+      for command in ("primes", "kernel", "sums", "gamma", "search", "verify",
+                      "report")),
+])
+def test_inadmissible_budget_or_theta_writes_nothing(tmp_path, capsys, over,
+                                                     command, needle):
+    cfg = write_cfg(tmp_path / "c.json", **over)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert needle in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -112,6 +112,15 @@ class TestDeriveParams:
         with pytest.raises(DegenerateRatio):
             derive_params(inst, 20)
 
+    def test_degenerate_ratio_names_the_cause(self):
+        # 3/1 ends the expansion; sqrt2's walk stops at the 10^15 cap
+        with pytest.raises(DegenerateRatio, match="rational with too small"):
+            derive_params(make_inst((3.0, 1.0, 1.0, -1.0, -1.0)), 20)
+        with pytest.raises(DegenerateRatio) as exc:
+            derive_params(make_inst(), 10 ** 16)
+        assert "the next is over 10^15" in str(exc.value)
+        assert "rational" not in str(exc.value)
+
     def test_bad_floor(self):
         with pytest.raises(ValueError):
             derive_params(make_inst(), 0)

@@ -265,13 +265,18 @@ class TestAsymGap:
 class TestScan:
     def test_tscan_matches_pointwise(self):
         gp = GammaParam(0.95)
-        table = build_table(gp, 3000.0, 0.1, 2)
-        spec = SumSpec(Family.S, 2, 3000.0, 0.1, gp)
+        cases = [
+            (SumSpec(Family.S, 2, 3000.0, 0.1, gp), build_table(gp, 3000.0, 0.1, 2)),
+            (SumSpec(Family.Sigma, 2, 3000.0, 0.1),
+             sieve_primes(*window_bounds(3000.0, 0.1, 2))),
+            (SumSpec(Family.U, 2, 3000.0, 0.1), None),
+            (SumSpec(Family.I, 2, 3000.0, 0.1), None),
+        ]
         ts = np.linspace(-2, 2, 41)
-        vals = tscan(spec, ts, table)
-        for i in (0, 7, 20, 40):
-            assert vals[i] == pytest.approx(
-                eval_sum(spec, float(ts[i]), table), rel=1e-12, abs=1e-12)
+        for spec, table in cases:
+            vals = tscan(spec, ts, table)
+            for i in (0, 7, 20, 40):
+                assert vals[i] == eval_sum(spec, float(ts[i]), table)
 
     def test_export_round_trip(self, tmp_path):
         spec = SumSpec(Family.U, 2, 100.0, 0.25)
