@@ -61,6 +61,8 @@ from .ps_primes import GammaParam, export_table
 from .quintet_search import export_solutions, search_mitm, within_radius
 
 _DEFAULT_BUDGETS = {"memory_mb": 2048.0, "max_nodes": 1024, "time_s": 1200.0}
+# most quintuples solutions.csv lists
+_REPORT_LIMIT = 10 ** 6
 # exit code and stderr label per error class; any other error propagates
 _EXIT_CODES = (
     ((SchemaError, AdmissibilityError, DegenerateRatio, EmptyWindow), 2,
@@ -211,8 +213,7 @@ def effective_radius(cfg: RunConfig, tables) -> float:
     """Numeric radius; "theorem" widens to cover every achievable max_p."""
     if cfg.radius != "theorem":
         return float(cfg.radius)
-    inst = cfg.instance
-    exp = inst.gamma.theorem_exponent(inst.k) + inst.theta_exp
+    exp = cfg.instance.radius_exponent
     occupied = [t for t in tables if len(t)]
     if not occupied:
         return 1.0  # windows empty; downstream raises EmptyWindow anyway
@@ -346,7 +347,7 @@ def _full_run(cfg: RunConfig, threads: int, with_diagnostics: bool) -> RunReport
     found = search_mitm(inst, tables, max(radius, kern.epsilon),
                         limit=MAX_DIRECT_SOLUTIONS, threads=threads,
                         memory_mb=cfg.budgets["memory_mb"])
-    sols = within_radius(inst, found, radius)[:10 ** 6]
+    sols = within_radius(inst, found, radius)[:_REPORT_LIMIT]
     deadline.check("search")
 
     direct = gamma_direct(inst, params, kern, tables, solutions=found)
@@ -436,8 +437,8 @@ def _cmd_gamma(cfg: RunConfig, threads: int) -> int:
 def _cmd_search(cfg: RunConfig, threads: int) -> int:
     _, tables = _params_tables(cfg)
     radius = effective_radius(cfg, tables)
-    sols = search_mitm(cfg.instance, tables, radius, limit=10 ** 6, threads=threads,
-                       memory_mb=cfg.budgets["memory_mb"])
+    sols = search_mitm(cfg.instance, tables, radius, limit=_REPORT_LIMIT,
+                       threads=threads, memory_mb=cfg.budgets["memory_mb"])
     path = os.path.join(cfg.output_dir, "solutions.csv")
     export_solutions(path, sols)
     meets = sum(1 for s in sols if s.meets_theorem_radius)

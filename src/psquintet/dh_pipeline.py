@@ -36,9 +36,11 @@ from .numerics import (
     QuadratureSpec,
     SmoothingKernel,
     _cf_walk,
+    e2pi,
     kernel_eval,
     kernel_fourier,
     oscillatory_integral,
+    phase_sum,
 )
 from .ps_primes import THEOREM_TRIPLES, GammaParam, PsPrimeTable, build_table
 from .quintet_search import search_mitm, within_radius
@@ -80,6 +82,16 @@ class ProblemInstance:
             raise ValueError(f"theta_exp must be positive, got {self.theta_exp}")
         if not (0.0 < self.lambda0 < 1.0):
             raise ValueError(f"lambda0 must be in (0,1), got {self.lambda0}")
+
+    @property
+    def powers(self) -> tuple[int, int, int, int, int]:
+        """The exponent on each slot's prime: squares, then k."""
+        return (2, 2, 2, 2, self.k)
+
+    @property
+    def radius_exponent(self) -> float:
+        """e_k(gamma) + theta: the theorem radius is max_p to this power."""
+        return self.gamma.theorem_exponent(self.k) + self.theta_exp
 
 
 @dataclass(frozen=True)
@@ -195,15 +207,13 @@ def _sum_caps(tables) -> list[float]:
     return [float(np.sum(t.weights)) for t in tables]
 
 
-def tail_bound(params: DhParams, l: Optional[int] = None,
+def tail_bound(params: DhParams, l: int,
                sum_caps=(1.0, 1.0, 1.0, 1.0, 1.0)) -> float:
     """Bound on the discarded |t| > H integral: (prod caps)/l * (4l/(pi eps H))^l.
 
-    l defaults to floor(log X), the choice that makes the base
-    4l/(pi log^2 X) small at desk scale.
+    l is the smoothness order of the kernel whose tail is bounded
+    (SmoothingKernel.l); the bound is small when the base 4l/(pi eps H) is.
     """
-    if l is None:
-        l = max(1, math.floor(math.log(params.X)))
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     caps = [float(c) for c in sum_caps]
@@ -214,8 +224,7 @@ def tail_bound(params: DhParams, l: Optional[int] = None,
 
 
 def _integrand(inst: ProblemInstance, kern: SmoothingKernel, tables):
-    ks = (2, 2, 2, 2, inst.k)
-    bases = [t.primes.astype(np.float64) ** kj for t, kj in zip(tables, ks)]
+    bases = [t.primes.astype(np.float64) ** kj for t, kj in zip(tables, inst.powers)]
     weights = [t.weights for t in tables]
     lams = inst.lambdas
     eta = inst.eta
@@ -225,12 +234,8 @@ def _integrand(inst: ProblemInstance, kern: SmoothingKernel, tables):
         for lam, base, w in zip(lams, bases, weights):
             if len(base) == 0:
                 return np.zeros_like(t, dtype=complex)
-            u = (lam * t)[:, None] * base[None, :]
-            u -= np.rint(u)
-            acc = acc * np.einsum("ij,j->i", np.exp((2j * np.pi) * u), w)
-        u = eta * t
-        u -= np.rint(u)
-        return acc * np.exp((2j * np.pi) * u)
+            acc = acc * phase_sum(lam * t, base, w)
+        return acc * e2pi(eta * t)
 
     return f
 
@@ -255,9 +260,8 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
         raise AdmissibilityError(
             f"H={params.H} <= Delta={params.Delta}: theta={inst.theta_exp} "
             f"leaves no oscillatory range at X={params.X}")
-    ks = (2, 2, 2, 2, inst.k)
     freq = sum(abs(l) * float(np.max(t.primes)) ** kj if len(t) else 0.0
-               for l, t, kj in zip(inst.lambdas, tables, ks))
+               for l, t, kj in zip(inst.lambdas, tables, inst.powers))
     freq += abs(inst.eta) + 2.0 * kern.epsilon
     f = _integrand(inst, kern, tables)
 
@@ -270,5 +274,5 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
 
     a = region(0.0, params.Delta)
     b = region(params.Delta, params.H)
-    c = tail_bound(params, None, _sum_caps(tables))
+    c = tail_bound(params, kern.l, _sum_caps(tables))
     return GammaDecomposition(A=a, B=b, C_bound=c, total=a + b, direct=direct)

@@ -7,10 +7,10 @@ Four families over the window lambda0*X < p^k <= X (resp. n^k, y^k):
     U(t)     = sum over integers of e(t n^k)
     I(t)     = integral of e(t y^k) dy over the continuous window
 
-with e(u) = exp(2*pi*i*u). Phases are reduced symmetrically (u - rint(u)) so
-large arguments keep full precision and eval at -t is the exact conjugate of
-eval at t. A finite sum over a grid of t is one matrix-vector product per block
-of t values; eval_sum is tscan at a single t.
+with e(u) = exp(2*pi*i*u), evaluated by numerics.e2pi: phases are reduced
+symmetrically (u - rint(u)) so large arguments keep full precision and eval at
+-t is the exact conjugate of eval at t. A finite sum over a grid of t is one
+numerics.phase_sum; eval_sum is tscan at a single t.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from ._io import atomic_write_text, csv_text, fmt17
 from .dh_pipeline import main_range_cutoff
 from .errors import AdmissibilityError, SpecMismatch
-from .numerics import QuadratureSpec, oscillatory_integral
+from .numerics import QuadratureSpec, e2pi, oscillatory_integral, phase_sum
 from .ps_primes import GammaParam, PsPrimeTable, sieve_primes, window_bounds
 
 
@@ -116,12 +116,7 @@ def _integral_value(spec: SumSpec, t: float) -> complex:
     freq = abs(t) * spec.k * y_hi ** (spec.k - 1)
     qspec = QuadratureSpec(y_lo, y_hi, freq, 1e-9)
     k = spec.k
-
-    def f(y):
-        u = t * y ** k
-        return np.exp((2j * np.pi) * (u - np.rint(u)))
-
-    return oscillatory_integral(f, qspec)
+    return oscillatory_integral(lambda y: e2pi(t * y ** k), qspec)
 
 
 def tscan(spec: SumSpec, ts, table=None) -> np.ndarray:
@@ -130,22 +125,7 @@ def tscan(spec: SumSpec, ts, table=None) -> np.ndarray:
     if spec.family is Family.I:
         return np.array([_integral_value(spec, float(t)) for t in ts],
                         dtype=complex)
-    pk, w = _base_weights(spec, table)
-    if len(pk) == 0:
-        return np.zeros(len(ts), dtype=complex)
-    out = np.empty(len(ts), dtype=complex)
-    # one matrix-vector product per block of t; the block bounds the
-    # phase matrix at about 2^21 entries
-    block = max(1, (1 << 21) // len(pk))
-    for s in range(0, len(ts), block):
-        rows = ts[s:s + block]
-        # BLAS rounds a one-row product (a dot product) differently from a
-        # row of a matrix-vector product; a repeated row keeps every t on
-        # the matrix path, so eval_sum(t) is exactly the scan's value at t
-        u = np.resize(rows, max(len(rows), 2))[:, None] * pk[None, :]
-        u -= np.rint(u)
-        out[s:s + len(rows)] = (np.exp((2j * np.pi) * u) @ w)[:len(rows)]
-    return out
+    return phase_sum(ts, *_base_weights(spec, table))
 
 
 def eval_sum(spec: SumSpec, t: float, table=None) -> complex:

@@ -1,4 +1,7 @@
-"""Foundational numerics: smoothing kernel, continued fractions, oscillatory quadrature.
+"""Foundational numerics: phase sums, smoothing kernel, continued fractions, quadrature.
+
+e2pi is e(u) = exp(2*pi*i*u) with the phase reduced first, and phase_sum the
+one evaluator of the weighted sums sum_j w_j e(t b_j) along a grid of t.
 
 The smoothing kernel theta is the indicator of [-7e/8, 7e/8] convolved with l
 normalized boxes of width e/(4l) each (e = epsilon). That makes theta l times
@@ -46,8 +49,32 @@ _PANEL_CYCLES = 64
 _NODES_INIT = 8    # node counts per panel are _NODES_INIT * 2^j
 # Integrand points per quadrature chunk. Chunk boundaries depend on the node
 # count alone, so the reduction order, and with it every bit of the result,
-# is the same for any thread count; the bound also caps working memory.
+# is the same for any thread count; with phase_sum's blocks the bound also
+# caps working memory for any table size.
 _CHUNK_POINTS = 1 << 16
+# Phase entries (t values x base terms) per block of a phase_sum.
+_BLOCK_ENTRIES = 1 << 21
+
+
+def e2pi(u):
+    """exp(2*pi*i*u) elementwise; reducing u - rint(u) first keeps large
+    arguments at full precision and makes e2pi(-u) the exact conjugate."""
+    return np.exp((2j * np.pi) * (u - np.rint(u)))
+
+
+def phase_sum(ts, base, w) -> np.ndarray:
+    """sum_j w_j e(t * base_j) at each t of ts, as a complex array.
+
+    One einsum per block of about _BLOCK_ENTRIES phase entries. einsum sums
+    each row on its own and runs no BLAS threads, so phase_sum([t]) equals
+    the entry at t of any longer call; an empty base gives zeros.
+    """
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty(len(ts), dtype=complex)
+    block = max(1, _BLOCK_ENTRIES // max(1, len(base)))
+    for s in range(0, len(ts), block):
+        out[s:s + block] = np.einsum("ij,j->i", e2pi(ts[s:s + block, None] * base), w)
+    return out
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,9 @@ def _check_tables(inst, tables) -> list[PsPrimeTable]:
     tables = list(tables)
     if len(tables) != 5:
         raise SpecMismatch(f"need 5 prime tables, got {len(tables)}")
-    for j, tab in enumerate(tables):
+    for j, (tab, want_k) in enumerate(zip(tables, inst.powers)):
         if not isinstance(tab, PsPrimeTable):
             raise SpecMismatch(f"slot {j + 1} is not a prime table")
-        want_k = 2 if j < 4 else inst.k
         if tab.k != want_k:
             raise SpecMismatch(f"slot {j + 1} table built for exponent "
                                f"{tab.k}, instance needs {want_k}")
@@ -87,9 +86,8 @@ def _guard(inst, tables, radius: float) -> float:
 
 
 def _exact_value(inst, p: tuple[int, ...]) -> Fraction:
-    ks = (2, 2, 2, 2, inst.k)
     acc = Fraction(inst.eta)
-    for lam, pj, kj in zip(inst.lambdas, p, ks):
+    for lam, pj, kj in zip(inst.lambdas, p, inst.powers):
         acc += Fraction(lam) * pj ** kj
     return acc
 
@@ -104,7 +102,7 @@ def _finalize(inst, hits, radius: float, limit: int) -> list[QuintetSolution]:
             kept.append((abs(v), p, v))
     kept.sort(key=lambda rec: (rec[0], rec[1]))
     g = inst.gamma.gamma
-    exp = inst.gamma.theorem_exponent(inst.k) + inst.theta_exp
+    exp = inst.radius_exponent
     out = []
     for _, p, v in kept[:limit]:
         max_p = max(p)

@@ -4,7 +4,10 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -558,3 +561,17 @@ def test_one_search_serves_solutions_and_direct(monkeypatch, radius):
     assert want
     assert run.decomposition.direct == gamma_direct(inst, params, kern, tables)
     assert run.decomposition.direct > 0
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package root must not import cli, or runpy warns that the module
+    # is already in sys.modules before it runs it as __main__
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "psquintet.cli", "-h"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0
+    assert run.stderr == ""
+    assert run.stdout.startswith("usage: psquintet")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from psquintet import numerics
 from psquintet import (
     AdmissibilityError,
     BudgetExceeded,
@@ -58,6 +59,15 @@ class TestProblemInstance:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             make_inst(k=5)
+
+    @pytest.mark.parametrize("k,gamma,triple", [
+        (2, 0.99, (71, 72, 29)), (3, 0.995, (129, 130, 58)),
+        (4, 0.997, (245, 246, 116))])
+    def test_powers_and_radius_exponent(self, k, gamma, triple):
+        inst = make_inst(k=k, gamma=GammaParam(gamma), theta=0.003)
+        assert inst.powers == (2, 2, 2, 2, k)
+        a, b, c = triple
+        assert inst.radius_exponent == (a - b * gamma) / c + 0.003
 
     def test_theorem_admissibility(self):
         with pytest.raises(AdmissibilityError, match="71/72"):
@@ -145,7 +155,7 @@ class TestTailBound:
         assert l == 7
         base = 4.0 * l / (math.pi * p.eps * p.H)
         assert base == pytest.approx(0.1704, abs=2e-4)
-        got = tail_bound(p, None, (1, 1, 1, 1, 1))
+        got = tail_bound(p, l, (1, 1, 1, 1, 1))
         assert got == pytest.approx(base ** 7 / 7, rel=1e-12)
 
     def test_l_doubling_shrinks(self):
@@ -270,8 +280,18 @@ class TestGammaIntegral:
         inst, params, tables, kern = tiny_setup()
         caps = tuple(float(np.sum(t.weights)) for t in tables)
         dec = gamma_integral(inst, params, kern, tables, 512)
-        assert dec.C_bound == pytest.approx(tail_bound(params, None, caps),
+        assert dec.C_bound == pytest.approx(tail_bound(params, kern.l, caps),
                                             rel=1e-12)
+
+    def test_phase_block_size_invariance(self, monkeypatch):
+        # phase sums split each chunk into many blocks of t values here;
+        # A and B must not see where the blocks fall
+        inst, params, tables, kern = tiny_setup()
+        ref = gamma_integral(inst, params, kern, tables, 512)
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 12)
+        small = gamma_integral(inst, params, kern, tables, 512)
+        assert small.A == ref.A
+        assert small.B == ref.B
 
     def test_grid_validation(self):
         inst, params, tables, kern = tiny_setup()

@@ -6,6 +6,7 @@ Oracles used here:
   - fourier_quad_oracle: direct quadrature of kernel_eval against e(-xy),
     panelized at the polynomial knots and at quarter oscillation periods.
   - Fraction-based CF recurrence and exhaustive denominator scans.
+  - fsum_phase_sum: math.fsum over cos and sin, term by term, for phase sums.
 """
 
 import math
@@ -15,16 +16,19 @@ import mpmath
 import numpy as np
 import pytest
 
+from psquintet import numerics
 from psquintet.errors import BudgetExceeded, NonConvergence
 from psquintet.numerics import (
     QuadratureSpec,
     SmoothingKernel,
     cf_convergents,
     dirichlet_approx,
+    e2pi,
     kernel_eval,
     kernel_fourier,
     kernel_fourier_bound,
     oscillatory_integral,
+    phase_sum,
 )
 
 
@@ -344,3 +348,53 @@ class TestOscillatoryIntegral:
             QuadratureSpec(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(0.0, 1.0, 1.0, rel_tol=0.5)
+
+
+def fsum_phase_sum(base, w, t):
+    """fsum-based reference evaluation, no vectorization shortcuts."""
+    re = math.fsum(wi * math.cos(2 * math.pi * t * b) for b, wi in zip(base, w))
+    im = math.fsum(wi * math.sin(2 * math.pi * t * b) for b, wi in zip(base, w))
+    return complex(re, im)
+
+
+PRIMES = np.array([p for p in range(2, 400)
+                   if all(p % d for d in range(2, int(p ** 0.5) + 1))])
+BASE = PRIMES.astype(np.float64) ** 2
+WEIGHTS = np.log(PRIMES.astype(np.float64))
+SCAN = np.linspace(-0.37, 0.51, 300)
+
+
+class TestPhaseSum:
+    def test_e2pi_reduces_the_phase(self):
+        u = np.array([0.0, 0.25, -0.25, 0.5, 3.125, 1e12 + 0.25])
+        got = e2pi(u)
+        assert got[0] == 1.0
+        assert got[1] == pytest.approx(1j, abs=1e-15)
+        assert got[2] == np.conj(got[1])
+        assert got[3] == pytest.approx(-1.0, abs=1e-15)
+        assert got[4] == pytest.approx(np.exp(0.25j * np.pi), abs=1e-15)
+        # 1e12 + 0.25 is exact in binary, so the reduced phase is exactly 0.25
+        assert got[5] == got[1]
+        assert np.array_equal(e2pi(-u), np.conj(got))
+
+    def test_matches_fsum_reference(self):
+        got = phase_sum(SCAN, BASE, WEIGHTS)
+        scale = math.fsum(WEIGHTS)
+        for t, v in zip(SCAN, got):
+            assert abs(v - fsum_phase_sum(BASE, WEIGHTS, t)) <= 1e-11 * scale
+
+    def test_empty_base(self):
+        got = phase_sum(SCAN, np.empty(0), np.empty(0))
+        assert got.dtype == complex
+        assert np.array_equal(got, np.zeros(len(SCAN)))
+        assert len(phase_sum([], BASE, WEIGHTS)) == 0
+
+    @pytest.mark.parametrize("entries", [1, len(BASE) - 1, 7 * len(BASE) + 3,
+                                         1 << 12])
+    def test_rows_ignore_the_block(self, monkeypatch, entries):
+        ref = phase_sum(SCAN, BASE, WEIGHTS)
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
+        got = phase_sum(SCAN, BASE, WEIGHTS)
+        assert np.array_equal(got, ref)
+        for t, v in zip(SCAN, got):
+            assert phase_sum([t], BASE, WEIGHTS)[0] == v
