@@ -329,15 +329,11 @@ def _diagnostics(cfg: RunConfig, params: DhParams, tables,
     return out
 
 
-def _params_tables(cfg: RunConfig) -> tuple[DhParams, list]:
-    params = derive_params(cfg.instance, cfg.q0_floor)
-    return params, instance_tables(cfg.instance, params)
-
-
-def _full_run(cfg: RunConfig, threads: int, with_diagnostics: bool) -> RunReport:
+def _full_run(cfg: RunConfig, params: DhParams, threads: int,
+              with_diagnostics: bool) -> RunReport:
     deadline = _Deadline(cfg.budgets["time_s"])
     inst = cfg.instance
-    params, tables = _params_tables(cfg)
+    tables = instance_tables(inst, params)
     kern = _kernel_for(params)
     deadline.check("tables")
 
@@ -352,7 +348,7 @@ def _full_run(cfg: RunConfig, threads: int, with_diagnostics: bool) -> RunReport
 
     direct = gamma_direct(inst, params, kern, tables, solutions=found)
     deadline.check("direct sum")
-    dec = gamma_integral(inst, params, kern, tables, 512, threads=threads,
+    dec = gamma_integral(inst, params, kern, tables, threads=threads,
                          nodes_cap=cfg.budgets["max_nodes"], direct=direct,
                          deadline=lambda: deadline.check("integral"))
     deadline.check("integral")
@@ -381,9 +377,9 @@ def _load_config(args) -> RunConfig:
     return _config_from_doc(doc)
 
 
-def _cmd_primes(cfg: RunConfig, threads: int) -> int:
+def _cmd_primes(cfg: RunConfig, params: DhParams, threads: int) -> int:
     inst = cfg.instance
-    _, tables = _params_tables(cfg)
+    tables = instance_tables(inst, params)
     path = os.path.join(cfg.output_dir, "primes.csv")
     export_table(tables[0], path)
     print(f"{len(tables[0])} PS primes in the square window "
@@ -395,8 +391,7 @@ def _cmd_primes(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _cmd_kernel(cfg: RunConfig, threads: int) -> int:
-    params = derive_params(cfg.instance, cfg.q0_floor)
+def _cmd_kernel(cfg: RunConfig, params: DhParams, threads: int) -> int:
     kern = _kernel_for(params)
     eps = kern.epsilon
     p1 = os.path.join(cfg.output_dir, "kernel_theta.csv")
@@ -412,8 +407,8 @@ def _cmd_kernel(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _cmd_sums(cfg: RunConfig, threads: int) -> int:
-    params, tables = _params_tables(cfg)
+def _cmd_sums(cfg: RunConfig, params: DhParams, threads: int) -> int:
+    tables = instance_tables(cfg.instance, params)
     ts, vals = _scan_grid(params, cfg.instance, tables)
     path = os.path.join(cfg.output_dir, "tscan.csv")
     export_tscan(path, ts, vals, {"Delta": params.Delta, "H": params.H})
@@ -421,8 +416,8 @@ def _cmd_sums(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _cmd_gamma(cfg: RunConfig, threads: int) -> int:
-    report = _full_run(cfg, threads, with_diagnostics=False)
+def _cmd_gamma(cfg: RunConfig, params: DhParams, threads: int) -> int:
+    report = _full_run(cfg, params, threads, with_diagnostics=False)
     path = os.path.join(cfg.output_dir, "report.json")
     atomic_write_text(path, canonical_json(report_to_dict(report)))
     dec = report.decomposition
@@ -434,8 +429,8 @@ def _cmd_gamma(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _cmd_search(cfg: RunConfig, threads: int) -> int:
-    _, tables = _params_tables(cfg)
+def _cmd_search(cfg: RunConfig, params: DhParams, threads: int) -> int:
+    tables = instance_tables(cfg.instance, params)
     radius = effective_radius(cfg, tables)
     sols = search_mitm(cfg.instance, tables, radius, limit=_REPORT_LIMIT,
                        threads=threads, memory_mb=cfg.budgets["memory_mb"])
@@ -447,8 +442,9 @@ def _cmd_search(cfg: RunConfig, threads: int) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, threads: int, with_diagnostics: bool = True) -> int:
-    report = _full_run(cfg, threads, with_diagnostics)
+def _cmd_verify(cfg: RunConfig, params: DhParams, threads: int,
+                with_diagnostics: bool = True) -> int:
+    report = _full_run(cfg, params, threads, with_diagnostics)
     sizes = emit_report(report, cfg.output_dir)
     for d in report.diagnostics:
         print(f"{'PASS' if d.passed else 'FAIL'} {d.name}: "
@@ -466,7 +462,7 @@ _COMMANDS = {
     "search": _cmd_search,
     "verify": _cmd_verify,
     # a lambda, not functools.partial: its __doc__ is None like the others'
-    "report": lambda cfg, threads: _cmd_verify(cfg, threads, with_diagnostics=False),
+    "report": lambda *args: _cmd_verify(*args, with_diagnostics=False),
 }
 
 
@@ -491,7 +487,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg, max(1, args.threads))
+        params = derive_params(cfg.instance, cfg.q0_floor)
+        return _COMMANDS[args.command](cfg, params, max(1, args.threads))
     except PsQuintetError as exc:
         for classes, code, label in _EXIT_CODES:
             if isinstance(exc, classes):

@@ -176,29 +176,28 @@ def instance_tables(inst: ProblemInstance, params: DhParams) -> list[PsPrimeTabl
 
 
 def gamma_direct(inst: ProblemInstance, params: DhParams,
-                 kern: SmoothingKernel, tables, *,
-                 max_solutions: int = MAX_DIRECT_SOLUTIONS, threads: int = 1,
+                 kern: SmoothingKernel, tables, *, threads: int = 1,
                  memory_mb: float = 2048.0, solutions=None) -> float:
     """Kernel-weighted quintuple sum, enumerated through the pair search.
 
     The kernel vanishes outside |value| < eps, so only near-solutions are
     enumerated (radius = kernel support); everything else contributes zero.
     solutions, if given, is a search_mitm result at a radius >= eps with
-    limit max_solutions; it stands in for the search.
+    limit MAX_DIRECT_SOLUTIONS; it stands in for the search.
     """
     if any(len(t) == 0 for t in tables):
         return 0.0
+    cap = MAX_DIRECT_SOLUTIONS
     if solutions is None:
         try:
-            solutions = search_mitm(inst, tables, kern.epsilon,
-                                    limit=max_solutions, threads=threads,
-                                    memory_mb=memory_mb)
+            solutions = search_mitm(inst, tables, kern.epsilon, limit=cap,
+                                    threads=threads, memory_mb=memory_mb)
         except CapacityExceeded as exc:
             raise BudgetExceeded(str(exc)) from exc
     sols = within_radius(inst, solutions, kern.epsilon)
-    if len(sols) >= max_solutions:
+    if len(sols) >= cap:
         raise BudgetExceeded(
-            f"solution count reached the {max_solutions} cap; "
+            f"solution count reached the {cap} cap; "
             "the weighted sum would be truncated")
     return math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
 
@@ -241,8 +240,7 @@ def _integrand(inst: ProblemInstance, kern: SmoothingKernel, tables):
 
 
 def gamma_integral(inst: ProblemInstance, params: DhParams,
-                   kern: SmoothingKernel, tables, grid: int = 512, *,
-                   rel_tol: float = 1e-9, threads: int = 1,
+                   kern: SmoothingKernel, tables, *, threads: int = 1,
                    nodes_cap: int = 1024,
                    direct: Optional[float] = None,
                    deadline=None) -> GammaDecomposition:
@@ -250,12 +248,11 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
 
     A integrates over |t| < Delta and B over Delta <= |t| <= H; both use the
     conjugate symmetry of the integrand to evaluate only t >= 0 and return
-    exactly real values. grid floors the resolution per region: each is
-    integrated as if it held at least grid/4 cycles. deadline is handed to
+    exactly real values. Each region is integrated to QuadratureSpec's
+    default rel_tol, as if it held at least 128 cycles, so a short or slowly
+    turning region still gets a fine rule. deadline is handed to
     oscillatory_integral, which calls it between chunks of integrand points.
     """
-    if grid < 512:
-        raise ValueError(f"grid must be >= 512, got {grid}")
     if params.H <= params.Delta:
         raise AdmissibilityError(
             f"H={params.H} <= Delta={params.Delta}: theta={inst.theta_exp} "
@@ -266,8 +263,7 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
     f = _integrand(inst, kern, tables)
 
     def region(lo: float, hi: float) -> complex:
-        floor_freq = grid / (4.0 * (hi - lo))
-        spec = QuadratureSpec(lo, hi, max(freq, floor_freq), rel_tol)
+        spec = QuadratureSpec(lo, hi, max(freq, 128.0 / (hi - lo)))
         half = oscillatory_integral(f, spec, threads=threads,
                                     nodes_cap=nodes_cap, deadline=deadline)
         return complex(2.0 * half.real, 0.0)

@@ -95,13 +95,11 @@ def _base_weights(spec: SumSpec, table) -> tuple[np.ndarray, np.ndarray]:
         raise SpecMismatch("family Sigma sums over all window primes, "
                            "not a PS-filtered table")
     primes = np.asarray(table, dtype=np.int64)
-    if len(primes):
-        pk_int = primes.astype(object) ** spec.k
-        inside = [(spec.lambda0 * spec.x_max < v <= spec.x_max) for v in pk_int]
-        if not all(inside):
-            raise SpecMismatch("prime list does not match the window "
-                               f"(lambda0*X, X] = ({spec.lambda0 * spec.x_max}, "
-                               f"{spec.x_max}]")
+    lo, hi = window_bounds(spec.x_max, spec.lambda0, spec.k)
+    if np.any((primes < lo) | (primes > hi)):
+        raise SpecMismatch("prime list does not match the window "
+                           f"(lambda0*X, X] = ({spec.lambda0 * spec.x_max}, "
+                           f"{spec.x_max}]")
     pk = primes.astype(np.float64) ** spec.k
     return pk, np.log(primes.astype(np.float64))
 
@@ -114,9 +112,9 @@ def _integral_value(spec: SumSpec, t: float) -> complex:
     if y_hi <= y_lo:
         return complex(0)
     freq = abs(t) * spec.k * y_hi ** (spec.k - 1)
-    qspec = QuadratureSpec(y_lo, y_hi, freq, 1e-9)
     k = spec.k
-    return oscillatory_integral(lambda y: e2pi(t * y ** k), qspec)
+    return oscillatory_integral(lambda y: e2pi(t * y ** k),
+                                QuadratureSpec(y_lo, y_hi, freq))
 
 
 def tscan(spec: SumSpec, ts, table=None) -> np.ndarray:
@@ -176,7 +174,7 @@ def asym_gap(kind: GapKind, k: int, gamma, x_max: float, lambda0: float,
     for x in ladder:
         delta = main_range_cutoff(x)
         lo_w, hi_w = window_bounds(x, lambda0, k)
-        primes = sieve_primes(max(lo_w, 2), hi_w)
+        primes = sieve_primes(lo_w, hi_w)
         sig_spec = SumSpec(Family.Sigma, k, x, lambda0)
         if kind is GapKind.S_vs_Sigma:
             table = build_table(gp, x, lambda0, k)

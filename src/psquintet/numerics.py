@@ -32,6 +32,7 @@ from the cycles it holds (see oscillatory_integral).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
@@ -237,13 +238,9 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be in (0, 0.1]")
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _leggauss_cache[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
@@ -274,17 +271,13 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
         mass = np.einsum("ij,j->i", np.abs(vals), ws) * half
         return complex(np.sum(panel)), float(np.sum(mass))
 
-    starts = range(0, n_panels, per_chunk)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_chunk, starts))
-    else:
-        parts = [one_chunk(s) for s in starts]
     total = complex(0)
     mass = 0.0
-    for part, m in parts:        # fixed order regardless of executor
-        total += part
-        mass += m
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # map yields in chunk order, whatever thread ran each chunk
+        for part, m in pool.map(one_chunk, range(0, n_panels, per_chunk)):
+            total += part
+            mass += m
     return total, mass
 
 

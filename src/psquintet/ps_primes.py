@@ -87,8 +87,6 @@ def sieve_primes(lo: int, hi: int, max_span: int = _MAX_SPAN) -> np.ndarray:
             if start > seg_hi:
                 continue
             mask[start - seg_lo::p] = False
-        if seg_lo <= 1:
-            mask[:2 - seg_lo] = False
         chunks.append(np.flatnonzero(mask).astype(np.int64) + seg_lo)
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
@@ -167,11 +165,11 @@ def build_table(gamma, x_max: float, lambda0: float, k: int) -> PsPrimeTable:
     if x_max < 4:
         raise ValueError(f"x_max must be >= 4, got {x_max}")
     lo, hi = window_bounds(x_max, lambda0, k)
-    candidates = sieve_primes(max(lo, 2), hi) if hi >= 2 else np.empty(0, np.int64)
+    candidates = sieve_primes(lo, hi)
     keep = [int(p) for p in candidates if is_ps_prime(int(p), gp.gamma)[0]]
     primes = np.asarray(keep, dtype=np.int64)
     pf = primes.astype(np.float64)
-    weights = pf ** (1.0 - gp.gamma) * np.log(pf) if len(primes) else np.empty(0)
+    weights = pf ** (1.0 - gp.gamma) * np.log(pf)
     t_top = x_max ** (1.0 / k)
     ratio = len(primes) / (t_top ** gp.gamma / math.log(t_top)) if t_top > 1 else 0.0
     return PsPrimeTable(gamma=gp, x_max=float(x_max), lambda0=float(lambda0),

@@ -113,6 +113,15 @@ def _finalize(inst, hits, radius: float, limit: int) -> list[QuintetSolution]:
     return out
 
 
+def _search_bytes(n, threads: int) -> int:
+    """Peak memory of search_mitm over tables of sizes n, hits aside: 16 B a
+    stored pair (sum and index), 32 B a right pair per scanning thread (the
+    shifted sums and both searchsorted results), 1.7 kB a queued p5 task."""
+    right = n[2] * n[3]
+    return (16 * (n[0] * n[1] + right) + 32 * right * min(threads, n[4])
+            + 1700 * n[4])
+
+
 def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
                 threads: int = 1, memory_mb: float = 2048.0) -> list[QuintetSolution]:
     """All quintuples with |form value| < radius, best (smallest) first.
@@ -126,24 +135,17 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
         raise ValueError(f"limit must be positive, got {limit}")
     tables = _check_tables(inst, tables)
     n = [len(t) for t in tables]
-    # estimate of the pair arrays at 32 bytes per pair; a call's measured
-    # peak is larger
-    est_bytes = 32 * (n[0] * n[1] + n[2] * n[3])
+    est_bytes = _search_bytes(n, threads)
     if est_bytes > memory_mb * 2 ** 20:
         raise CapacityExceeded(
-            f"pair arrays need ~{est_bytes / 2 ** 20:.0f} MiB, "
+            f"pair arrays and scan need ~{est_bytes / 2 ** 20:.0f} MiB, "
             f"budget is {memory_mb:.0f} MiB")
 
     l1, l2, l3, l4, l5 = inst.lambdas
     left = HalfSumArray.build(l1, tables[0], l2, tables[1])
     right34 = HalfSumArray.build(l3, tables[2], l4, tables[3])
-    p5s = tables[4].primes
+    pr1, pr2, pr3, pr4, p5s = (t.primes for t in tables)
     band = radius + _guard(inst, tables, radius)
-
-    pr1 = tables[0].primes
-    pr2 = tables[1].primes
-    pr3 = tables[2].primes
-    pr4 = tables[3].primes
 
     def scan_one(i5: int) -> list[tuple[int, int, int, int, int]]:
         p5 = int(p5s[i5])
@@ -159,15 +161,15 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
                             int(pr3[i3]), int(pr4[i4]), p5))
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            blocks = list(ex.map(scan_one, range(len(p5s))))
-    else:
-        blocks = [scan_one(i) for i in range(len(p5s))]
-    hits = [p for block in blocks for p in block]
-    if len(hits) > _MAX_HITS:
-        raise CapacityExceeded(f"{len(hits)} candidates exceed the "
-                               f"{_MAX_HITS} certification ceiling")
+    hits = []
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        # blocks arrive in p5 order; leaving the loop early closes the map,
+        # which cancels the p5 blocks still queued
+        for block in ex.map(scan_one, range(len(p5s))):
+            hits.extend(block)
+            if len(hits) > _MAX_HITS:
+                raise CapacityExceeded(f"{len(hits)} candidates exceed the "
+                                       f"{_MAX_HITS} certification ceiling")
     return _finalize(inst, hits, radius, limit)
 
 

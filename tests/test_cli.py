@@ -549,9 +549,9 @@ def test_one_search_serves_solutions_and_direct(monkeypatch, radius):
     monkeypatch.setattr(cli, "search_mitm", counted)
     monkeypatch.setattr(cli, "gamma_integral", lambda *a, direct, **k:
                         GammaDecomposition(0j, 0j, 0.0, 0j, direct))
-    run = cli._full_run(conf, 1, with_diagnostics=False)
     inst = conf.instance
     params = derive_params(inst, conf.q0_floor)
+    run = cli._full_run(conf, params, 1, with_diagnostics=False)
     tables = instance_tables(inst, params)
     kern = cli._kernel_for(params)
     assert calls == [max(radius, kern.epsilon)]

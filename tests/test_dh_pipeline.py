@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psquintet import numerics
+from psquintet import dh_pipeline, numerics
 from psquintet import (
     AdmissibilityError,
     BudgetExceeded,
@@ -217,7 +217,7 @@ class TestGammaDirect:
         assert want > 0
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_wider_search_stands_in(self):
+    def test_wider_search_stands_in(self, monkeypatch):
         inst, params, tables, kern = tiny_setup()
         wide = search_mitm(inst, tables, 3 * kern.epsilon, limit=10 ** 6)
         n = len(search_mitm(inst, tables, kern.epsilon, limit=10 ** 6))
@@ -226,16 +226,18 @@ class TestGammaDirect:
         assert gamma_direct(inst, params, kern, tables, solutions=wide) == want
         # a wider list cut at the cap is complete inside the kernel support
         # as long as it reaches past it
-        assert gamma_direct(inst, params, kern, tables, max_solutions=n + 1,
+        monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", n + 1)
+        assert gamma_direct(inst, params, kern, tables,
                             solutions=wide[:n + 1]) == want
+        monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", n)
         with pytest.raises(BudgetExceeded):
-            gamma_direct(inst, params, kern, tables, max_solutions=n,
-                         solutions=wide[:n])
+            gamma_direct(inst, params, kern, tables, solutions=wide[:n])
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         inst, params, tables, kern = tiny_setup()
+        monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", 5)
         with pytest.raises(BudgetExceeded):
-            gamma_direct(inst, params, kern, tables, max_solutions=5)
+            gamma_direct(inst, params, kern, tables)
         with pytest.raises(BudgetExceeded):
             gamma_direct(inst, params, kern, tables, memory_mb=1e-4)
 
@@ -244,7 +246,7 @@ class TestGammaIntegral:
     def test_decomposition_consistency(self):
         inst, params, tables, kern = tiny_setup()
         direct = gamma_direct(inst, params, kern, tables)
-        dec = gamma_integral(inst, params, kern, tables, 512, direct=direct)
+        dec = gamma_integral(inst, params, kern, tables, direct=direct)
         assert dec.A.imag == 0.0 and dec.B.imag == 0.0
         assert dec.total == dec.A + dec.B
         assert dec.direct == direct
@@ -255,7 +257,7 @@ class TestGammaIntegral:
     def test_empty_tables(self):
         inst, params, _, kern = tiny_setup()
         empty = build_table(GP, 24.0, 0.99, 2)
-        dec = gamma_integral(inst, params, kern, [empty] * 5, 512)
+        dec = gamma_integral(inst, params, kern, [empty] * 5)
         assert dec.A == 0 and dec.B == 0 and dec.total == 0
         assert dec.C_bound == 0.0
         assert dec.rel_gap is None
@@ -264,22 +266,22 @@ class TestGammaIntegral:
         inst, params, tables, kern = tiny_setup()
         neg = ProblemInstance(tuple(-l for l in inst.lambdas), -inst.eta,
                               inst.k, inst.gamma, inst.theta_exp, inst.lambda0)
-        a = gamma_integral(inst, params, kern, tables, 512)
-        b = gamma_integral(neg, params, kern, tables, 512)
+        a = gamma_integral(inst, params, kern, tables)
+        b = gamma_integral(neg, params, kern, tables)
         assert b.A.real == pytest.approx(a.A.real, rel=1e-12)
         assert b.B.real == pytest.approx(a.B.real, rel=1e-12)
 
     def test_thread_invariance(self):
         inst, params, tables, kern = tiny_setup()
-        one = gamma_integral(inst, params, kern, tables, 512, threads=1)
-        four = gamma_integral(inst, params, kern, tables, 512, threads=4)
+        one = gamma_integral(inst, params, kern, tables, threads=1)
+        four = gamma_integral(inst, params, kern, tables, threads=4)
         assert one.A == four.A
         assert one.B == four.B
 
     def test_c_bound_is_tail_bound(self):
         inst, params, tables, kern = tiny_setup()
         caps = tuple(float(np.sum(t.weights)) for t in tables)
-        dec = gamma_integral(inst, params, kern, tables, 512)
+        dec = gamma_integral(inst, params, kern, tables)
         assert dec.C_bound == pytest.approx(tail_bound(params, kern.l, caps),
                                             rel=1e-12)
 
@@ -287,13 +289,8 @@ class TestGammaIntegral:
         # phase sums split each chunk into many blocks of t values here;
         # A and B must not see where the blocks fall
         inst, params, tables, kern = tiny_setup()
-        ref = gamma_integral(inst, params, kern, tables, 512)
+        ref = gamma_integral(inst, params, kern, tables)
         monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", 1 << 12)
-        small = gamma_integral(inst, params, kern, tables, 512)
+        small = gamma_integral(inst, params, kern, tables)
         assert small.A == ref.A
         assert small.B == ref.B
-
-    def test_grid_validation(self):
-        inst, params, tables, kern = tiny_setup()
-        with pytest.raises(ValueError):
-            gamma_integral(inst, params, kern, tables, 256)

@@ -1,9 +1,13 @@
 import csv
 import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psquintet import (
     CapacityExceeded,
@@ -17,7 +21,8 @@ from psquintet import (
     export_solutions,
     search_mitm,
 )
-from psquintet.quintet_search import within_radius
+from psquintet import quintet_search
+from psquintet.quintet_search import _search_bytes, within_radius
 
 GP = GammaParam(0.99)
 SQRT2 = math.sqrt(2)
@@ -126,6 +131,54 @@ class TestOracleEquivalence:
         assert one == four
 
 
+# admissible gamma of the k = 3 and k = 4 theorems (above 129/130, 245/246)
+_THEOREM_GAMMA = {3: GammaParam(0.995), 4: GammaParam(0.997)}
+# per exponent: the range of a window's top n and its widest span, chosen so
+# that n^2 and n^k cover like magnitudes (about 1e3 to 2e5)
+_WINDOWS = {2: (40, 450, 60), 3: (14, 60, 30), 4: (9, 22, 12)}
+
+
+@st.composite
+def higher_power_cases(draw, k):
+    """(instance, tables, radius): every slot has its own window (lo, hi],
+    so its own x_max = hi^kj and lambda0 = (lo/hi)^kj, and eta puts one
+    quintuple within radius/2 of zero."""
+    gp = _THEOREM_GAMMA[k]
+    tables = []
+    for kj in (2, 2, 2, 2, k):
+        top_min, top_max, span = _WINDOWS[kj]
+        hi = draw(st.integers(top_min, top_max))
+        lo = hi - draw(st.integers(3, min(span, hi - 2)))
+        x = float(hi ** kj)
+        tab = build_table(gp, x, lo ** kj / x, kj)
+        assume(0 < len(tab) <= 12)
+        tables.append(tab)
+    lams = [draw(st.floats(0.5, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
+            for _ in range(5)]
+    if min(lams) > 0 or max(lams) < 0:
+        lams[4] = -lams[4]
+    radius = draw(st.floats(1.0, 300.0))
+    p = [int(draw(st.sampled_from(list(t.primes)))) for t in tables]
+    eta = -sum(l * pj ** kj for l, pj, kj in zip(lams, p, (2, 2, 2, 2, k)))
+    eta += draw(st.floats(-0.5, 0.5)) * radius
+    return ProblemInstance(tuple(lams), eta, k, gp, 0.001, 0.5), tables, radius
+
+
+class TestOracleEquivalenceHigherPowers:
+    # the paper's k = 3 and k = 4 theorems, mixed slot tables
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_search_matches_brute_force(self, k):
+        @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+        @given(higher_power_cases(k))
+        def check(case):
+            inst, tables, radius = case
+            want = brute_oracle(inst, tables, radius)
+            assert want
+            assert search_mitm(inst, tables, radius, limit=10 ** 6) == want
+
+        check()
+
+
 class TestSolutionContract:
     def setup_method(self):
         self.inst = make_inst(lambda0=0.02)
@@ -205,6 +258,34 @@ class TestErrors:
         tab = build_table(GP, 961.0, 0.02, 2)
         with pytest.raises(CapacityExceeded):
             search_mitm(make_inst(lambda0=0.02), [tab] * 5, 5.0, memory_mb=1e-4)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_memory_estimate_matches_peak(self, threads):
+        # radius far below any form value: no hits, so the peak is the
+        # pair arrays and the scan temporaries the budget guards
+        tab = build_table(GP, 3e6, 0.1, 2)
+        tracemalloc.start()
+        try:
+            sols = search_mitm(make_inst(), [tab] * 5, 1e-12, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sols == []
+        est = _search_bytes([len(tab)] * 5, threads)
+        assert 0.85 * est <= peak <= 1.15 * est
+
+    def test_hit_ceiling_stops_the_scan(self, monkeypatch):
+        # the ceiling is checked as p5 blocks arrive, so the count it reports
+        # stays within the blocks in flight, far below the full count
+        inst = make_inst(lambda0=0.02)
+        tables = [build_table(GP, 3000.0, 0.02, 2)] * 5
+        sols = search_mitm(inst, tables, 10.0, limit=10 ** 6)
+        block = max(Counter(s.p[4] for s in sols).values())
+        monkeypatch.setattr(quintet_search, "_MAX_HITS", 10)
+        with pytest.raises(CapacityExceeded) as info:
+            search_mitm(inst, tables, 10.0, threads=2)
+        reported = int(str(info.value).split()[0])
+        assert 10 < reported <= 10 + 2 * block < len(sols)
 
     def test_brute_cardinality_cap(self):
         tab = build_table(GP, 100000.0, 0.001, 2)
