@@ -342,7 +342,8 @@ def _full_run(cfg: RunConfig, params: DhParams, threads: int,
     radius = effective_radius(cfg, tables)
     found = search_mitm(inst, tables, max(radius, kern.epsilon),
                         limit=MAX_DIRECT_SOLUTIONS, threads=threads,
-                        memory_mb=cfg.budgets["memory_mb"])
+                        memory_mb=cfg.budgets["memory_mb"],
+                        deadline=lambda: deadline.check("search"))
     sols = within_radius(inst, found, radius)[:_REPORT_LIMIT]
     deadline.check("search")
 
@@ -430,10 +431,12 @@ def _cmd_gamma(cfg: RunConfig, params: DhParams, threads: int) -> int:
 
 
 def _cmd_search(cfg: RunConfig, params: DhParams, threads: int) -> int:
+    deadline = _Deadline(cfg.budgets["time_s"])
     tables = instance_tables(cfg.instance, params)
     radius = effective_radius(cfg, tables)
     sols = search_mitm(cfg.instance, tables, radius, limit=_REPORT_LIMIT,
-                       threads=threads, memory_mb=cfg.budgets["memory_mb"])
+                       threads=threads, memory_mb=cfg.budgets["memory_mb"],
+                       deadline=lambda: deadline.check("search"))
     path = os.path.join(cfg.output_dir, "solutions.csv")
     export_solutions(path, sols)
     meets = sum(1 for s in sols if s.meets_theorem_radius)

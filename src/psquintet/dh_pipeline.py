@@ -36,11 +36,10 @@ from .numerics import (
     QuadratureSpec,
     SmoothingKernel,
     _cf_walk,
-    e2pi,
     kernel_eval,
     kernel_fourier,
+    lattice_phase_sum,
     oscillatory_integral,
-    phase_sum,
 )
 from .ps_primes import THEOREM_TRIPLES, GammaParam, PsPrimeTable, build_table
 from .quintet_search import search_mitm, within_radius
@@ -223,18 +222,33 @@ def tail_bound(params: DhParams, l: int,
 
 
 def _integrand(inst: ProblemInstance, kern: SmoothingKernel, tables):
-    bases = [t.primes.astype(np.float64) ** kj for t, kj in zip(tables, inst.powers)]
-    weights = [t.weights for t in tables]
-    lams = inst.lambdas
-    eta = inst.eta
+    """Theta(t) * prod_j S_j(lambda_j t) * e(eta t) on the quadrature lattice.
 
-    def f(t: np.ndarray) -> np.ndarray:
+    The returned f(t, mid, off) takes the flat points t and their panel
+    midpoints and node offsets (see numerics.oscillatory_integral); each
+    S_j comes from lattice_phase_sum on lambda_j * mid and lambda_j * off.
+    Slots with the same lambda, table and power share one sum per call, and
+    the sums multiply in slot order; Theta(t) is taken point by point.
+    """
+    slots = [(lam, id(t), kj) for lam, t, kj in zip(inst.lambdas, tables, inst.powers)]
+    terms = {key: (t.primes.astype(np.float64) ** key[2], t.weights)
+             for key, t in zip(slots, tables)}
+    eta = inst.eta
+    one = np.ones(1)
+
+    def f(t: np.ndarray, mid: np.ndarray, off: np.ndarray) -> np.ndarray:
         acc = kernel_fourier(kern, t).astype(complex)
-        for lam, base, w in zip(lams, bases, weights):
+        sums = {}
+        for key in slots:
+            base, w = terms[key]
             if len(base) == 0:
                 return np.zeros_like(t, dtype=complex)
-            acc = acc * phase_sum(lam * t, base, w)
-        return acc * e2pi(eta * t)
+            if key not in sums:
+                lam = key[0]
+                sums[key] = lattice_phase_sum(lam * mid, lam * off, base, w).ravel()
+            acc = acc * sums[key]
+        # e(eta t) is a one-term sum with weight 1, on the lattice as well
+        return acc * lattice_phase_sum(eta * mid, eta * off, one, one).ravel()
 
     return f
 

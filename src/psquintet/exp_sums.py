@@ -113,7 +113,7 @@ def _integral_value(spec: SumSpec, t: float) -> complex:
         return complex(0)
     freq = abs(t) * spec.k * y_hi ** (spec.k - 1)
     k = spec.k
-    return oscillatory_integral(lambda y: e2pi(t * y ** k),
+    return oscillatory_integral(lambda y, *_: e2pi(t * y ** k),
                                 QuadratureSpec(y_lo, y_hi, freq))
 
 

@@ -1,7 +1,10 @@
 """Foundational numerics: phase sums, smoothing kernel, continued fractions, quadrature.
 
-e2pi is e(u) = exp(2*pi*i*u) with the phase reduced first, and phase_sum the
-one evaluator of the weighted sums sum_j w_j e(t b_j) along a grid of t.
+e2pi is e(u) = exp(2*pi*i*u) with the phase reduced first, and
+lattice_phase_sum the one evaluator of the weighted sums sum_j w_j e(t b_j):
+on a lattice t = m + o of panel midpoints m and node offsets o it takes one
+exponential per midpoint and per offset instead of one per point, and
+phase_sum is its one-offset case for a plain grid of t.
 
 The smoothing kernel theta is the indicator of [-7e/8, 7e/8] convolved with l
 normalized boxes of width e/(4l) each (e = epsilon). That makes theta l times
@@ -25,9 +28,16 @@ the final conversion back to float rounds. A cached-grid interpolation was
 rejected: it cannot keep the three regimes exact nor support 1e-8 relative
 agreement between the closed form and quadrature of theta.
 
-The oscillatory quadrature cuts its range into panels of many cycles of the
-integrand's top frequency and takes each panel's Gauss-Legendre node count
-from the cycles it holds (see oscillatory_integral).
+The oscillatory quadrature cuts its range into equal panels of many cycles of
+the integrand's top frequency and takes each panel's Gauss-Legendre node count
+from the cycles it holds (see oscillatory_integral). It calls the integrand as
+f(t, mid, off) on the lattice of a chunk of panels: mid holds the panel
+midpoints, off = h * x the node offsets for the half-width h shared by every
+panel, and t = (mid[:, None] + off[None, :]).ravel() the flat points. An
+integrand that only needs t ignores the other two; the A/B integrand feeds
+mid and off to lattice_phase_sum. The nodes come from Newton's method on
+P_n, not from an eigensolver, so building them runs no LAPACK or BLAS
+threads.
 """
 
 from __future__ import annotations
@@ -50,10 +60,10 @@ _PANEL_CYCLES = 64
 _NODES_INIT = 8    # node counts per panel are _NODES_INIT * 2^j
 # Integrand points per quadrature chunk. Chunk boundaries depend on the node
 # count alone, so the reduction order, and with it every bit of the result,
-# is the same for any thread count; with phase_sum's blocks the bound also
-# caps working memory for any table size.
+# is the same for any thread count; with lattice_phase_sum's blocks the
+# bound also caps working memory for any table size.
 _CHUNK_POINTS = 1 << 16
-# Phase entries (t values x base terms) per block of a phase_sum.
+# Lattice points x base terms per block of a lattice_phase_sum.
 _BLOCK_ENTRIES = 1 << 21
 
 
@@ -66,15 +76,34 @@ def e2pi(u):
 def phase_sum(ts, base, w) -> np.ndarray:
     """sum_j w_j e(t * base_j) at each t of ts, as a complex array.
 
-    One einsum per block of about _BLOCK_ENTRIES phase entries. einsum sums
-    each row on its own and runs no BLAS threads, so phase_sum([t]) equals
-    the entry at t of any longer call; an empty base gives zeros.
+    The one-offset case of lattice_phase_sum, whose blocks of rows it keeps:
+    einsum sums each row on its own and runs no BLAS threads, so
+    phase_sum([t]) equals the entry at t of any longer call; an empty base
+    gives zeros.
     """
-    ts = np.asarray(ts, dtype=float)
-    out = np.empty(len(ts), dtype=complex)
-    block = max(1, _BLOCK_ENTRIES // max(1, len(base)))
-    for s in range(0, len(ts), block):
-        out[s:s + block] = np.einsum("ij,j->i", e2pi(ts[s:s + block, None] * base), w)
+    return lattice_phase_sum(np.asarray(ts, dtype=float), np.zeros(1), base, w)[:, 0]
+
+
+def lattice_phase_sum(mid, off, base, w) -> np.ndarray:
+    """sum_j w_j e((m + o) * base_j) for every m of mid and o of off, as a
+    len(mid) x len(off) complex array.
+
+    e((m + o) b) = e(m b) e(o b), so a call takes (len(mid) + len(off)) *
+    len(base) exponentials instead of one per lattice point and term, and an
+    einsum multiplies and sums the two factors. A block covers about
+    _BLOCK_ENTRIES lattice points times terms (a block of offsets, then as
+    many midpoints as fit), so memory stays bounded for any table size.
+    einsum sums each entry on its own and runs no BLAS threads, so no entry
+    depends on where the blocks fall.
+    """
+    out = np.empty((len(mid), len(off)), dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(base)))
+    for c in range(0, len(off), rows):
+        en = e2pi(off[c:c + rows, None] * base)
+        step = max(1, rows // len(en))
+        for r in range(0, len(mid), step):
+            em = e2pi(mid[r:r + step, None] * base) * w
+            out[r:r + step, c:c + rows] = np.einsum("pj,nj->pn", em, en)
     return out
 
 
@@ -238,37 +267,109 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be in (0, 0.1]")
 
 
+def _legendre_pair(n: int, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray]:
+    """P_{n-1} and P_n at x, elementwise, for n >= 1.
+
+    Given y = 1 - x, the three-term recurrence runs on the steps D_k = P_k -
+    P_{k-1}, where (k+1) D_{k+1} = k D_k - (2k+1) y P_k: near x = 1 a small y
+    keeps the digits that x itself rounds away. Near x = 0 the plain
+    recurrence keeps those of x, which 1 - x would round away.
+    """
+    if y is None:
+        prev, p = np.ones_like(x), x
+        for k in range(1, n):
+            prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+        return prev, p
+    prev, p, d = np.ones_like(y), x, -y
+    for k in range(1, n):
+        d = (k * d - (2 * k + 1) * y * p) / (k + 1)
+        prev, p = p, p + d
+    return prev, p
+
+
+def _newton(step, v: np.ndarray) -> np.ndarray:
+    # Newton from an asymptotic start converges quadratically: iterate until
+    # every step is below 1e-10 relative, then take one more
+    for _ in range(20):
+        dv = step(v)
+        v = v + dv
+        if np.all(np.abs(dv) <= 1e-10 * np.abs(v)):
+            break
+    return v + step(v)
+
+
 @functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n >= 1.
+
+    Newton's method on P_n from Tricomi's asymptotic roots (the approach of
+    Hale and Townsend, SIAM J. Sci. Comput. 35(2), 2013, with the recurrence
+    in place of their asymptotic expansions), in NumPy only: an eigensolver
+    would start LAPACK's BLAS threads. Nodes with x > 1/2 are found in
+    theta = arccos x, whose relative precision carries to 1 - x and to the
+    weight 2 sin^2(theta) / (n (P_{n-1} - x P_n))^2; the rest are found in x,
+    where 1 - x^2 is well conditioned. The negative half mirrors the positive
+    one exactly, and an odd n puts a node at exactly 0.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)       # roots in [0, 1), largest first
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n ** 3))
+                      * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
+    outer = theta < np.pi / 3
+
+    def theta_step(th):
+        y = 2.0 * np.sin(th / 2) ** 2
+        prev, p = _legendre_pair(n, 1.0 - y, y)
+        return p * np.sin(th) / (n * (prev - (1.0 - y) * p))
+
+    def x_step(x):
+        prev, p = _legendre_pair(n, x)
+        return -p * (1.0 - x) * (1.0 + x) / (n * (prev - x * p))
+
+    th = _newton(theta_step, theta[outer])
+    x = np.cos(theta[~outer])
+    if n % 2:
+        x[-1] = 0.0        # P_n(0) = 0 exactly, so Newton keeps it there
+    x = _newton(x_step, x)
+    y = 2.0 * np.sin(th / 2) ** 2
+    pos = np.concatenate([1.0 - y, x])
+    prev, p = (np.concatenate(pair) for pair in
+               zip(_legendre_pair(n, 1.0 - y, y), _legendre_pair(n, x)))
+    sin2 = np.concatenate([np.sin(th) ** 2, (1.0 - x) * (1.0 + x)])
+    w = 2.0 * sin2 / (n * (prev - pos * p)) ** 2
+    return (np.concatenate([-pos[:n // 2], pos[::-1]]),
+            np.concatenate([w[:n // 2], w[::-1]]))
 
 
 def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
                 deadline=None) -> tuple[complex, float]:
     """Gauss-Legendre over every panel; returns (integral of f, integral of |f|).
 
-    Panels are processed in chunks of about _CHUNK_POINTS integrand points and
-    partial sums are combined in chunk-index order, so the result is
-    bit-identical for any thread count. deadline, if given, is called before
-    each chunk and may raise to abandon the integral.
+    The panels are equal, of half-width h = (edges[-1] - edges[0]) /
+    (2 * n_panels). f is called once per chunk of panels as f(t, mid, off):
+    mid the chunk's panel midpoints, off = h * x for the n Gauss-Legendre
+    nodes x, and t = (mid[:, None] + off[None, :]).ravel(), the flat lattice
+    that an integrand needing only t reads. Chunks hold about _CHUNK_POINTS
+    points and partial sums are combined in chunk-index order, so the result
+    is bit-identical for any thread count. deadline, if given, is called
+    before each chunk and may raise to abandon the integral.
     """
     xs, ws = _leggauss(nodes)
     n_panels = len(edges) - 1
+    h = (edges[-1] - edges[0]) / (2 * n_panels)
+    off = h * xs
     per_chunk = max(1, _CHUNK_POINTS // nodes)
 
     def one_chunk(start: int) -> tuple[complex, float]:
         if deadline is not None:
             deadline()
         stop = min(start + per_chunk, n_panels)
-        e0, e1 = edges[start:stop], edges[start + 1:stop + 1]
-        mid = (e0 + e1) / 2
-        half = (e1 - e0) / 2
-        t = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-        vals = np.broadcast_to(np.asarray(f(t), dtype=complex), t.shape)
+        mid = (edges[start:stop] + edges[start + 1:stop + 1]) / 2
+        t = (mid[:, None] + off[None, :]).ravel()
+        vals = np.broadcast_to(np.asarray(f(t, mid, off), dtype=complex), t.shape)
         vals = vals.reshape(-1, nodes)
         # einsum rather than matmul: BLAS would add threads of its own
-        panel = np.einsum("ij,j->i", vals, ws) * half
-        mass = np.einsum("ij,j->i", np.abs(vals), ws) * half
+        panel = np.einsum("ij,j->i", vals, ws) * h
+        mass = np.einsum("ij,j->i", np.abs(vals), ws) * h
         return complex(np.sum(panel)), float(np.sum(mass))
 
     total = complex(0)
@@ -284,6 +385,9 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
 def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
                          nodes_cap: int = 1024, deadline=None) -> complex:
     """Integrate a vectorized complex integrand f over [spec.lo, spec.hi].
+
+    f is called as f(t, mid, off) on the panel lattice (see _panel_sums) and
+    returns the values at the flat points t, or a scalar broadcast to them.
 
     The range is cut into equal panels of at most _PANEL_CYCLES cycles of
     max_frequency (a single panel when max_frequency == 0). A Gauss-Legendre

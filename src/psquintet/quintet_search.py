@@ -113,21 +113,29 @@ def _finalize(inst, hits, radius: float, limit: int) -> list[QuintetSolution]:
     return out
 
 
-def _search_bytes(n, threads: int) -> int:
-    """Peak memory of search_mitm over tables of sizes n, hits aside: 16 B a
-    stored pair (sum and index), 32 B a right pair per scanning thread (the
-    shifted sums and both searchsorted results), 1.7 kB a queued p5 task."""
+def _search_bytes(n, threads: int, hits: int = 0) -> int:
+    """Peak memory of search_mitm over tables of sizes n that finds `hits`
+    candidates. 16 B a stored pair (sum and index) throughout. While the scan
+    runs: 32 B a right pair per scanning thread (the shifted sums and both
+    searchsorted results), plus the larger of 1.7 kB a queued p5 task (all
+    queued at the start) and 250 B a candidate (its tuple of five ints; all
+    found at the end). While certifying: 700 B a candidate (its tuple, exact
+    value, sort record and QuintetSolution)."""
     right = n[2] * n[3]
-    return (16 * (n[0] * n[1] + right) + 32 * right * min(threads, n[4])
-            + 1700 * n[4])
+    scan = 32 * right * min(threads, n[4]) + max(1700 * n[4], 250 * hits)
+    return 16 * (n[0] * n[1] + right) + max(scan, 700 * hits)
 
 
 def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
-                threads: int = 1, memory_mb: float = 2048.0) -> list[QuintetSolution]:
+                threads: int = 1, memory_mb: float = 2048.0,
+                deadline=None) -> list[QuintetSolution]:
     """All quintuples with |form value| < radius, best (smallest) first.
 
     tables: five per-slot PS prime tables (slots 1-4 squared, slot 5 to the
-    instance exponent). Returns at most `limit` solutions.
+    instance exponent). Returns at most `limit` solutions. The memory budget
+    is checked before the pair build and again, with the candidates found so
+    far, as each p5 block of them arrives. deadline, if given, is called
+    before each p5 block and may raise to abandon the search.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -135,11 +143,15 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
         raise ValueError(f"limit must be positive, got {limit}")
     tables = _check_tables(inst, tables)
     n = [len(t) for t in tables]
-    est_bytes = _search_bytes(n, threads)
-    if est_bytes > memory_mb * 2 ** 20:
-        raise CapacityExceeded(
-            f"pair arrays and scan need ~{est_bytes / 2 ** 20:.0f} MiB, "
-            f"budget is {memory_mb:.0f} MiB")
+
+    def check_memory(hits: int) -> None:
+        need = _search_bytes(n, threads, hits)
+        if need > memory_mb * 2 ** 20:
+            raise CapacityExceeded(
+                f"pair arrays, scan and {hits} candidates need "
+                f"~{need / 2 ** 20:.0f} MiB, budget is {memory_mb:.0f} MiB")
+
+    check_memory(0)
 
     l1, l2, l3, l4, l5 = inst.lambdas
     left = HalfSumArray.build(l1, tables[0], l2, tables[1])
@@ -148,6 +160,8 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
     band = radius + _guard(inst, tables, radius)
 
     def scan_one(i5: int) -> list[tuple[int, int, int, int, int]]:
+        if deadline is not None:
+            deadline()
         p5 = int(p5s[i5])
         r = right34.sums + (l5 * float(p5) ** inst.k + inst.eta)
         lo = np.searchsorted(left.sums, -r - band, side="left")
@@ -170,6 +184,7 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
             if len(hits) > _MAX_HITS:
                 raise CapacityExceeded(f"{len(hits)} candidates exceed the "
                                        f"{_MAX_HITS} certification ceiling")
+            check_memory(len(hits))
     return _finalize(inst, hits, radius, limit)
 
 

@@ -16,7 +16,7 @@ Known failures at desk scale, kept red on purpose:
     reproduces the direct count to eight digits. Dominance of the main
     range sets in at the next convergent: `psquintet gamma --q0-floor 70`
     (X = 9,195, 13 primes per slot) gives A = 26,626.89, B = -12,889.64,
-    direct = 13,737.25 and rel_gap = 1.5e-12, but takes minutes, so the
+    direct = 13,737.25 and rel_gap = 1.1e-11, but takes about 12 s, so the
     criterion keeps its pinned instance.
 """
 
@@ -122,7 +122,7 @@ def test_criterion_02_kernel_transform_consistency():
     for x in xs:
         want = float(kernel_fourier(kern, x))
 
-        def f(y, x=x):
+        def f(y, *_, x=x):
             y = np.asarray(y, dtype=float)
             th = np.array([kernel_eval(kern, float(v)) for v in y.ravel()])
             return th.reshape(y.shape) * np.exp(2j * np.pi * x * y)

@@ -34,3 +34,36 @@ def test_traced_verify_runs(tmp_path, k, gamma):
     names = {span[2] for span in doc["spans"]}
     assert "dh_pipeline.derive_params" in names
     assert doc["counts"]["quintet_search.search_mitm_calls"] == 1
+
+
+def test_traced_integrand_points_count_the_lattice(tmp_path, monkeypatch):
+    # the integrand gets the panel lattice as (t, mid, off); the traced
+    # count reads len(t), which must stay panels x nodes per quadrature pass
+    from psquintet import cli, numerics
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "lambdas": [1.4142135623730951, 1.0, 1.0, 1.0, -3.0], "eta": 0.5,
+        "k": 2, "gamma": 0.99, "theta": 0.001, "q0_floor": 12,
+        "radius": "theorem", "seed": 1}))
+    trace = tmp_path / "trace.json"
+    run = subprocess.run(
+        [sys.executable, "psqbench/traced_cli.py", "src", str(trace), "time",
+         "gamma", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    counts = json.loads(trace.read_text())["counts"]
+
+    passes = []
+    panel_sums = numerics._panel_sums
+
+    def counted(f, edges, nodes, *args):
+        passes.append((len(edges) - 1, nodes))
+        return panel_sums(f, edges, nodes, *args)
+
+    monkeypatch.setattr(numerics, "_panel_sums", counted)
+    assert cli.main(["gamma", "--config", str(cfg), "--out",
+                     str(tmp_path / "p")]) == 0
+    assert counts["numerics.integrand_points"] == sum(p * n for p, n in passes)
+    assert counts["numerics.integrand_calls"] == sum(
+        -(-p // max(1, numerics._CHUNK_POINTS // n)) for p, n in passes)

@@ -347,6 +347,19 @@ def test_verify_deterministic_across_threads(tmp_path):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
 
+def test_lattice_quadrature_report_identical_across_threads(tmp_path):
+    # q0 12 integrates 219,648 lattice points in 7 chunks: 2 and 4 threads
+    # split them differently, and A and B must keep every bit
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=12, radius="theorem")
+    reports = []
+    for threads in (1, 2, 4):
+        out = tmp_path / f"o{threads}"
+        assert main(["gamma", "--config", cfg, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_report_subcommand_skips_diagnostics(tmp_path):
     cfg = write_cfg(tmp_path / "c.json")
     out = tmp_path / "o"
@@ -524,15 +537,32 @@ def test_exit_code_time_budget(tmp_path, capsys):
 
 
 def test_time_budget_bounds_the_quadrature(tmp_path, capsys):
-    # the pinned instance spends seconds in the A/B integral; the budget
-    # must stop it there, not after it
+    # the pinned instance spends most of a second in the A/B integral; the
+    # budget must stop it there, not after it
     cfg = write_cfg(tmp_path / "c.json", q0_floor=29, radius="theorem",
-                    budgets={"time_s": 1})
+                    budgets={"time_s": 0.3})
     t0 = time.monotonic()
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
     elapsed = time.monotonic() - t0
-    assert "time budget" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "time budget" in err and "(at integral)" in err
     assert elapsed < 4.0
+
+
+def test_time_budget_bounds_the_search_scan(tmp_path, capsys):
+    # q0 2378 at radius 0.05: 340 primes a slot, 20,325 quintuples, a scan
+    # and certification of about 3.5 s at 1 thread on a 2-CPU machine; the
+    # budget is checked before each of the 340 p5 blocks (about 10 ms each)
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=2378, radius=0.05,
+                    budgets={"time_s": 0.5})
+    out = tmp_path / "o"
+    t0 = time.monotonic()
+    assert main(["search", "--config", cfg, "--out", str(out)]) == 3
+    elapsed = time.monotonic() - t0
+    err = capsys.readouterr().err
+    assert "time budget" in err and "(at search)" in err
+    assert elapsed < 0.5 + 0.5
+    assert not (out / "solutions.csv").exists()
 
 
 @pytest.mark.parametrize("radius", [0.8, 5.0])

@@ -294,3 +294,70 @@ class TestGammaIntegral:
         small = gamma_integral(inst, params, kern, tables)
         assert small.A == ref.A
         assert small.B == ref.B
+
+
+def flat_integrand(inst, kern, tables, t):
+    """The integrand point by point on a flat t, one phase sum per slot."""
+    acc = numerics.kernel_fourier(kern, t).astype(complex)
+    for lam, tab, kj in zip(inst.lambdas, tables, inst.powers):
+        acc = acc * numerics.phase_sum(lam * t, tab.primes.astype(float) ** kj,
+                                       tab.weights)
+    return acc * numerics.e2pi(inst.eta * t)
+
+
+def lattice_cases():
+    sq = build_table(GP, 3000.0, 0.1, 2)
+    sq_b = build_table(GP, 800.0, 0.2, 2)
+    g3, g4 = GammaParam(0.995), GammaParam(0.997)
+    return {
+        "k2-pinned": (make_inst(eta=0.25), [sq] * 5),
+        "k2-mixed-repeated": (make_inst(lambdas=(SQRT2, 1, 1, SQRT2, -3)),
+                              [sq, sq_b, sq, sq, sq_b]),
+        "k3": (make_inst(k=3, gamma=g3, eta=-1.5),
+               [build_table(g3, 3000.0, 0.1, 2)] * 4 + [build_table(g3, 3000.0, 0.1, 3)]),
+        "k4": (make_inst(lambdas=(SQRT2, -1, 1, 1, -3), k=4, gamma=g4),
+               [build_table(g4, 3000.0, 0.1, 2)] * 4 + [build_table(g4, 3000.0, 0.1, 4)]),
+    }
+
+
+class TestLatticeIntegrand:
+    MID = np.linspace(0.37, 5.3, 40)
+    OFF = 0.061 * numerics._leggauss(16)[0]
+
+    @pytest.mark.parametrize("case", ["k2-pinned", "k2-mixed-repeated", "k3", "k4"])
+    def test_matches_the_flat_formula(self, case):
+        inst, tables = lattice_cases()[case]
+        kern = SmoothingKernel(0.9, 7)
+        t = (self.MID[:, None] + self.OFF[None, :]).ravel()
+        got = dh_pipeline._integrand(inst, kern, tables)(t, self.MID, self.OFF)
+        want = flat_integrand(inst, kern, tables, t)
+        # each slot's sum moves by a few roundings of its largest phase
+        # |lambda b t| times its weight mass; the product carries that
+        # through the other slots' weight masses and |Theta| <= 7 eps / 4
+        masses = [math.fsum(tab.weights) for tab in tables]
+        phases = [abs(lam) * float(tab.primes[-1]) ** kj * float(np.max(t))
+                  for lam, tab, kj in zip(inst.lambdas, tables, inst.powers)]
+        tol = 8 * 2.0 ** -52 * (7 * kern.epsilon / 4) * math.prod(masses) * sum(phases)
+        assert np.max(np.abs(got - want)) <= tol
+        assert np.max(np.abs(want)) > 1e3 * tol
+
+    @pytest.mark.parametrize("case,distinct", [("k2-pinned", 3), ("k2-mixed-repeated", 4),
+                                               ("k3", 3), ("k4", 4)])
+    def test_each_distinct_sum_once_per_call(self, monkeypatch, case, distinct):
+        inst, tables = lattice_cases()[case]
+        calls = []
+
+        def counted(mid, off, base, w):
+            calls.append((mid[0], len(base)))
+            return numerics.lattice_phase_sum(mid, off, base, w)
+
+        monkeypatch.setattr(dh_pipeline, "lattice_phase_sum", counted)
+        f = dh_pipeline._integrand(inst, SmoothingKernel(0.9, 7), tables)
+        t = (self.MID[:, None] + self.OFF[None, :]).ravel()
+        # one sum per distinct (lambda, table), then the one-term e(eta t)
+        for _ in range(2):
+            calls.clear()
+            f(t, self.MID, self.OFF)
+            assert len(calls) == distinct + 1
+            assert len(set(calls[:-1])) == distinct
+            assert calls[-1] == (inst.eta * self.MID[0], 1)

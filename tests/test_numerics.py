@@ -220,17 +220,17 @@ class TestDirichletApprox:
 
 class TestOscillatoryIntegral:
     def test_constant(self):
-        got = oscillatory_integral(lambda t: np.ones_like(t),
+        got = oscillatory_integral(lambda t, *_: np.ones_like(t),
                                    QuadratureSpec(0.0, 1.0, 0.0))
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_full_period_cancels(self):
-        got = oscillatory_integral(lambda t: np.exp(2j * np.pi * t),
+        got = oscillatory_integral(lambda t, *_: np.exp(2j * np.pi * t),
                                    QuadratureSpec(0.0, 1.0, 1.0))
         assert abs(got) < 1e-9
 
     def test_fresnel_against_riemann(self):
-        f = lambda t: np.exp(2j * np.pi * t * t)
+        f = lambda t, *_: np.exp(2j * np.pi * t * t)
         got = oscillatory_integral(f, QuadratureSpec(5.0, 10.0, 20.0, 1e-9))
         n = 10 ** 6
         dt = 5.0 / n
@@ -239,7 +239,7 @@ class TestOscillatoryIntegral:
         assert got == pytest.approx(want, abs=2e-6)
 
     def test_thread_count_does_not_change_bits(self):
-        f = lambda t: np.exp(2j * np.pi * 37.0 * t) / (1 + t * t)
+        f = lambda t, *_: np.exp(2j * np.pi * 37.0 * t) / (1 + t * t)
         spec = QuadratureSpec(0.0, 3.0, 37.0, 1e-10)
         a = oscillatory_integral(f, spec, threads=1)
         b = oscillatory_integral(f, spec, threads=4)
@@ -248,7 +248,7 @@ class TestOscillatoryIntegral:
     def test_nonconvergence_raises(self):
         rng_vals = {}
 
-        def noisy(t):
+        def noisy(t, *_):
             # deterministic per-point noise, unresolvable by any fixed rule
             key = len(t)
             if key not in rng_vals:
@@ -263,7 +263,7 @@ class TestOscillatoryIntegral:
     def test_whole_cycles_cancel_over_many_panels(self, freq):
         # 32 puts exactly 64 cycles in each of the 50 panels, so every panel
         # integral is ~0 and only the integral of |f| gives a usable scale
-        got = oscillatory_integral(lambda t: np.exp(2j * np.pi * freq * t),
+        got = oscillatory_integral(lambda t, *_: np.exp(2j * np.pi * freq * t),
                                    QuadratureSpec(0.0, 100.0, freq))
         assert abs(got) < 1e-9
 
@@ -272,7 +272,7 @@ class TestOscillatoryIntegral:
         amps = (0.75, 2.0, -1.5j, 1.0)
         lo, hi = 0.3, 64.7
 
-        def f(t):
+        def f(t, *_):
             return sum(a * np.exp(2j * np.pi * (nu * t - np.rint(nu * t)))
                        for a, nu in zip(amps, freqs))
 
@@ -288,7 +288,7 @@ class TestOscillatoryIntegral:
     def test_thread_count_invariance_with_more_chunks_than_threads(self):
         calls = []
 
-        def f(t):
+        def f(t, *_):
             calls.append(len(t))
             return np.exp(2j * np.pi * 37.0 * t) / (1 + t * t)
 
@@ -305,7 +305,7 @@ class TestOscillatoryIntegral:
         # 64 cycles in one panel start at 128 nodes, compared against 256
         calls = []
 
-        def f(t):
+        def f(t, *_):
             calls.append(len(t))
             return np.exp(2j * np.pi * 64.0 * t)
 
@@ -321,7 +321,7 @@ class TestOscillatoryIntegral:
                             (6400.0, 128)]:
             calls = []
 
-            def f(t):
+            def f(t, *_):
                 calls.append(len(t))
                 return np.ones_like(t, dtype=complex)
 
@@ -338,7 +338,7 @@ class TestOscillatoryIntegral:
                 raise BudgetExceeded("time budget exhausted")
 
         with pytest.raises(BudgetExceeded):
-            oscillatory_integral(lambda t: np.exp(2j * np.pi * 37.0 * t),
+            oscillatory_integral(lambda t, *_: np.exp(2j * np.pi * 37.0 * t),
                                  QuadratureSpec(0.0, 3000.0, 37.0),
                                  deadline=deadline)
         assert len(ticks) == 4
@@ -398,3 +398,121 @@ class TestPhaseSum:
         assert np.array_equal(got, ref)
         for t, v in zip(SCAN, got):
             assert phase_sum([t], BASE, WEIGHTS)[0] == v
+
+
+def mp_legendre_root(n, x0):
+    """Root of P_n near x0 and its Gauss weight, by Newton's method on the
+    three-term recurrence at 40 digits (run under mpmath.workdps(40))."""
+    x = mpmath.mpf(x0)
+    for step in range(4):
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (p0 - x * p1) / (1 - x * x)
+        if step < 3:
+            x -= p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+class TestLegGauss:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17, 64, 255, 256, 1024])
+    def test_matches_mpmath_reference(self, n):
+        xs, ws = numerics._leggauss(n)
+        assert len(xs) == len(ws) == n
+        # every node for small n; for large n the twelve nodes at each end
+        # of [0, 1) and a spread between them
+        half = range(n // 2, n)
+        if n > 64:
+            half = sorted({*half[:12], *half[-12:], *half[::n // 16]})
+        with mpmath.workdps(40):
+            for i in half:
+                x, w = mp_legendre_root(n, float(xs[i]))
+                if abs(x) < 1e-30:
+                    assert xs[i] == 0.0
+                else:
+                    assert abs(xs[i] - x) <= 8 * np.spacing(abs(float(x))), (n, i)
+                assert abs(ws[i] - w) <= 2e-14 * w, (n, i)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64, 256, 1024])
+    def test_exact_for_degree_below_2n(self, n):
+        # odd powers cancel exactly, since the rule is exactly symmetric;
+        # x^j carries j times the nodes' rounding into each term
+        xs, ws = numerics._leggauss(n)
+        for j in range(0, 2 * n, 2):
+            terms = ws * xs ** j
+            scale = math.fsum(terms)
+            assert abs(scale - 2.0 / (j + 1)) <= 1e-16 * (j + 20) * scale, (n, j)
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 128])
+    def test_ascending_and_exactly_symmetric(self, n):
+        xs, ws = numerics._leggauss(n)
+        assert np.all(np.diff(xs) > 0)
+        assert np.array_equal(xs, -xs[::-1])
+        assert np.array_equal(ws, ws[::-1])
+        if n % 2:
+            assert xs[n // 2] == 0.0 and math.copysign(1.0, xs[n // 2]) == 1.0
+
+    def test_runs_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        xs, ws = numerics._leggauss.__wrapped__(33)
+        assert math.fsum(ws) == pytest.approx(2.0, abs=1e-15)
+
+
+class TestLatticePhaseSum:
+    MID = np.linspace(3.0, 41.0, 37)
+    OFF = 0.25 * np.polynomial.legendre.leggauss(16)[0]
+
+    def test_matches_phase_sum_on_the_flat_lattice(self):
+        got = numerics.lattice_phase_sum(self.MID, self.OFF, BASE, WEIGHTS)
+        t = (self.MID[:, None] + self.OFF[None, :]).ravel()
+        flat = phase_sum(t, BASE, WEIGHTS)
+        # both round phases of size |t b| once or twice per term
+        tol = 8 * 2.0 ** -52 * np.max(np.abs(t)) * np.max(BASE) * math.fsum(WEIGHTS)
+        assert got.shape == (len(self.MID), len(self.OFF))
+        assert np.max(np.abs(got.ravel() - flat)) <= tol
+
+    @pytest.mark.parametrize("entries", [1, len(BASE) - 1, 5 * len(BASE) + 3,
+                                         40 * len(BASE), 1 << 12])
+    def test_entries_ignore_the_block(self, monkeypatch, entries):
+        ref = numerics.lattice_phase_sum(self.MID, self.OFF, BASE, WEIGHTS)
+        monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
+        got = numerics.lattice_phase_sum(self.MID, self.OFF, BASE, WEIGHTS)
+        assert np.array_equal(got, ref)
+
+    def test_phase_sum_is_the_one_offset_case(self):
+        got = numerics.lattice_phase_sum(SCAN, np.zeros(1), BASE, WEIGHTS)
+        assert np.array_equal(got[:, 0], phase_sum(SCAN, BASE, WEIGHTS))
+
+
+class TestLatticeHandOff:
+    @pytest.mark.parametrize("lo,hi,freq", [(0.0, 1.0, 3.0), (0.3, 3000.0, 37.0),
+                                            (-2.0, 5.0, 640.0)])
+    def test_integrand_sees_the_panel_lattice(self, lo, hi, freq):
+        seen = []
+
+        def f(t, mid, off):
+            seen.append((t.copy(), mid.copy(), off.copy()))
+            return np.exp(2j * np.pi * freq * t)
+
+        spec = QuadratureSpec(lo, hi, freq)
+        oscillatory_integral(f, spec)
+        n_panels = max(1, math.ceil((hi - lo) * freq / 64))
+        edges = np.linspace(lo, hi, n_panels + 1)
+        h = (hi - lo) / (2 * n_panels)
+        points = {}
+        for t, mid, off in seen:
+            nodes = len(off)
+            assert np.array_equal(off, h * numerics._leggauss(nodes)[0])
+            assert np.array_equal(t, (mid[:, None] + off[None, :]).ravel())
+            points[nodes] = points.get(nodes, 0) + len(t)
+            mids = points.setdefault(("mid", nodes), [])
+            mids.extend(mid)
+        # every panel midpoint once per node level, in panel order
+        for nodes in {len(off) for _, _, off in seen}:
+            assert points[nodes] == n_panels * nodes
+            assert np.array_equal(points[("mid", nodes)], (edges[:-1] + edges[1:]) / 2)

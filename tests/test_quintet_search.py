@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psquintet import (
+    BudgetExceeded,
     CapacityExceeded,
     EmptyWindow,
     GammaParam,
@@ -273,6 +274,55 @@ class TestErrors:
         assert sols == []
         est = _search_bytes([len(tab)] * 5, threads)
         assert 0.85 * est <= peak <= 1.15 * est
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_memory_estimate_with_hits_matches_peak(self, threads):
+        # radius 0.05 gives 3,276 quintuples: their candidate tuples and
+        # certification objects outweigh the pair arrays
+        tab = build_table(GP, 3e6, 0.1, 2)
+        tracemalloc.start()
+        try:
+            sols = search_mitm(make_inst(), [tab] * 5, 0.05, limit=10 ** 6,
+                               threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sols) > 3000
+        est = _search_bytes([len(tab)] * 5, threads, len(sols))
+        assert 0.85 * est <= peak <= 1.15 * est
+
+    def test_memory_budget_counts_the_hits(self):
+        # a budget above the hit-free estimate lets the scan start; the hits
+        # push the estimate past it partway through
+        tab = build_table(GP, 3e6, 0.1, 2)
+        n = [len(tab)] * 5
+        sols = search_mitm(make_inst(), [tab] * 5, 0.05, limit=10 ** 6)
+        bare, full = _search_bytes(n, 1), _search_bytes(n, 1, len(sols))
+        budget = (bare + full) / 2 / 2 ** 20
+        with pytest.raises(CapacityExceeded) as info:
+            search_mitm(make_inst(), [tab] * 5, 0.05, limit=10 ** 6,
+                        memory_mb=budget)
+        hits = int(str(info.value).split(" and ")[1].split()[0])
+        assert 0 < hits < len(sols)
+        assert _search_bytes(n, 1, hits) > budget * 2 ** 20
+        again = search_mitm(make_inst(), [tab] * 5, 0.05, limit=10 ** 6,
+                            memory_mb=1.01 * full / 2 ** 20)
+        assert again == sols
+
+    def test_deadline_stops_between_p5_blocks(self):
+        tab = build_table(GP, 3e6, 0.1, 2)
+        ticks = []
+
+        def deadline():
+            ticks.append(1)
+            if len(ticks) > 5:
+                raise BudgetExceeded("time budget exhausted")
+
+        # every block checks before it scans, so the blocks the worker
+        # starts after the sixth raise at once
+        with pytest.raises(BudgetExceeded):
+            search_mitm(make_inst(), [tab] * 5, 0.05, deadline=deadline)
+        assert 6 <= len(ticks) <= len(tab)
 
     def test_hit_ceiling_stops_the_scan(self, monkeypatch):
         # the ceiling is checked as p5 blocks arrive, so the count it reports
