@@ -271,8 +271,8 @@ class _Deadline:
     def check(self, stage: str) -> None:
         spent = time.monotonic() - self.t0
         if spent > self.seconds:
-            raise BudgetExceeded(f"time budget {self.seconds:.0f}s exhausted "
-                                 f"after {spent:.0f}s (at {stage})")
+            raise BudgetExceeded(f"time budget {self.seconds:g}s exhausted "
+                                 f"after {spent:.2f}s (at {stage})")
 
 
 def _kernel_for(params: DhParams) -> SmoothingKernel:
@@ -286,7 +286,7 @@ def _scan_grid(params: DhParams, inst: ProblemInstance, tables):
 
 
 def _diagnostics(cfg: RunConfig, params: DhParams, tables,
-                 dec: GammaDecomposition) -> list[Diagnostic]:
+                 dec: GammaDecomposition, deadline: _Deadline) -> list[Diagnostic]:
     inst = cfg.instance
     rng = np.random.default_rng(cfg.seed)
     out = []
@@ -305,6 +305,7 @@ def _diagnostics(cfg: RunConfig, params: DhParams, tables,
     vals = []
     ladder = [x_top / 16.0, x_top / 4.0, x_top]
     for x in ladder:
+        deadline.check("diagnostics")
         grid = max(4096, 1 << math.ceil(math.log2(4.0 * x)))
         spec = SumSpec(Family.S, 2, x, inst.lambda0, inst.gamma)
         from .ps_primes import build_table
@@ -355,7 +356,8 @@ def _full_run(cfg: RunConfig, params: DhParams, threads: int,
     deadline.check("integral")
 
     ts, vals = _scan_grid(params, inst, tables)
-    diags = _diagnostics(cfg, params, tables, dec) if with_diagnostics else []
+    diags = (_diagnostics(cfg, params, tables, dec, deadline)
+             if with_diagnostics else [])
     deadline.check("diagnostics")
     return RunReport(params=params, decomposition=dec, diagnostics=tuple(diags),
                      solutions=tuple(sols), scan_ts=ts, scan_values=vals)

@@ -4,12 +4,14 @@ Target form: lambda1*p1^2 + ... + lambda4*p4^2 + lambda5*p5^k + eta, all p_j
 PS primes drawn from per-slot tables. Left half holds the sorted pair sums
 over (p1, p2); the right half (p3, p4, p5) is streamed one p5 at a time as a
 constant shift of the sorted (p3, p4) array, so interval queries against the
-left half are plain binary searches.
+left half are plain binary searches, made only for the shifted sums whose
+band can meet the left range.
 
 Floats locate candidates inside a guard band; every candidate is then
-certified with exact rational arithmetic (the float coefficients are exact
-dyadic rationals), so membership in |value| < radius is decided exactly and
-the returned ordering is reproducible bit for bit across thread counts.
+certified in scaled integers (exact): the float coefficients, eta and the
+radius are dyadic rationals, so one power of two turns each into an integer.
+Membership in |value| < radius is decided exactly and the returned ordering
+is reproducible bit for bit across thread counts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .ps_primes import PsPrimeTable
 # hard ceiling on certified candidates per search, independent of the
 # caller's memory budget
 _MAX_HITS = 10 ** 7
+# right sums a scan step searches at once: bounds the scan's temporaries
+_SCAN_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -85,45 +88,78 @@ def _guard(inst, tables, radius: float) -> float:
     return 1e-6 * radius + 32.0 * np.finfo(float).eps * (span + abs(inst.eta))
 
 
-def _exact_value(inst, p: tuple[int, ...]) -> Fraction:
-    acc = Fraction(inst.eta)
-    for lam, pj, kj in zip(inst.lambdas, p, inst.powers):
-        acc += Fraction(lam) * pj ** kj
-    return acc
+def _scaled_form(inst, radius: float):
+    """(value, bound, S): value(p) = S * form value and bound = S * radius,
+    both exact integers, with S the largest power-of-two denominator of the
+    lambdas, eta and radius. |value(p)| < bound iff |form value| < radius,
+    and value(p) / S is the form value rounded once to a float."""
+    ratios = [x.as_integer_ratio() for x in (*inst.lambdas, inst.eta, radius)]
+    scale = max(d for _, d in ratios)
+    *lams, eta, bound = [num * (scale // d) for num, d in ratios]
+    powers = inst.powers
+
+    def value(p: tuple[int, ...]) -> int:
+        return eta + sum(lam * pj ** kj for lam, pj, kj in zip(lams, p, powers))
+
+    return value, bound, scale
 
 
 def _finalize(inst, hits, radius: float, limit: int) -> list[QuintetSolution]:
     """Certify candidates exactly, order (|value| asc, lex p), truncate."""
-    rad = Fraction(radius)
-    kept = []
-    for p in hits:
-        v = _exact_value(inst, p)
-        if abs(v) < rad:
-            kept.append((abs(v), p, v))
-    kept.sort(key=lambda rec: (rec[0], rec[1]))
+    value, bound, scale = _scaled_form(inst, radius)
+    kept = sorted((abs(v), p, v) for p in hits if abs(v := value(p)) < bound)
     g = inst.gamma.gamma
     exp = inst.radius_exponent
     out = []
     for _, p, v in kept[:limit]:
         max_p = max(p)
         weight = math.prod(pj ** (1.0 - g) * math.log(pj) for pj in p)
-        meets = abs(float(v)) < float(max_p) ** exp
-        out.append(QuintetSolution(p=p, value=float(v), weight=weight,
+        val = v / scale
+        meets = abs(val) < float(max_p) ** exp
+        out.append(QuintetSolution(p=p, value=val, weight=weight,
                                    max_p=max_p, meets_theorem_radius=meets))
     return out
 
 
+def _scan(left: np.ndarray, right: np.ndarray, shift: float, band: float):
+    """Index pairs (j, m), j then m ascending, with r = right[j] + shift and
+    m from searchsorted(left, -r - band, "left") up to, not including,
+    searchsorted(left, -r + band, "right"); yielded as arrays (j, m), one
+    pair per block of _SCAN_BLOCK right sums."""
+    # both band edges fall as j rises, so the j whose band can meet the left
+    # range form one run [j0, j1); each of them takes one binary search, and
+    # a second one if its band holds a left sum
+    n, bottom, top = len(right), left[0], left[-1]
+    j0 = bisect.bisect_left(range(n), True,
+                            key=lambda j: -(right[j] + shift) - band <= top)
+    j1 = bisect.bisect_left(range(n), True, lo=j0,
+                            key=lambda j: -(right[j] + shift) + band < bottom)
+    for a in range(j0, j1, _SCAN_BLOCK):
+        r = right[a:min(a + _SCAN_BLOCK, j1)] + shift
+        lo = np.searchsorted(left, -r - band, side="left")
+        up = -r + band
+        hit = np.flatnonzero(left[lo] <= up)
+        lo = lo[hit]
+        count = np.searchsorted(left, up[hit], side="right") - lo
+        # the m of a hit j run from its lo through lo + count - 1
+        start = np.cumsum(count) - count
+        yield (np.repeat(hit + a, count),
+               np.arange(int(count.sum())) + np.repeat(lo - start, count))
+
+
 def _search_bytes(n, threads: int, hits: int = 0) -> int:
     """Peak memory of search_mitm over tables of sizes n that finds `hits`
-    candidates. 16 B a stored pair (sum and index) throughout. While the scan
-    runs: 32 B a right pair per scanning thread (the shifted sums and both
-    searchsorted results), plus the larger of 1.7 kB a queued p5 task (all
-    queued at the start) and 250 B a candidate (its tuple of five ints; all
-    found at the end). While certifying: 700 B a candidate (its tuple, exact
-    value, sort record and QuintetSolution)."""
+    candidates. 16 B a stored pair (sum and index) throughout, and the
+    largest of three phases. Building the right half: 8 B a right pair (its
+    unsorted sums and sort order beside the sorted ones). Scanning: 32 B a
+    right sum of a scan block per scanning thread, plus the larger of 1.7 kB
+    a queued p5 task (all queued at the start) and 250 B a candidate (its
+    tuple of five ints; all found at the end). Certifying: 530 B a candidate
+    (its tuple, scaled value, sort record and QuintetSolution)."""
     right = n[2] * n[3]
-    scan = 32 * right * min(threads, n[4]) + max(1700 * n[4], 250 * hits)
-    return 16 * (n[0] * n[1] + right) + max(scan, 700 * hits)
+    scan = (32 * min(right, _SCAN_BLOCK) * min(threads, n[4])
+            + max(1700 * n[4], 250 * hits))
+    return 16 * (n[0] * n[1] + right) + max(8 * right, scan, 530 * hits)
 
 
 def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
@@ -163,16 +199,13 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
         if deadline is not None:
             deadline()
         p5 = int(p5s[i5])
-        r = right34.sums + (l5 * float(p5) ** inst.k + inst.eta)
-        lo = np.searchsorted(left.sums, -r - band, side="left")
-        hi = np.searchsorted(left.sums, -r + band, side="right")
         out = []
-        for j in np.flatnonzero(hi > lo):
-            i3, i4 = divmod(int(right34.index[j]), right34.n_b)
-            for m in range(lo[j], hi[j]):
-                i1, i2 = divmod(int(left.index[m]), left.n_b)
-                out.append((int(pr1[i1]), int(pr2[i2]),
-                            int(pr3[i3]), int(pr4[i4]), p5))
+        for j, m in _scan(left.sums, right34.sums,
+                          l5 * float(p5) ** inst.k + inst.eta, band):
+            i1, i2 = np.divmod(left.index[m], left.n_b)
+            i3, i4 = np.divmod(right34.index[j], right34.n_b)
+            out += zip(pr1[i1].tolist(), pr2[i2].tolist(), pr3[i3].tolist(),
+                       pr4[i4].tolist(), [p5] * len(j))
         return out
 
     hits = []
@@ -194,9 +227,8 @@ def within_radius(inst, sols, radius: float) -> list[QuintetSolution]:
     sols is ordered as search_mitm returns it (exact |value| ascending), so
     the kept solutions are a prefix, found by bisection on exact values.
     """
-    rad = Fraction(radius)
-    cut = bisect.bisect_left(sols, True,
-                             key=lambda s: abs(_exact_value(inst, s.p)) >= rad)
+    value, bound, _ = _scaled_form(inst, radius)
+    cut = bisect.bisect_left(sols, True, key=lambda s: abs(value(s.p)) >= bound)
     return list(sols[:cut])
 
 

@@ -551,18 +551,41 @@ def test_time_budget_bounds_the_quadrature(tmp_path, capsys):
 
 def test_time_budget_bounds_the_search_scan(tmp_path, capsys):
     # q0 2378 at radius 0.05: 340 primes a slot, 20,325 quintuples, a scan
-    # and certification of about 3.5 s at 1 thread on a 2-CPU machine; the
-    # budget is checked before each of the 340 p5 blocks (about 10 ms each)
+    # and certification of about 2 s at 1 thread on a 2-CPU machine; the
+    # budget is checked before each of the 340 p5 blocks (about 5 ms each)
+    budget = 0.3
     cfg = write_cfg(tmp_path / "c.json", q0_floor=2378, radius=0.05,
-                    budgets={"time_s": 0.5})
+                    budgets={"time_s": budget})
     out = tmp_path / "o"
     t0 = time.monotonic()
     assert main(["search", "--config", cfg, "--out", str(out)]) == 3
     elapsed = time.monotonic() - t0
     err = capsys.readouterr().err
-    assert "time budget" in err and "(at search)" in err
-    assert elapsed < 0.5 + 0.5
+    assert "time budget 0.3s exhausted" in err and "(at search)" in err
+    assert elapsed < budget + 0.5
     assert not (out / "solutions.csv").exists()
+
+
+def test_time_budget_bounds_the_diagnostics(tmp_path, monkeypatch, capsys):
+    # the first rung of the moment-grid ladder outlasts the budget; the check
+    # before the next rung stops the run there, not after the ladder
+    budget = 0.5
+    rungs = []
+    moment = cli.moment_integral
+
+    def slow(*args):
+        rungs.append(args[2])
+        time.sleep(budget)
+        return moment(*args)
+
+    monkeypatch.setattr(cli, "moment_integral", slow)
+    cfg = write_cfg(tmp_path / "c.json", budgets={"time_s": budget})
+    out = tmp_path / "o"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "time budget 0.5s exhausted" in err and "(at diagnostics)" in err
+    assert len(rungs) == 1
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("radius", [0.8, 5.0])

@@ -180,6 +180,140 @@ class TestOracleEquivalenceHigherPowers:
         check()
 
 
+def two_pass_candidates(inst, tables, band):
+    """The scan's candidate tuples by two full searchsorted passes a p5,
+    one per band edge."""
+    l1, l2, l3, l4, l5 = inst.lambdas
+    left = HalfSumArray.build(l1, tables[0], l2, tables[1])
+    right = HalfSumArray.build(l3, tables[2], l4, tables[3])
+    pr = [t.primes for t in tables]
+    out = []
+    for p5 in pr[4]:
+        r = right.sums + (l5 * float(p5) ** inst.k + inst.eta)
+        lo = np.searchsorted(left.sums, -r - band, side="left")
+        hi = np.searchsorted(left.sums, -r + band, side="right")
+        for j in np.flatnonzero(hi > lo):
+            i3, i4 = divmod(int(right.index[j]), right.n_b)
+            for m in range(lo[j], hi[j]):
+                i1, i2 = divmod(int(left.index[m]), left.n_b)
+                out.append((int(pr[0][i1]), int(pr[1][i2]), int(pr[2][i3]),
+                            int(pr[3][i4]), int(p5)))
+    return out
+
+
+class TestScanBandEdges:
+    # integer lambdas and eta give integer sums; with the guard at 0 the band
+    # is the dyadic radius itself, so left sums sit exactly on -r - band and
+    # on -r + band, where side="left" and side="right" decide membership.
+    # p^2 = 1 mod 24 for p > 3, so every value is 12 mod 24, as is each radius
+    INST = make_inst((1, 2, 1, 3, -2), eta=7.0, lambda0=0.02)
+    TABLES = [build_table(GP, 4000.0, 0.02, 2)] * 5
+
+    @pytest.mark.parametrize("radius", [12.0, 36.0, 84.0])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("block", [61, 1 << 13])
+    def test_candidates_match_two_pass_scan(self, monkeypatch, radius, threads,
+                                            block):
+        got = []
+        monkeypatch.setattr(quintet_search, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(quintet_search, "_guard", lambda *a: 0.0)
+        monkeypatch.setattr(quintet_search, "_finalize",
+                            lambda inst, hits, *a: got.extend(hits) or [])
+        search_mitm(self.INST, self.TABLES, radius, threads=threads)
+        want = two_pass_candidates(self.INST, self.TABLES, radius)
+        assert got == want
+        values = [exact_form_value(self.INST, p) for p in want]
+        assert Fraction(radius) in values and -Fraction(radius) in values
+
+    def test_clipped_run_ends_on_the_left_range_edges(self, monkeypatch):
+        # shifts that put one right sum's lower band edge exactly on the top
+        # left sum, or its upper edge exactly on the bottom one
+        monkeypatch.setattr(quintet_search, "_SCAN_BLOCK", 61)
+        left = HalfSumArray.build(1.0, self.TABLES[0], 2.0, self.TABLES[1]).sums
+        right = HalfSumArray.build(1.0, self.TABLES[2], 3.0, self.TABLES[3]).sums
+        band = 24.0
+        for j in range(0, len(right), 37):
+            for shift in (-left[-1] - band - right[j],
+                          -left[0] + band - right[j]):
+                r = right + shift
+                lo = np.searchsorted(left, -r - band, side="left")
+                hi = np.searchsorted(left, -r + band, side="right")
+                want_j = np.repeat(np.arange(len(r)), hi - lo)
+                want_m = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+                blocks = list(quintet_search._scan(left, right, float(shift), band))
+                got_j = [x for bj, _ in blocks for x in bj.tolist()]
+                got_m = [x for _, bm in blocks for x in bm.tolist()]
+                assert got_j == want_j.tolist() and got_m == want_m.tolist()
+                assert j in got_j
+
+
+def fraction_certify(inst, hits, radius):
+    """(p, value, meets_theorem_radius) of the hits with exact |value| <
+    radius, in (|value|, p) order, by Fraction arithmetic."""
+    rad = Fraction(radius)
+    kept = sorted((abs(v), p, v) for p in hits
+                  if abs(v := exact_form_value(inst, p)) < rad)
+    exp = inst.radius_exponent
+    return [(p, float(v), abs(float(v)) < float(max(p)) ** exp)
+            for _, p, v in kept]
+
+
+def odd_dyadic(draw, bits, denominator_exp):
+    """A float odd/2^e, so its denominator is exactly 2^e."""
+    num = 2 * draw(st.integers(-2 ** (bits - 1), 2 ** (bits - 1) - 1)) + 1
+    return math.ldexp(num, -denominator_exp)
+
+
+@st.composite
+def dyadic_certify_cases(draw, k):
+    """(instance, hits, radius): lambdas with five distinct power-of-two
+    denominators, eta finer than every one of them, a radius with a fine
+    denominator (or exactly some hit's |value|) and random quintuples."""
+    top = {2: 400, 3: 60, 4: 20}[k]
+    hits = draw(st.lists(st.tuples(*[st.integers(2, 400)] * 4,
+                                   st.integers(2, top)),
+                         min_size=5, max_size=40, unique=True))
+    exps = draw(st.lists(st.integers(0, 24), min_size=5, max_size=5,
+                         unique=True))
+    lams = [odd_dyadic(draw, 20, e) for e in exps]
+    if min(lams) > 0 or max(lams) < 0:
+        lams[4] = -lams[4]
+    # eta cancels the first hit to within a unit, at a finer denominator
+    e_eta = max(exps) + draw(st.integers(1, 10))
+    near = -sum(Fraction(l) * pj ** kj for l, pj, kj in
+                zip(lams, hits[0], (2, 2, 2, 2, k)))
+    eta = math.ldexp(2 * math.floor(near * 2 ** (e_eta - 1)) + 1, -e_eta)
+    inst = ProblemInstance(tuple(lams), eta, k, _THEOREM_GAMMA.get(k, GP),
+                           draw(st.floats(0.001, 1.5)), 0.5)
+    mags = sorted(abs(exact_form_value(inst, p)) for p in hits)
+    target = mags[draw(st.integers(0, len(mags) - 1))]
+    if draw(st.booleans()) and float(target) == target and target > 0:
+        return inst, hits, float(target)
+    frac, exp2 = math.frexp(float(target) or 1.0)
+    return inst, hits, math.ldexp(int(frac * 2 ** 53) | 1, exp2 - 53)
+
+
+class TestScaledCertification:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_fraction_reference(self, k):
+        @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+        @given(dyadic_certify_cases(k))
+        def check(case):
+            inst, hits, radius = case
+            got = quintet_search._finalize(inst, hits, radius, 10 ** 6)
+            assert [(s.p, s.value, s.meets_theorem_radius) for s in got] == \
+                fraction_certify(inst, hits, radius)
+            assert within_radius(inst, got, radius) == got
+            # a cut on a kept value's float: the prefix exactly below it
+            if got:
+                cut = abs(got[len(got) // 2].value)
+                assert within_radius(inst, got, cut) == [
+                    s for s in got
+                    if abs(exact_form_value(inst, s.p)) < Fraction(cut)]
+
+        check()
+
+
 class TestSolutionContract:
     def setup_method(self):
         self.inst = make_inst(lambda0=0.02)
