@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from ._io import atomic_write_text, csv_text, fmt17
@@ -92,6 +91,8 @@ def sieve_primes(lo: int, hi: int, max_span: int = _MAX_SPAN) -> np.ndarray:
 
 
 def _is_ps_mp(p: int, gamma: float) -> bool:
+    import mpmath  # call time: escalations are rare, the import is not cheap
+
     with mpmath.workdps(MP_DPS):
         g = mpmath.mpf(gamma)
         lo = mpmath.power(p, g)

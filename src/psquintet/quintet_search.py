@@ -5,11 +5,16 @@ PS primes drawn from per-slot tables. Left half holds the sorted pair sums
 over (p1, p2); the right half (p3, p4, p5) is streamed one p5 at a time as a
 constant shift of the sorted (p3, p4) array, so interval queries against the
 left half are plain binary searches, made only for the shifted sums whose
-band can meet the left range.
+band can meet the left range. Before its binary search, each such key looks
+up one byte of a map of power-of-two cells that hold a left sum or lie just
+below one; a clear cell proves the key's band holds no left sum, which skips
+the search for about four keys in five.
 
 Floats locate candidates inside a guard band; every candidate is then
 certified in scaled integers (exact): the float coefficients, eta and the
-radius are dyadic rationals, so one power of two turns each into an integer.
+radius are dyadic rationals, so one power of two turns each into an integer,
+and each quintuple's value is eta plus five lookups in per-slot tables of
+its scaled terms, keyed by prime.
 Membership in |value| < radius is decided exactly and the returned ordering
 is reproducible bit for bit across thread counts.
 """
@@ -31,7 +36,9 @@ from .ps_primes import PsPrimeTable
 # caller's memory budget
 _MAX_HITS = 10 ** 7
 # right sums a scan step searches at once: bounds the scan's temporaries
-_SCAN_BLOCK = 1 << 13
+_SCAN_BLOCK = 1 << 15
+# the scan's cell map has at most this many cells a left sum (plus two)
+_MAP_CELLS = 16
 
 
 @dataclass(frozen=True)
@@ -89,31 +96,39 @@ def _guard(inst, tables, radius: float) -> float:
 
 
 def _scaled_form(inst, radius: float):
-    """(value, bound, S): value(p) = S * form value and bound = S * radius,
-    both exact integers, with S the largest power-of-two denominator of the
-    lambdas, eta and radius. |value(p)| < bound iff |form value| < radius,
-    and value(p) / S is the form value rounded once to a float."""
+    """(values, bound, S): values(hits) is S times the form value of each
+    quintuple and bound = S * radius, all exact integers, with S the largest
+    power-of-two denominator of the lambdas, eta and radius. |value| < bound
+    iff |form value| < radius, and value / S is the form value rounded once
+    to a float."""
     ratios = [x.as_integer_ratio() for x in (*inst.lambdas, inst.eta, radius)]
     scale = max(d for _, d in ratios)
     *lams, eta, bound = [num * (scale // d) for num, d in ratios]
-    powers = inst.powers
 
-    def value(p: tuple[int, ...]) -> int:
-        return eta + sum(lam * pj ** kj for lam, pj, kj in zip(lams, p, powers))
+    def values(hits) -> list[int]:
+        # eta plus five lookups in per-slot tables of lam_j * p^k_j by prime
+        cols = list(zip(*hits)) or [()] * 5
+        t1, t2, t3, t4, t5 = ({p: lam * p ** k for p in set(col)}
+                              for lam, k, col in zip(lams, inst.powers, cols))
+        return [eta + t1[a] + t2[b] + t3[c] + t4[d] + t5[e]
+                for a, b, c, d, e in hits]
 
-    return value, bound, scale
+    return values, bound, scale
 
 
 def _finalize(inst, hits, radius: float, limit: int) -> list[QuintetSolution]:
     """Certify candidates exactly, order (|value| asc, lex p), truncate."""
-    value, bound, scale = _scaled_form(inst, radius)
-    kept = sorted((abs(v), p, v) for p in hits if abs(v := value(p)) < bound)
+    values, bound, scale = _scaled_form(inst, radius)
+    kept = sorted((abs(v), p, v) for p, v in zip(hits, values(hits))
+                  if abs(v) < bound)[:limit]
     g = inst.gamma.gamma
+    factor = {pj: pj ** (1.0 - g) * math.log(pj)
+              for pj in set().union(*(p for _, p, _ in kept))}
     exp = inst.radius_exponent
     out = []
-    for _, p, v in kept[:limit]:
+    for _, p, v in kept:
         max_p = max(p)
-        weight = math.prod(pj ** (1.0 - g) * math.log(pj) for pj in p)
+        weight = math.prod(map(factor.__getitem__, p))
         val = v / scale
         meets = abs(val) < float(max_p) ** exp
         out.append(QuintetSolution(p=p, value=val, weight=weight,
@@ -121,45 +136,108 @@ def _finalize(inst, hits, radius: float, limit: int) -> list[QuintetSolution]:
     return out
 
 
-def _scan(left: np.ndarray, right: np.ndarray, shift: float, band: float):
+@dataclass(frozen=True)
+class _CellMap:
+    """Which cells [c*w, (c+1)*w), w = 1/scale a power of two, hold a left
+    sum or lie just below one: occupied[c - base] for cell c."""
+
+    occupied: np.ndarray
+    scale: float
+    base: int
+
+    def marked(self, x: np.ndarray) -> np.ndarray:
+        """Whether the cell floor(x * scale) of each x is marked; x is
+        overwritten."""
+        x *= self.scale
+        cell = np.floor(x, out=x).astype(np.intp)
+        cell -= self.base
+        return self.occupied[cell]
+
+
+def _cell_map(left: np.ndarray, band: float) -> _CellMap:
+    """The occupancy map of the sorted left sums for keys of half-width band.
+
+    The cell width w is the smallest power of two at least 4*band, at least
+    span/(_MAP_CELLS*n), so that the map has at most _MAP_CELLS cells a left
+    sum (plus two), and at least 8 spacings s of the largest magnitude a key
+    edge of the scan can reach, so that a key's rounded band edges lie at
+    most 2*band + 2*s <= 3w/4 apart."""
+    reach = max(abs(left[0]), abs(left[-1])) + 2 * band
+    width = max(4 * band, 8 * float(np.spacing(reach)),
+                (left[-1] - left[0]) / (_MAP_CELLS * len(left)))
+    frac, e = math.frexp(width)
+    scale = math.ldexp(1.0, 1 - e if frac == 0.5 else -e)
+    base = math.floor(left[0] * scale) - 1
+    occupied = np.zeros(math.floor(left[-1] * scale) - base + 1, dtype=bool)
+    for s in range(0, len(left), _SCAN_BLOCK):
+        cell = np.floor(left[s:s + _SCAN_BLOCK] * scale).astype(np.intp) - base
+        occupied[cell] = True
+        occupied[cell - 1] = True
+    return _CellMap(occupied, scale, base)
+
+
+def _scan(left: np.ndarray, right: np.ndarray, shift: float, band: float,
+          cells: _CellMap):
     """Index pairs (j, m), j then m ascending, with r = right[j] + shift and
     m from searchsorted(left, -r - band, "left") up to, not including,
     searchsorted(left, -r + band, "right"); yielded as arrays (j, m), one
-    pair per block of _SCAN_BLOCK right sums."""
+    pair per block of _SCAN_BLOCK right sums. cells is _cell_map(left, band)."""
     # both band edges fall as j rises, so the j whose band can meet the left
-    # range form one run [j0, j1); each of them takes one binary search, and
-    # a second one if its band holds a left sum
+    # range form one run [j0, j1)
     n, bottom, top = len(right), left[0], left[-1]
     j0 = bisect.bisect_left(range(n), True,
                             key=lambda j: -(right[j] + shift) - band <= top)
     j1 = bisect.bisect_left(range(n), True, lo=j0,
                             key=lambda j: -(right[j] + shift) + band < bottom)
-    for a in range(j0, j1, _SCAN_BLOCK):
-        r = right[a:min(a + _SCAN_BLOCK, j1)] + shift
-        lo = np.searchsorted(left, -r - band, side="left")
-        up = -r + band
-        hit = np.flatnonzero(left[lo] <= up)
-        lo = lo[hit]
-        count = np.searchsorted(left, up[hit], side="right") - lo
-        # the m of a hit j run from its lo through lo + count - 1
-        start = np.cumsum(count) - count
-        yield (np.repeat(hit + a, count),
-               np.arange(int(count.sum())) + np.repeat(lo - start, count))
+    for s in range(j0, j1, _SCAN_BLOCK):
+        yield _scan_block(left, right, s, min(s + _SCAN_BLOCK, j1), shift,
+                          band, cells)
+
+
+def _scan_block(left, right, s: int, e: int, shift: float, band: float,
+                cells: _CellMap):
+    """_scan's (j, m) for the j in [s, e), all in its run. Each j takes one
+    look at the cell map, the survivors one binary search, and a second one
+    if their band holds a left sum. A function of its own, so that a block's
+    temporaries are freed before the next block allocates its own."""
+    # the filter is exact. x -> floor(x * scale) is monotone (the scaling by
+    # a power of two is exact), so a left sum x in [low, up] has its cell
+    # between those of low and up; up - low < w (see _cell_map) puts them at
+    # most one cell apart, and x marks its own cell and the one below it, so
+    # the cell of low is marked. A key whose cell is clear holds no left sum in its band
+    # and is skipped without a binary search. Keys of the run have low <= top
+    # and up >= bottom, so their cell lies between base and the top cell:
+    # the index is inside the map.
+    keep = np.flatnonzero(cells.marked(-(right[s:e] + shift) - band))
+    keep += s
+    r = right[keep] + shift
+    low, up = -r - band, -r + band
+    lo = np.searchsorted(left, low, side="left")
+    hit = np.flatnonzero(left[lo] <= up)
+    lo = lo[hit]
+    count = np.searchsorted(left, up[hit], side="right") - lo
+    # the m of a hit j run from its lo through lo + count - 1
+    start = np.cumsum(count) - count
+    return (np.repeat(keep[hit], count),
+            np.arange(int(count.sum())) + np.repeat(lo - start, count))
 
 
 def _search_bytes(n, threads: int, hits: int = 0) -> int:
     """Peak memory of search_mitm over tables of sizes n that finds `hits`
     candidates. 16 B a stored pair (sum and index) throughout, and the
-    largest of three phases. Building the right half: 8 B a right pair (its
-    unsorted sums and sort order beside the sorted ones). Scanning: 32 B a
-    right sum of a scan block per scanning thread, plus the larger of 1.7 kB
-    a queued p5 task (all queued at the start) and 250 B a candidate (its
-    tuple of five ints; all found at the end). Certifying: 530 B a candidate
-    (its tuple, scaled value, sort record and QuintetSolution)."""
-    right = n[2] * n[3]
-    scan = (32 * min(right, _SCAN_BLOCK) * min(threads, n[4])
+    larger of two phases. Building the right half: 8 B a right pair (its
+    unsorted sums and sort order beside the sorted ones). Then the cell map,
+    10 B a left pair (one byte a cell, between _MAP_CELLS / 2 and _MAP_CELLS
+    cells a pair), beside the larger of scanning and certifying. Scanning:
+    12 B a right sum of a scan block per scanning thread (17 B at a block's
+    peak, which the threads do not all reach at once), plus the larger of
+    1.7 kB a queued p5 task (all queued at the start) and 250 B a candidate
+    (its tuple of five ints; all found at the end). Certifying: 500 B a
+    candidate (its tuple, scaled value, sort record and QuintetSolution)."""
+    left, right = n[0] * n[1], n[2] * n[3]
+    scan = (12 * min(right, _SCAN_BLOCK) * min(threads, n[4])
             + max(1700 * n[4], 250 * hits))
-    return 16 * (n[0] * n[1] + right) + max(8 * right, scan, 530 * hits)
+    return 16 * (left + right) + max(8 * right, 10 * left + max(scan, 500 * hits))
 
 
 def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
@@ -194,6 +272,7 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
     right34 = HalfSumArray.build(l3, tables[2], l4, tables[3])
     pr1, pr2, pr3, pr4, p5s = (t.primes for t in tables)
     band = radius + _guard(inst, tables, radius)
+    cells = _cell_map(left.sums, band)  # read-only, shared by the threads
 
     def scan_one(i5: int) -> list[tuple[int, int, int, int, int]]:
         if deadline is not None:
@@ -201,7 +280,7 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
         p5 = int(p5s[i5])
         out = []
         for j, m in _scan(left.sums, right34.sums,
-                          l5 * float(p5) ** inst.k + inst.eta, band):
+                          l5 * float(p5) ** inst.k + inst.eta, band, cells):
             i1, i2 = np.divmod(left.index[m], left.n_b)
             i3, i4 = np.divmod(right34.index[j], right34.n_b)
             out += zip(pr1[i1].tolist(), pr2[i2].tolist(), pr3[i3].tolist(),
@@ -227,8 +306,9 @@ def within_radius(inst, sols, radius: float) -> list[QuintetSolution]:
     sols is ordered as search_mitm returns it (exact |value| ascending), so
     the kept solutions are a prefix, found by bisection on exact values.
     """
-    value, bound, _ = _scaled_form(inst, radius)
-    cut = bisect.bisect_left(sols, True, key=lambda s: abs(value(s.p)) >= bound)
+    values, bound, _ = _scaled_form(inst, radius)
+    cut = bisect.bisect_left(sols, True,
+                             key=lambda s: abs(values([s.p])[0]) >= bound)
     return list(sols[:cut])
 
 

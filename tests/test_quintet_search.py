@@ -232,6 +232,7 @@ class TestScanBandEdges:
         left = HalfSumArray.build(1.0, self.TABLES[0], 2.0, self.TABLES[1]).sums
         right = HalfSumArray.build(1.0, self.TABLES[2], 3.0, self.TABLES[3]).sums
         band = 24.0
+        cells = quintet_search._cell_map(left, band)
         for j in range(0, len(right), 37):
             for shift in (-left[-1] - band - right[j],
                           -left[0] + band - right[j]):
@@ -240,11 +241,83 @@ class TestScanBandEdges:
                 hi = np.searchsorted(left, -r + band, side="right")
                 want_j = np.repeat(np.arange(len(r)), hi - lo)
                 want_m = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-                blocks = list(quintet_search._scan(left, right, float(shift), band))
+                blocks = list(quintet_search._scan(left, right, float(shift), band,
+                                                   cells))
                 got_j = [x for bj, _ in blocks for x in bj.tolist()]
                 got_m = [x for _, bm in blocks for x in bm.tolist()]
                 assert got_j == want_j.tolist() and got_m == want_m.tolist()
                 assert j in got_j
+
+
+def scan_pairs(left, right, shift, band):
+    """The scan's (j, m) lists by two full searchsorted passes, one per band
+    edge."""
+    r = right + shift
+    lo = np.searchsorted(left, -r - band, side="left")
+    hi = np.searchsorted(left, -r + band, side="right")
+    return (np.repeat(np.arange(len(r)), hi - lo).tolist(),
+            [m for a, b in zip(lo, hi) for m in range(a, b)])
+
+
+_UNIT = 2.0 ** -10
+
+
+@st.composite
+def cell_scan_cases(draw):
+    """(left, right, shift, band) on a 2^-10 grid below 2^24, so every sum
+    and key edge is exact. 4*band sits just below, on or just above a power
+    of two; the left sums are multiples of a power of two near the band
+    (contiguous ones put a left sum in every cell), 0 among them, so some lie
+    on cell boundaries k*w; the shift puts one key's lower or upper band edge
+    on 0 or on a left sum."""
+    p = draw(st.integers(-6, 10))
+    band = 2.0 ** p / 4 + draw(st.sampled_from([-_UNIT, 0.0, _UNIT]))
+    step = 2.0 ** draw(st.integers(p - 3, p + 3))
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        k0 = draw(st.integers(-n + 1, 0))
+        ks = range(k0, k0 + n)
+    else:
+        ks = {0, *draw(st.lists(st.integers(-300, 300), max_size=n - 1))}
+    left = np.array(sorted(
+        k * step + (draw(st.sampled_from([0.0, 0.0, _UNIT, -_UNIT])) if k else 0.0)
+        for k in ks))
+    right_step = step * 2.0 ** draw(st.integers(-2, 2))
+    right = np.array(sorted(draw(st.lists(st.integers(-300, 300), min_size=1,
+                                          max_size=30)))) * right_step
+    j = draw(st.integers(0, len(right) - 1))
+    edge = draw(st.sampled_from([0.0, *left.tolist()]))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    # -(right[j] + shift) + side * band == edge, exactly
+    shift = side * band - edge - right[j]
+    return left, right, shift, band
+
+
+class TestCellFilter:
+    def test_scan_matches_two_pass(self, monkeypatch):
+        # short blocks: several a scan, and several for building the map
+        monkeypatch.setattr(quintet_search, "_SCAN_BLOCK", 7)
+
+        @settings(max_examples=400, derandomize=True, database=None,
+                  deadline=None)
+        @given(cell_scan_cases())
+        def check(case):
+            left, right, shift, band = case
+            cells = quintet_search._cell_map(left, band)
+            # w: the smallest power of two at least 4*band and the span over
+            # _MAP_CELLS cells a left sum (the rounding term is far smaller
+            # on this grid), so the map holds at most _MAP_CELLS cells a sum
+            w = 1.0 / cells.scale
+            fine = max(4 * band, (left[-1] - left[0]) /
+                       (quintet_search._MAP_CELLS * len(left)))
+            assert math.frexp(w)[0] == 0.5 and w / 2 < fine <= w
+            assert len(cells.occupied) <= quintet_search._MAP_CELLS * len(left) + 3
+            blocks = list(quintet_search._scan(left, right, shift, band, cells))
+            got = ([x for bj, _ in blocks for x in bj.tolist()],
+                   [x for _, bm in blocks for x in bm.tolist()])
+            assert got == scan_pairs(left, right, shift, band)
+
+        check()
 
 
 def fraction_certify(inst, hits, radius):
