@@ -55,7 +55,8 @@ from .errors import (
     PsQuintetError,
     SchemaError,
 )
-from .exp_sums import Family, GapKind, SumSpec, asym_gap, export_tscan, moment_integral, tscan
+from .exp_sums import (Family, GapKind, SumSpec, asym_gap, export_tscan,
+                       growth_exponent, growth_ladder, moment_integral, tscan)
 from .numerics import SmoothingKernel, kernel_eval, kernel_fourier, kernel_fourier_bound
 from .ps_primes import GammaParam, export_table
 from .quintet_search import export_solutions, search_mitm, within_radius
@@ -285,7 +286,7 @@ def _scan_grid(params: DhParams, inst: ProblemInstance, tables):
     return ts, tscan(spec, ts, tables[0])
 
 
-def _diagnostics(cfg: RunConfig, params: DhParams, tables,
+def _diagnostics(cfg: RunConfig, params: DhParams, tables, kern: SmoothingKernel,
                  dec: GammaDecomposition, deadline: _Deadline) -> list[Diagnostic]:
     inst = cfg.instance
     rng = np.random.default_rng(cfg.seed)
@@ -294,31 +295,25 @@ def _diagnostics(cfg: RunConfig, params: DhParams, tables,
     ratio = tables[0].density_ratio
     out.append(Diagnostic("density_ratio", ratio, 2.0, 0.5 <= ratio <= 2.0))
 
-    kern = _kernel_for(params)
     xs = rng.uniform(1e-2 / kern.epsilon, 1e2 / kern.epsilon, size=1000)
     worst = float(np.max(np.abs(kernel_fourier(kern, xs))
                          / kernel_fourier_bound(kern, xs)))
     out.append(Diagnostic("kernel_bound", worst, 1.0, worst <= 1.0))
 
     # growth ladders need every rung to admit a table window (>= 4)
-    x_top = max(params.X, 64.0)
+    rungs = growth_ladder(inst.gamma, max(params.X, 64.0), inst.lambda0, 2)
     vals = []
-    ladder = [x_top / 16.0, x_top / 4.0, x_top]
-    for x in ladder:
+    for _, table in rungs:
         deadline.check("diagnostics")
-        grid = max(4096, 1 << math.ceil(math.log2(4.0 * x)))
-        spec = SumSpec(Family.S, 2, x, inst.lambda0, inst.gamma)
-        from .ps_primes import build_table
-        table = build_table(inst.gamma, x, inst.lambda0, 2)
+        grid = max(4096, 1 << math.ceil(math.log2(4.0 * table.x_max)))
+        spec = SumSpec(Family.S, 2, table.x_max, inst.lambda0, inst.gamma)
         vals.append(moment_integral(spec, 4, (0.0, 1.0), grid, table).value)
-    slope = float(np.polyfit(np.log(ladder), np.log(np.maximum(vals, 1e-300)),
-                             1)[0])
+    slope = growth_exponent(rungs, vals)
     m_bound = 2.0 - inst.gamma.gamma + 0.2
     out.append(Diagnostic("moment_slope", slope, m_bound, slope <= m_bound))
 
     t_grid = np.sort(rng.uniform(0.0, 1.0, size=17))
-    _, g_slope = asym_gap(GapKind.S_vs_Sigma, 2, inst.gamma, x_top,
-                          inst.lambda0, t_grid)
+    _, g_slope = asym_gap(GapKind.S_vs_Sigma, rungs, t_grid)
     g_bound = (21.0 - 7.0 * inst.gamma.gamma) / 29.0 + 0.25
     out.append(Diagnostic("gap_slope", g_slope, g_bound, g_slope <= g_bound))
 
@@ -356,7 +351,7 @@ def _full_run(cfg: RunConfig, params: DhParams, threads: int,
     deadline.check("integral")
 
     ts, vals = _scan_grid(params, inst, tables)
-    diags = (_diagnostics(cfg, params, tables, dec, deadline)
+    diags = (_diagnostics(cfg, params, tables, kern, dec, deadline)
              if with_diagnostics else [])
     deadline.check("diagnostics")
     return RunReport(params=params, decomposition=dec, diagnostics=tuple(diags),

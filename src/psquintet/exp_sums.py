@@ -25,7 +25,8 @@ from ._io import atomic_write_text, csv_text, fmt17
 from .dh_pipeline import main_range_cutoff
 from .errors import AdmissibilityError, SpecMismatch
 from .numerics import QuadratureSpec, e2pi, oscillatory_integral, phase_sum
-from .ps_primes import GammaParam, PsPrimeTable, sieve_primes, window_bounds
+from .ps_primes import (GammaParam, PsPrimeTable, check_window, sieve_primes,
+                        window_bounds, window_table)
 
 
 class Family(enum.Enum):
@@ -153,36 +154,46 @@ def moment_integral(spec: SumSpec, m: int, interval: tuple[float, float],
                         x_max=spec.x_max)
 
 
-def asym_gap(kind: GapKind, k: int, gamma, x_max: float, lambda0: float,
-             t_grid) -> tuple[float, float]:
-    """(gap at x_max, fitted growth exponent over the ladder x_max/16..x_max).
+def growth_ladder(gamma, x_max: float, lambda0: float, k: int) -> list:
+    """The rungs x = x_max/16, x_max/4, x_max of the diagnostics' growth fits:
+    (primes of the window lambda0*x < p^k <= x, its PS prime table) each."""
+    rungs = []
+    for x in (x_max / 16.0, x_max / 4.0, x_max):
+        gp = check_window(gamma, x, lambda0, k)
+        primes = sieve_primes(*window_bounds(x, lambda0, k))
+        rungs.append((primes, window_table(gp, x, lambda0, k, primes)))
+    return rungs
 
-    t_grid holds relative offsets u in [0, 1]. S_vs_Sigma takes the sup of
-    |S(t) - gamma*Sigma(t)| over t = u * Delta(X); Sigma_vs_U integrates
-    |Sigma - U|^2 over [-Delta(X), Delta(X)] by trapezoid on len(t_grid)
-    symmetric nodes. The exponent is the least-squares slope of log(gap)
-    against log(X) over the three-rung ladder.
+
+def growth_exponent(rungs, values) -> float:
+    """Least-squares slope of log(value) against log(x) over the rungs."""
+    logs_x = np.log([table.x_max for _, table in rungs])
+    return float(np.polyfit(logs_x, np.log(np.maximum(values, 1e-300)), 1)[0])
+
+
+def asym_gap(kind: GapKind, rungs, t_grid) -> tuple[float, float]:
+    """(gap at the top rung, fitted growth exponent over the rungs).
+
+    rungs is a growth_ladder; each rung's table gives x, lambda0, k and
+    gamma. t_grid holds relative offsets u in [0, 1]. S_vs_Sigma takes the
+    sup of |S(t) - gamma*Sigma(t)| over t = u * Delta(x); Sigma_vs_U
+    integrates |Sigma - U|^2 over [-Delta(x), Delta(x)] by trapezoid on
+    len(t_grid) symmetric nodes. The exponent is growth_exponent of the gaps.
     """
-    from .ps_primes import build_table  # call time: the traced run wraps it there
-
-    gp = gamma if isinstance(gamma, GammaParam) else GammaParam(float(gamma))
     u = np.asarray(list(t_grid), dtype=float)
     if len(u) == 0:
         raise ValueError("t_grid must be nonempty")
-    ladder = [x_max / 16.0, x_max / 4.0, x_max]
     gaps = []
-    for x in ladder:
+    for primes, table in rungs:
+        x, lambda0, k = table.x_max, table.lambda0, table.k
         delta = main_range_cutoff(x)
-        lo_w, hi_w = window_bounds(x, lambda0, k)
-        primes = sieve_primes(lo_w, hi_w)
         sig_spec = SumSpec(Family.Sigma, k, x, lambda0)
         if kind is GapKind.S_vs_Sigma:
-            table = build_table(gp, x, lambda0, k)
-            s_spec = SumSpec(Family.S, k, x, lambda0, gp)
+            s_spec = SumSpec(Family.S, k, x, lambda0, table.gamma)
             ts = u * delta
             sv = tscan(s_spec, ts, table)
             gv = tscan(sig_spec, ts, primes)
-            gaps.append(float(np.max(np.abs(sv - gp.gamma * gv))))
+            gaps.append(float(np.max(np.abs(sv - table.gamma.gamma * gv))))
         else:
             n = max(len(u), 9)
             ts = np.linspace(-delta, delta, n)
@@ -190,10 +201,7 @@ def asym_gap(kind: GapKind, k: int, gamma, x_max: float, lambda0: float,
             gv = tscan(sig_spec, ts, primes)
             uv = tscan(u_spec, ts, None)
             gaps.append(float(np.trapezoid(np.abs(gv - uv) ** 2, ts)))
-    logs_x = np.log(ladder)
-    logs_g = np.log(np.maximum(gaps, 1e-300))
-    slope = float(np.polyfit(logs_x, logs_g, 1)[0])
-    return gaps[-1], slope
+    return gaps[-1], growth_exponent(rungs, gaps)
 
 
 def export_tscan(path: str, ts, values, marks: dict[str, float] | None = None) -> int:

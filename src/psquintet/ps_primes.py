@@ -152,12 +152,8 @@ def window_bounds(x_max: float, lambda0: float, k: int) -> tuple[int, int]:
     return lo + 1, hi
 
 
-def build_table(gamma, x_max: float, lambda0: float, k: int) -> PsPrimeTable:
-    """Sieve the window, filter PS membership, attach weights.
-
-    density_ratio reports count / (T^gamma / log T) at T = x_max^(1/k), the
-    plain counting normalizer; it is a diagnostic, not an asserted asymptotic.
-    """
+def check_window(gamma, x_max: float, lambda0: float, k: int) -> GammaParam:
+    """gamma as a GammaParam, once x_max, lambda0 and k pass a table's checks."""
     gp = gamma if isinstance(gamma, GammaParam) else GammaParam(float(gamma))
     if k not in (2, 3, 4):
         raise ValueError(f"k must be 2, 3 or 4, got {k}")
@@ -165,8 +161,23 @@ def build_table(gamma, x_max: float, lambda0: float, k: int) -> PsPrimeTable:
         raise ValueError(f"lambda0 must be in (0,1), got {lambda0}")
     if x_max < 4:
         raise ValueError(f"x_max must be >= 4, got {x_max}")
-    lo, hi = window_bounds(x_max, lambda0, k)
-    candidates = sieve_primes(lo, hi)
+    return gp
+
+
+def build_table(gamma, x_max: float, lambda0: float, k: int) -> PsPrimeTable:
+    """Sieve the window, filter PS membership, attach weights."""
+    gp = check_window(gamma, x_max, lambda0, k)
+    candidates = sieve_primes(*window_bounds(x_max, lambda0, k))
+    return window_table(gp, x_max, lambda0, k, candidates)
+
+
+def window_table(gp: GammaParam, x_max: float, lambda0: float, k: int,
+                 candidates: np.ndarray) -> PsPrimeTable:
+    """build_table's table from the primes of its window, already sieved.
+
+    density_ratio reports count / (T^gamma / log T) at T = x_max^(1/k), the
+    plain counting normalizer; it is a diagnostic, not an asserted asymptotic.
+    """
     keep = [int(p) for p in candidates if is_ps_prime(int(p), gp.gamma)[0]]
     primes = np.asarray(keep, dtype=np.int64)
     pf = primes.astype(np.float64)

@@ -224,20 +224,22 @@ def _scan_block(left, right, s: int, e: int, shift: float, band: float,
 
 def _search_bytes(n, threads: int, hits: int = 0) -> int:
     """Peak memory of search_mitm over tables of sizes n that finds `hits`
-    candidates. 16 B a stored pair (sum and index) throughout, and the
-    larger of two phases. Building the right half: 8 B a right pair (its
-    unsorted sums and sort order beside the sorted ones). Then the cell map,
-    10 B a left pair (one byte a cell, between _MAP_CELLS / 2 and _MAP_CELLS
-    cells a pair), beside the larger of scanning and certifying. Scanning:
-    12 B a right sum of a scan block per scanning thread (17 B at a block's
-    peak, which the threads do not all reach at once), plus the larger of
-    1.7 kB a queued p5 task (all queued at the start) and 250 B a candidate
-    (its tuple of five ints; all found at the end). Certifying: 500 B a
-    candidate (its tuple, scaled value, sort record and QuintetSolution)."""
+    candidates: the larger of scanning and certifying, which runs after the
+    scan has freed its arrays. Scanning: 16 B a stored pair (sum and index)
+    throughout, and the larger of two phases. Building the right half: 8 B a
+    right pair (its unsorted sums and sort order beside the sorted ones).
+    Then the cell map, 10 B a left pair (one byte a cell, between
+    _MAP_CELLS / 2 and _MAP_CELLS cells a pair), beside 12 B a right sum of a
+    scan block per scanning thread (17 B at a block's peak, which the threads
+    do not all reach at once), plus the larger of 1.7 kB a queued p5 task (all
+    queued at the start) and 250 B a candidate (its tuple of five ints; all
+    found at the end). Certifying: 500 B a candidate (its tuple, scaled
+    value, sort record and QuintetSolution)."""
     left, right = n[0] * n[1], n[2] * n[3]
     scan = (12 * min(right, _SCAN_BLOCK) * min(threads, n[4])
             + max(1700 * n[4], 250 * hits))
-    return 16 * (left + right) + max(8 * right, 10 * left + max(scan, 500 * hits))
+    return max(16 * (left + right) + max(8 * right, 10 * left + scan),
+               500 * hits)
 
 
 def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
@@ -266,12 +268,20 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
                 f"~{need / 2 ** 20:.0f} MiB, budget is {memory_mb:.0f} MiB")
 
     check_memory(0)
+    band = radius + _guard(inst, tables, radius)
+    hits = _candidates(inst, tables, band, threads, check_memory, deadline)
+    return _finalize(inst, hits, radius, limit)
 
+
+def _candidates(inst, tables, band: float, threads: int, check_memory,
+                deadline) -> list[tuple[int, int, int, int, int]]:
+    """search_mitm's quintuples whose float value lies within band of zero,
+    in p5 order. A function of its own, so that the pair arrays and the cell
+    map are freed before certification."""
     l1, l2, l3, l4, l5 = inst.lambdas
     left = HalfSumArray.build(l1, tables[0], l2, tables[1])
     right34 = HalfSumArray.build(l3, tables[2], l4, tables[3])
     pr1, pr2, pr3, pr4, p5s = (t.primes for t in tables)
-    band = radius + _guard(inst, tables, radius)
     cells = _cell_map(left.sums, band)  # read-only, shared by the threads
 
     def scan_one(i5: int) -> list[tuple[int, int, int, int, int]]:
@@ -297,7 +307,7 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
                 raise CapacityExceeded(f"{len(hits)} candidates exceed the "
                                        f"{_MAX_HITS} certification ceiling")
             check_memory(len(hits))
-    return _finalize(inst, hits, radius, limit)
+    return hits
 
 
 def within_radius(inst, sols, radius: float) -> list[QuintetSolution]:

@@ -37,7 +37,8 @@ from psquintet.dh_pipeline import (
     gamma_integral,
     instance_tables,
 )
-from psquintet.exp_sums import Family, GapKind, SumSpec, asym_gap, moment_integral
+from psquintet.exp_sums import (Family, GapKind, SumSpec, asym_gap, growth_ladder,
+                                moment_integral)
 from psquintet.numerics import (
     QuadratureSpec,
     SmoothingKernel,
@@ -194,7 +195,7 @@ def test_criterion_05_moment_exponent_fit():
 
 def test_criterion_06_gap_exponent_fit():
     t0 = time.monotonic()
-    gap, slope = asym_gap(GapKind.S_vs_Sigma, 2, GP99, 1.6e5, 0.1,
+    gap, slope = asym_gap(GapKind.S_vs_Sigma, growth_ladder(GP99, 1.6e5, 0.1, 2),
                           np.linspace(0.0, 1.0, 65))
     bound = (21.0 - 7.0 * 0.99) / 29.0 + 0.25
     _line(6, "gap exponent fit", slope <= bound,

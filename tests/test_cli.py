@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psquintet import cli
+from psquintet import cli, ps_primes
 from psquintet.cli import (
     RunConfig,
     RunReport,
@@ -587,6 +587,28 @@ def test_time_budget_bounds_the_diagnostics(tmp_path, monkeypatch, capsys):
     assert "time budget 0.5s exhausted" in err and "(at diagnostics)" in err
     assert len(rungs) == 1
     assert not (out / "report.json").exists()
+
+
+def test_verify_sieves_and_filters_each_window_once(tmp_path, monkeypatch):
+    # the run's square table and the three rungs of the diagnostics' growth
+    # ladder, which the moment fit and the gap fit share: four windows, each
+    # sieved once and filtered for PS membership once
+    calls = dict.fromkeys(("sieve_primes", "window_table"), 0)
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("psquintet.")]
+    for fn_name in calls:
+        fn = getattr(ps_primes, fn_name)
+
+        def counted(*args, _fn=fn, _name=fn_name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, fn_name, None) is fn:
+                monkeypatch.setattr(mod, fn_name, counted)
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=12)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"sieve_primes": 4, "window_table": 4}
 
 
 @pytest.mark.parametrize("radius", [0.8, 5.0])

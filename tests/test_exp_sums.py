@@ -15,6 +15,7 @@ from psquintet import (
     build_table,
     eval_sum,
     export_tscan,
+    growth_ladder,
     moment_integral,
     sieve_primes,
     tscan,
@@ -243,7 +244,8 @@ class TestMoments:
 class TestAsymGap:
     def test_s_vs_sigma_matches_manual(self):
         gp = GammaParam(0.9)
-        gap, slope = asym_gap(GapKind.S_vs_Sigma, 2, gp, 1600.0, 0.1, [0.0])
+        gap, slope = asym_gap(GapKind.S_vs_Sigma,
+                              growth_ladder(gp, 1600.0, 0.1, 2), [0.0])
         table = build_table(gp, 1600.0, 0.1, 2)
         primes = sieve_primes(*window_bounds(1600.0, 0.1, 2))
         s0 = eval_sum(SumSpec(Family.S, 2, 1600.0, 0.1, gp), 0.0, table)
@@ -252,14 +254,38 @@ class TestAsymGap:
         assert math.isfinite(slope)
 
     def test_sigma_vs_u_nonnegative(self):
-        gap, slope = asym_gap(GapKind.Sigma_vs_U, 2, 0.9, 3200.0, 0.1,
+        gap, slope = asym_gap(GapKind.Sigma_vs_U,
+                              growth_ladder(0.9, 3200.0, 0.1, 2),
                               np.linspace(0, 1, 17))
         assert gap >= 0.0
         assert math.isfinite(slope)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            asym_gap(GapKind.S_vs_Sigma, 2, 0.9, 1600.0, 0.1, [])
+            asym_gap(GapKind.S_vs_Sigma,
+                     growth_ladder(0.9, 1600.0, 0.1, 2), [])
+
+
+class TestGrowthLadder:
+    @pytest.mark.parametrize("k, x_max", [(2, 1.6e5), (3, 1e9)])
+    def test_rungs_match_build_table(self, k, x_max):
+        gp = GammaParam(0.995)
+        rungs = growth_ladder(gp, x_max, 0.1, k)
+        assert [t.x_max for _, t in rungs] == [x_max / 16, x_max / 4, x_max]
+        for primes, table in rungs:
+            want = build_table(gp, table.x_max, 0.1, k)
+            assert (table.gamma, table.lambda0, table.k) == (gp, 0.1, k)
+            assert np.array_equal(table.primes, want.primes)
+            assert np.array_equal(table.weights, want.weights)
+            assert table.density_ratio == want.density_ratio
+            assert np.array_equal(
+                primes, sieve_primes(*window_bounds(table.x_max, 0.1, k)))
+            assert len(want) > 0
+
+    def test_every_rung_is_checked(self):
+        # the bottom rung x_max/16 = 2 admits no table window
+        with pytest.raises(ValueError):
+            growth_ladder(0.995, 32.0, 0.1, 2)
 
 
 class TestScan:
