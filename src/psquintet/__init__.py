@@ -5,6 +5,11 @@ integral for five-term forms (four prime squares plus one prime k-th power,
 k in {2,3,4}), and searches for explicit near-zero quintuples.
 """
 
+import os
+
+# OpenBLAS's pool would spin past --threads; the only BLAS call is a 3x2 lstsq
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .errors import (

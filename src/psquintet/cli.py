@@ -343,7 +343,7 @@ def _full_run(cfg: RunConfig, params: DhParams, threads: int,
     sols = within_radius(inst, found, radius)[:_REPORT_LIMIT]
     deadline.check("search")
 
-    direct = gamma_direct(inst, params, kern, tables, solutions=found)
+    direct = gamma_direct(inst, kern, found)
     deadline.check("direct sum")
     dec = gamma_integral(inst, params, kern, tables, threads=threads,
                          nodes_cap=cfg.budgets["max_nodes"], direct=direct,

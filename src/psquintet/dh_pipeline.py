@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     AdmissibilityError,
     BudgetExceeded,
-    CapacityExceeded,
     DegenerateRatio,
 )
 from .numerics import (
@@ -42,6 +41,7 @@ from .numerics import (
     oscillatory_integral,
 )
 from .ps_primes import THEOREM_TRIPLES, GammaParam, PsPrimeTable, build_table
+# unused here, but psqbench/traced_cli.py patches search_mitm in this module
 from .quintet_search import search_mitm, within_radius
 
 # solutions the direct count may sum before it refuses as truncated
@@ -174,25 +174,14 @@ def instance_tables(inst: ProblemInstance, params: DhParams) -> list[PsPrimeTabl
     return [sq] * 4 + [build_table(inst.gamma, params.X, inst.lambda0, inst.k)]
 
 
-def gamma_direct(inst: ProblemInstance, params: DhParams,
-                 kern: SmoothingKernel, tables, *, threads: int = 1,
-                 memory_mb: float = 2048.0, solutions=None) -> float:
-    """Kernel-weighted quintuple sum, enumerated through the pair search.
+def gamma_direct(inst: ProblemInstance, kern: SmoothingKernel,
+                 solutions) -> float:
+    """Kernel-weighted quintuple sum over a search_mitm result.
 
-    The kernel vanishes outside |value| < eps, so only near-solutions are
-    enumerated (radius = kernel support); everything else contributes zero.
-    solutions, if given, is a search_mitm result at a radius >= eps with
-    limit MAX_DIRECT_SOLUTIONS; it stands in for the search.
+    solutions comes from a search at a radius >= eps with limit
+    MAX_DIRECT_SOLUTIONS; the kernel vanishes outside |value| < eps.
     """
-    if any(len(t) == 0 for t in tables):
-        return 0.0
     cap = MAX_DIRECT_SOLUTIONS
-    if solutions is None:
-        try:
-            solutions = search_mitm(inst, tables, kern.epsilon, limit=cap,
-                                    threads=threads, memory_mb=memory_mb)
-        except CapacityExceeded as exc:
-            raise BudgetExceeded(str(exc)) from exc
     sols = within_radius(inst, solutions, kern.epsilon)
     if len(sols) >= cap:
         raise BudgetExceeded(

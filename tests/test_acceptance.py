@@ -31,6 +31,7 @@ import pytest
 
 from psquintet.cli import main
 from psquintet.dh_pipeline import (
+    MAX_DIRECT_SOLUTIONS,
     ProblemInstance,
     derive_params,
     gamma_direct,
@@ -236,7 +237,9 @@ def test_criterion_07_search_oracle_equivalence():
 def test_criterion_08_decomposition_consistency(pinned):
     t0 = time.monotonic()
     inst, params, tables, kern = pinned
-    direct = gamma_direct(inst, params, kern, tables, threads=2)
+    found = search_mitm(inst, tables, kern.epsilon,
+                        limit=MAX_DIRECT_SOLUTIONS, threads=2)
+    direct = gamma_direct(inst, kern, found)
     dec = gamma_integral(inst, params, kern, tables, threads=2,
                          direct=direct)
     qtol = 10 * 1e-9 * abs(direct)

@@ -23,6 +23,7 @@ from psquintet.cli import (
     serialize_config,
 )
 from psquintet.dh_pipeline import (
+    MAX_DIRECT_SOLUTIONS,
     DhParams,
     GammaDecomposition,
     derive_params,
@@ -635,7 +636,8 @@ def test_one_search_serves_solutions_and_direct(monkeypatch, radius):
     want = search(inst, tables, radius, limit=10 ** 6)
     assert list(run.solutions) == want
     assert want
-    assert run.decomposition.direct == gamma_direct(inst, params, kern, tables)
+    exact = search(inst, tables, kern.epsilon, limit=MAX_DIRECT_SOLUTIONS)
+    assert run.decomposition.direct == gamma_direct(inst, kern, exact)
     assert run.decomposition.direct > 0
 
 
@@ -666,3 +668,18 @@ def test_cli_import_leaves_mpmath_unloaded():
                          text=True, env=_src_env(), timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("given,want", [(None, "1"), ("3", "3")])
+def test_import_pins_openblas_threads_unless_set(given, want):
+    # numpy's OpenBLAS pool would spin on every core, so --threads 1 would
+    # not bound CPU time; a value the caller sets is kept
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = "import os, psquintet; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == want

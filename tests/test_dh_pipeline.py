@@ -32,14 +32,35 @@ def make_inst(lambdas=(SQRT2, 1, 1, 1, -3), eta=0.0, k=2, gamma=GP,
     return ProblemInstance(tuple(lambdas), eta, k, gamma, theta, lambda0)
 
 
+def scale_params(x, eps):
+    """DhParams at window top x with a widened kernel support eps."""
+    return DhParams(q0=round(x ** (27.0 / 58.0)), X=x,
+                    Delta=dh_pipeline.main_range_cutoff(x), eps=eps,
+                    H=math.log(x) ** 2 / eps)
+
+
 def tiny_setup(eps=30.0):
     """q0=10 scale: three-prime tables, cheap quadrature, widened kernel."""
     inst = make_inst()
     x = 10.0 ** (58.0 / 27.0)
-    params = DhParams(q0=10, X=x, Delta=x ** (-27.0 / 29.0) * math.log(x),
-                      eps=eps, H=math.log(x) ** 2 / eps)
     tables = [build_table(GP, x, 0.1, 2)] * 5
-    return inst, params, tables, SmoothingKernel(eps, 7)
+    return inst, scale_params(x, eps), tables, SmoothingKernel(eps, 7)
+
+
+def theorem_setup(case):
+    """One small instance per theorem: tiny_setup for k = 2, and the
+    lattice_cases "k3" and "k4" tables at X = 3000 with the same kernel."""
+    if case == "k2":
+        return tiny_setup()
+    inst, tables = lattice_cases()[case]
+    return inst, scale_params(3000.0, 30.0), tables, SmoothingKernel(30.0, 7)
+
+
+def direct_count(inst, kern, tables):
+    """gamma_direct over the search a run makes at the kernel support."""
+    found = search_mitm(inst, tables, kern.epsilon,
+                        limit=dh_pipeline.MAX_DIRECT_SOLUTIONS)
+    return gamma_direct(inst, kern, found)
 
 
 class TestProblemInstance:
@@ -198,54 +219,51 @@ class TestInstanceTables:
 
 class TestGammaDirect:
     def test_empty_tables_zero(self):
-        inst, params, _, kern = tiny_setup()
-        empty = build_table(GP, 24.0, 0.99, 2)
-        assert gamma_direct(inst, params, kern, [empty] * 5) == 0.0
+        inst, _, _, kern = tiny_setup()
+        assert gamma_direct(inst, kern, []) == 0.0
 
     def test_no_near_solution_zero(self):
         # {7}-only windows: min |form value| = 69.3, kernel support 1
         inst = make_inst()
         tab = build_table(GP, 64.0, 0.5, 2)
-        params = DhParams(q0=2, X=64.0, Delta=0.01, eps=1.0, H=10.0)
-        assert gamma_direct(inst, params, SmoothingKernel(1.0, 4), [tab] * 5) == 0.0
+        assert direct_count(inst, SmoothingKernel(1.0, 4), [tab] * 5) == 0.0
 
-    def test_matches_nested_loop_oracle(self):
-        inst, params, tables, kern = tiny_setup()
-        got = gamma_direct(inst, params, kern, tables)
+    @pytest.mark.parametrize("case", ["k2", "k3", "k4"])
+    def test_matches_nested_loop_oracle(self, case):
+        inst, _, tables, kern = theorem_setup(case)
+        got = direct_count(inst, kern, tables)
         sols = brute_oracle(inst, tables, kern.epsilon, limit=10 ** 6)
         want = math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
         assert want > 0
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_wider_search_stands_in(self, monkeypatch):
-        inst, params, tables, kern = tiny_setup()
+        inst, _, tables, kern = tiny_setup()
         wide = search_mitm(inst, tables, 3 * kern.epsilon, limit=10 ** 6)
         n = len(search_mitm(inst, tables, kern.epsilon, limit=10 ** 6))
         assert len(wide) > n + 1
-        want = gamma_direct(inst, params, kern, tables)
-        assert gamma_direct(inst, params, kern, tables, solutions=wide) == want
+        want = direct_count(inst, kern, tables)
+        assert gamma_direct(inst, kern, wide) == want
         # a wider list cut at the cap is complete inside the kernel support
         # as long as it reaches past it
         monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", n + 1)
-        assert gamma_direct(inst, params, kern, tables,
-                            solutions=wide[:n + 1]) == want
+        assert gamma_direct(inst, kern, wide[:n + 1]) == want
         monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", n)
         with pytest.raises(BudgetExceeded):
-            gamma_direct(inst, params, kern, tables, solutions=wide[:n])
+            gamma_direct(inst, kern, wide[:n])
 
     def test_budget_exceeded(self, monkeypatch):
-        inst, params, tables, kern = tiny_setup()
+        inst, _, tables, kern = tiny_setup()
         monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", 5)
         with pytest.raises(BudgetExceeded):
-            gamma_direct(inst, params, kern, tables)
-        with pytest.raises(BudgetExceeded):
-            gamma_direct(inst, params, kern, tables, memory_mb=1e-4)
+            direct_count(inst, kern, tables)
 
 
 class TestGammaIntegral:
-    def test_decomposition_consistency(self):
-        inst, params, tables, kern = tiny_setup()
-        direct = gamma_direct(inst, params, kern, tables)
+    @pytest.mark.parametrize("case", ["k2", "k3", "k4"])
+    def test_decomposition_consistency(self, case):
+        inst, params, tables, kern = theorem_setup(case)
+        direct = direct_count(inst, kern, tables)
         dec = gamma_integral(inst, params, kern, tables, direct=direct)
         assert dec.A.imag == 0.0 and dec.B.imag == 0.0
         assert dec.total == dec.A + dec.B
