@@ -35,7 +35,6 @@ import numpy as np
 
 from ._io import atomic_write_text, canonical_json, csv_text, fmt17
 from .dh_pipeline import (
-    MAX_DIRECT_SOLUTIONS,
     DhParams,
     GammaDecomposition,
     ProblemInstance,
@@ -337,8 +336,7 @@ def _full_run(cfg: RunConfig, params: DhParams, threads: int,
     # prefix of the sorted list that lies inside its own radius
     radius = effective_radius(cfg, tables)
     found = search_mitm(inst, tables, max(radius, kern.epsilon),
-                        limit=MAX_DIRECT_SOLUTIONS, threads=threads,
-                        memory_mb=cfg.budgets["memory_mb"],
+                        threads=threads, memory_mb=cfg.budgets["memory_mb"],
                         deadline=lambda: deadline.check("search"))
     sols = within_radius(inst, found, radius)[:_REPORT_LIMIT]
     deadline.check("search")
@@ -431,9 +429,9 @@ def _cmd_search(cfg: RunConfig, params: DhParams, threads: int) -> int:
     deadline = _Deadline(cfg.budgets["time_s"])
     tables = instance_tables(cfg.instance, params)
     radius = effective_radius(cfg, tables)
-    sols = search_mitm(cfg.instance, tables, radius, limit=_REPORT_LIMIT,
-                       threads=threads, memory_mb=cfg.budgets["memory_mb"],
-                       deadline=lambda: deadline.check("search"))
+    sols = search_mitm(cfg.instance, tables, radius, threads=threads,
+                       memory_mb=cfg.budgets["memory_mb"],
+                       deadline=lambda: deadline.check("search"))[:_REPORT_LIMIT]
     path = os.path.join(cfg.output_dir, "solutions.csv")
     export_solutions(path, sols)
     meets = sum(1 for s in sols if s.meets_theorem_radius)

@@ -26,11 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityError,
-    BudgetExceeded,
-    DegenerateRatio,
-)
+from .errors import AdmissibilityError, DegenerateRatio
 from .numerics import (
     QuadratureSpec,
     SmoothingKernel,
@@ -43,9 +39,6 @@ from .numerics import (
 from .ps_primes import THEOREM_TRIPLES, GammaParam, PsPrimeTable, build_table
 # unused here, but psqbench/traced_cli.py patches search_mitm in this module
 from .quintet_search import search_mitm, within_radius
-
-# solutions the direct count may sum before it refuses as truncated
-MAX_DIRECT_SOLUTIONS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -178,15 +171,10 @@ def gamma_direct(inst: ProblemInstance, kern: SmoothingKernel,
                  solutions) -> float:
     """Kernel-weighted quintuple sum over a search_mitm result.
 
-    solutions comes from a search at a radius >= eps with limit
-    MAX_DIRECT_SOLUTIONS; the kernel vanishes outside |value| < eps.
+    solutions comes from a search at a radius >= eps: the kernel vanishes
+    outside |value| < eps, so it holds every quintuple the sum needs.
     """
-    cap = MAX_DIRECT_SOLUTIONS
     sols = within_radius(inst, solutions, kern.epsilon)
-    if len(sols) >= cap:
-        raise BudgetExceeded(
-            f"solution count reached the {cap} cap; "
-            "the weighted sum would be truncated")
     return math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
 
 
@@ -194,8 +182,7 @@ def _sum_caps(tables) -> list[float]:
     return [float(np.sum(t.weights)) for t in tables]
 
 
-def tail_bound(params: DhParams, l: int,
-               sum_caps=(1.0, 1.0, 1.0, 1.0, 1.0)) -> float:
+def tail_bound(params: DhParams, l: int, sum_caps) -> float:
     """Bound on the discarded |t| > H integral: (prod caps)/l * (4l/(pi eps H))^l.
 
     l is the smoothness order of the kernel whose tail is bounded

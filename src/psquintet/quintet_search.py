@@ -116,11 +116,11 @@ def _scaled_form(inst, radius: float):
     return values, bound, scale
 
 
-def _finalize(inst, hits, radius: float, limit: int) -> list[QuintetSolution]:
-    """Certify candidates exactly, order (|value| asc, lex p), truncate."""
+def _finalize(inst, hits, radius: float) -> list[QuintetSolution]:
+    """Certify candidates exactly, order (|value| asc, lex p)."""
     values, bound, scale = _scaled_form(inst, radius)
     kept = sorted((abs(v), p, v) for p, v in zip(hits, values(hits))
-                  if abs(v) < bound)[:limit]
+                  if abs(v) < bound)
     g = inst.gamma.gamma
     factor = {pj: pj ** (1.0 - g) * math.log(pj)
               for pj in set().union(*(p for _, p, _ in kept))}
@@ -242,21 +242,19 @@ def _search_bytes(n, threads: int, hits: int = 0) -> int:
                500 * hits)
 
 
-def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
-                threads: int = 1, memory_mb: float = 2048.0,
-                deadline=None) -> list[QuintetSolution]:
+def search_mitm(inst, tables, radius: float, *, threads: int = 1,
+                memory_mb: float = 2048.0, deadline=None) -> list[QuintetSolution]:
     """All quintuples with |form value| < radius, best (smallest) first.
 
     tables: five per-slot PS prime tables (slots 1-4 squared, slot 5 to the
-    instance exponent). Returns at most `limit` solutions. The memory budget
+    instance exponent). Returns every solution: past _MAX_HITS candidates
+    it raises CapacityExceeded instead of a partial list. The memory budget
     is checked before the pair build and again, with the candidates found so
     far, as each p5 block of them arrives. deadline, if given, is called
     before each p5 block and may raise to abandon the search.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if limit <= 0:
-        raise ValueError(f"limit must be positive, got {limit}")
     tables = _check_tables(inst, tables)
     n = [len(t) for t in tables]
 
@@ -270,7 +268,7 @@ def search_mitm(inst, tables, radius: float, limit: int = 1000, *,
     check_memory(0)
     band = radius + _guard(inst, tables, radius)
     hits = _candidates(inst, tables, band, threads, check_memory, deadline)
-    return _finalize(inst, hits, radius, limit)
+    return _finalize(inst, hits, radius)
 
 
 def _candidates(inst, tables, band: float, threads: int, check_memory,
@@ -322,7 +320,7 @@ def within_radius(inst, sols, radius: float) -> list[QuintetSolution]:
     return list(sols[:cut])
 
 
-def brute_oracle(inst, tables, radius: float, limit: int = 10 ** 8) -> list[QuintetSolution]:
+def brute_oracle(inst, tables, radius: float) -> list[QuintetSolution]:
     """Exhaustive five-loop enumeration with the same ordering contract."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -343,7 +341,7 @@ def brute_oracle(inst, tables, radius: float, limit: int = 10 ** 8) -> list[Quin
             hits.append((int(tables[0].primes[i1]), int(tables[1].primes[i2]),
                          int(tables[2].primes[i3]), int(tables[3].primes[i4]),
                          int(p5)))
-    return _finalize(inst, hits, radius, limit)
+    return _finalize(inst, hits, radius)
 
 
 def export_solutions(path: str, sols) -> int:

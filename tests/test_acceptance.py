@@ -31,7 +31,6 @@ import pytest
 
 from psquintet.cli import main
 from psquintet.dh_pipeline import (
-    MAX_DIRECT_SOLUTIONS,
     ProblemInstance,
     derive_params,
     gamma_direct,
@@ -223,8 +222,8 @@ def test_criterion_07_search_oracle_equivalence():
             continue
         inst = ProblemInstance(tuple(float(l) for l in lams), eta, 2, GP99,
                                0.001, lam0)
-        fast = search_mitm(inst, [table] * 5, radius, limit=10 ** 6)
-        slow = brute_oracle(inst, [table] * 5, radius, limit=10 ** 6)
+        fast = search_mitm(inst, [table] * 5, radius)
+        slow = brute_oracle(inst, [table] * 5, radius)
         disagreements += int(fast != slow)
         total_solutions += len(slow)
         cases += 1
@@ -237,8 +236,7 @@ def test_criterion_07_search_oracle_equivalence():
 def test_criterion_08_decomposition_consistency(pinned):
     t0 = time.monotonic()
     inst, params, tables, kern = pinned
-    found = search_mitm(inst, tables, kern.epsilon,
-                        limit=MAX_DIRECT_SOLUTIONS, threads=2)
+    found = search_mitm(inst, tables, kern.epsilon, threads=2)
     direct = gamma_direct(inst, kern, found)
     dec = gamma_integral(inst, params, kern, tables, threads=2,
                          direct=direct)
@@ -258,8 +256,8 @@ def test_criterion_09_desk_scale_solutions():
     t0 = time.monotonic()
     inst = ProblemInstance(PINNED_LAMBDAS, 0.0, 2, GP99, 0.001, 0.1)
     table = build_table(GP99, 1e8, 0.1, 2)
-    sols = search_mitm(inst, [table] * 5, 0.05, limit=200, threads=2,
-                       memory_mb=4096.0)
+    sols = search_mitm(inst, [table] * 5, 0.05, threads=2,
+                       memory_mb=4096.0)[:200]
     certified = 0
     lam = [Fraction(l) for l in inst.lambdas]
     for s in sols:

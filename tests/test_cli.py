@@ -23,7 +23,6 @@ from psquintet.cli import (
     serialize_config,
 )
 from psquintet.dh_pipeline import (
-    MAX_DIRECT_SOLUTIONS,
     DhParams,
     GammaDecomposition,
     derive_params,
@@ -633,12 +632,34 @@ def test_one_search_serves_solutions_and_direct(monkeypatch, radius):
     kern = cli._kernel_for(params)
     assert calls == [max(radius, kern.epsilon)]
     # the same results as separate searches at the two radii
-    want = search(inst, tables, radius, limit=10 ** 6)
+    want = search(inst, tables, radius)
     assert list(run.solutions) == want
     assert want
-    exact = search(inst, tables, kern.epsilon, limit=MAX_DIRECT_SOLUTIONS)
+    exact = search(inst, tables, kern.epsilon)
     assert run.decomposition.direct == gamma_direct(inst, kern, exact)
     assert run.decomposition.direct > 0
+
+
+def test_listing_cap_cuts_only_the_listing(tmp_path, monkeypatch, capsys):
+    # solutions.csv lists the first _REPORT_LIMIT quintuples; the direct
+    # count still sums every quintuple inside the kernel support
+    cfg = write_cfg(tmp_path / "c.json")
+    runs = {}
+    for name, cap in (("full", cli._REPORT_LIMIT), ("cut", 3)):
+        monkeypatch.setattr(cli, "_REPORT_LIMIT", cap)
+        for command in ("search", "report"):
+            out = tmp_path / name / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            runs[name, command] = (capsys.readouterr().out,
+                                   (out / "solutions.csv").read_text().splitlines())
+    assert len(runs["full", "search"][1]) > 4
+    for command in ("search", "report"):
+        assert runs["cut", command][1] == runs["full", command][1][:4]
+    assert runs["cut", "search"][0].startswith("3 quintuples within radius")
+    full, cut = (json.loads((tmp_path / name / "report" / "report.json").read_text())
+                 for name in ("full", "cut"))
+    assert cut["solutions_found"] == 3
+    assert cut["direct"] == full["direct"] > 0
 
 
 def _src_env() -> dict:

@@ -6,7 +6,6 @@ import pytest
 from psquintet import dh_pipeline, numerics
 from psquintet import (
     AdmissibilityError,
-    BudgetExceeded,
     DegenerateRatio,
     DhParams,
     GammaParam,
@@ -58,9 +57,7 @@ def theorem_setup(case):
 
 def direct_count(inst, kern, tables):
     """gamma_direct over the search a run makes at the kernel support."""
-    found = search_mitm(inst, tables, kern.epsilon,
-                        limit=dh_pipeline.MAX_DIRECT_SOLUTIONS)
-    return gamma_direct(inst, kern, found)
+    return gamma_direct(inst, kern, search_mitm(inst, tables, kern.epsilon))
 
 
 class TestProblemInstance:
@@ -232,31 +229,31 @@ class TestGammaDirect:
     def test_matches_nested_loop_oracle(self, case):
         inst, _, tables, kern = theorem_setup(case)
         got = direct_count(inst, kern, tables)
-        sols = brute_oracle(inst, tables, kern.epsilon, limit=10 ** 6)
+        sols = brute_oracle(inst, tables, kern.epsilon)
         want = math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
         assert want > 0
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_wider_search_stands_in(self, monkeypatch):
-        inst, _, tables, kern = tiny_setup()
-        wide = search_mitm(inst, tables, 3 * kern.epsilon, limit=10 ** 6)
-        n = len(search_mitm(inst, tables, kern.epsilon, limit=10 ** 6))
-        assert len(wide) > n + 1
-        want = direct_count(inst, kern, tables)
-        assert gamma_direct(inst, kern, wide) == want
-        # a wider list cut at the cap is complete inside the kernel support
-        # as long as it reaches past it
-        monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", n + 1)
-        assert gamma_direct(inst, kern, wide[:n + 1]) == want
-        monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", n)
-        with pytest.raises(BudgetExceeded):
-            gamma_direct(inst, kern, wide[:n])
+    def test_default_search_is_complete(self):
+        # 1,480 quintuples lie within 20 of zero over 15 primes: the search,
+        # called with its defaults, returns them all to the direct count
+        inst = make_inst(lambda0=0.02)
+        tab = build_table(GP, 6000.0, 0.02, 2)
+        assert len(tab) == 15
+        got = search_mitm(inst, [tab] * 5, 20.0)
+        sols = brute_oracle(inst, [tab] * 5, 20.0)
+        assert len(sols) == 1480
+        assert got == sols
+        kern = SmoothingKernel(20.0, 7)
+        want = math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
+        assert gamma_direct(inst, kern, got) == want
 
-    def test_budget_exceeded(self, monkeypatch):
+    def test_wider_search_stands_in(self):
         inst, _, tables, kern = tiny_setup()
-        monkeypatch.setattr(dh_pipeline, "MAX_DIRECT_SOLUTIONS", 5)
-        with pytest.raises(BudgetExceeded):
-            direct_count(inst, kern, tables)
+        wide = search_mitm(inst, tables, 3 * kern.epsilon)
+        n = len(search_mitm(inst, tables, kern.epsilon))
+        assert len(wide) > n + 1
+        assert gamma_direct(inst, kern, wide) == direct_count(inst, kern, tables)
 
 
 class TestGammaIntegral:

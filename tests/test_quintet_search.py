@@ -95,7 +95,7 @@ class TestSearchExamples:
     def test_tiny_instance_matches_brute_force(self):
         inst = make_inst(lambda0=0.02)
         tab = build_table(GP, 961.0, 0.02, 2)  # windows of primes <= 31
-        got = search_mitm(inst, [tab] * 5, 5.0, limit=10 ** 6)
+        got = search_mitm(inst, [tab] * 5, 5.0)
         want = brute_oracle(inst, [tab] * 5, 5.0)
         assert got == want
         assert len(got) > 0
@@ -121,14 +121,14 @@ class TestSearchExamples:
 class TestOracleEquivalence:
     def test_randomized_instances(self):
         for inst, tables, radius in random_cases(12, seed=2024):
-            got = search_mitm(inst, tables, radius, limit=10 ** 6)
+            got = search_mitm(inst, tables, radius)
             want = brute_oracle(inst, tables, radius)
             assert got == want
 
     def test_thread_count_invariance(self):
         inst, tables, radius = random_cases(1, seed=5)[0]
-        one = search_mitm(inst, tables, radius, limit=10 ** 6, threads=1)
-        four = search_mitm(inst, tables, radius, limit=10 ** 6, threads=4)
+        one = search_mitm(inst, tables, radius, threads=1)
+        four = search_mitm(inst, tables, radius, threads=4)
         assert one == four
 
 
@@ -175,7 +175,7 @@ class TestOracleEquivalenceHigherPowers:
             inst, tables, radius = case
             want = brute_oracle(inst, tables, radius)
             assert want
-            assert search_mitm(inst, tables, radius, limit=10 ** 6) == want
+            assert search_mitm(inst, tables, radius) == want
 
         check()
 
@@ -373,7 +373,7 @@ class TestScaledCertification:
         @given(dyadic_certify_cases(k))
         def check(case):
             inst, hits, radius = case
-            got = quintet_search._finalize(inst, hits, radius, 10 ** 6)
+            got = quintet_search._finalize(inst, hits, radius)
             assert [(s.p, s.value, s.meets_theorem_radius) for s in got] == \
                 fraction_certify(inst, hits, radius)
             assert within_radius(inst, got, radius) == got
@@ -392,7 +392,7 @@ class TestSolutionContract:
         self.inst = make_inst(lambda0=0.02)
         tab = build_table(GP, 961.0, 0.02, 2)
         self.tables = [tab] * 5
-        self.sols = search_mitm(self.inst, self.tables, 8.0, limit=10 ** 6)
+        self.sols = search_mitm(self.inst, self.tables, 8.0)
         assert self.sols
 
     def test_certified_within_radius(self):
@@ -415,18 +415,13 @@ class TestSolutionContract:
             assert s.meets_theorem_radius == (abs(s.value) < s.max_p ** exp)
 
     def test_radius_monotonicity(self):
-        small = {s.p for s in search_mitm(self.inst, self.tables, 3.0, limit=10 ** 6)}
+        small = {s.p for s in search_mitm(self.inst, self.tables, 3.0)}
         assert small <= {s.p for s in self.sols}
-
-    def test_limit_truncates(self):
-        top = search_mitm(self.inst, self.tables, 8.0, limit=3)
-        assert top == self.sols[:3]
 
     def test_within_radius_is_the_narrower_search(self):
         cuts = [3.0, abs(self.sols[len(self.sols) // 2].value), 8.0, 100.0]
         for radius in cuts:
-            want = search_mitm(self.inst, self.tables, min(radius, 8.0),
-                               limit=10 ** 6)
+            want = search_mitm(self.inst, self.tables, min(radius, 8.0))
             assert within_radius(self.inst, self.sols, radius) == want
 
 
@@ -455,12 +450,10 @@ class TestErrors:
         with pytest.raises(SpecMismatch):
             search_mitm(make_inst(), [tab] * 4, 5.0)
 
-    def test_bad_radius_and_limit(self):
+    def test_bad_radius(self):
         tab = build_table(GP, 961.0, 0.1, 2)
         with pytest.raises(ValueError):
             search_mitm(make_inst(), [tab] * 5, 0.0)
-        with pytest.raises(ValueError):
-            search_mitm(make_inst(), [tab] * 5, 1.0, limit=0)
 
     def test_memory_budget(self):
         tab = build_table(GP, 961.0, 0.02, 2)
@@ -489,8 +482,7 @@ class TestErrors:
         tab = build_table(GP, 3e6, 0.1, 2)
         tracemalloc.start()
         try:
-            sols = search_mitm(make_inst(), [tab] * 5, 0.05, limit=10 ** 6,
-                               threads=threads)
+            sols = search_mitm(make_inst(), [tab] * 5, 0.05, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -503,16 +495,15 @@ class TestErrors:
         # push the estimate past it partway through
         tab = build_table(GP, 3e6, 0.1, 2)
         n = [len(tab)] * 5
-        sols = search_mitm(make_inst(), [tab] * 5, 0.05, limit=10 ** 6)
+        sols = search_mitm(make_inst(), [tab] * 5, 0.05)
         bare, full = _search_bytes(n, 1), _search_bytes(n, 1, len(sols))
         budget = (bare + full) / 2 / 2 ** 20
         with pytest.raises(CapacityExceeded) as info:
-            search_mitm(make_inst(), [tab] * 5, 0.05, limit=10 ** 6,
-                        memory_mb=budget)
+            search_mitm(make_inst(), [tab] * 5, 0.05, memory_mb=budget)
         hits = int(str(info.value).split(" and ")[1].split()[0])
         assert 0 < hits < len(sols)
         assert _search_bytes(n, 1, hits) > budget * 2 ** 20
-        again = search_mitm(make_inst(), [tab] * 5, 0.05, limit=10 ** 6,
+        again = search_mitm(make_inst(), [tab] * 5, 0.05,
                             memory_mb=1.01 * full / 2 ** 20)
         assert again == sols
 
@@ -536,7 +527,7 @@ class TestErrors:
         # stays within the blocks in flight, far below the full count
         inst = make_inst(lambda0=0.02)
         tables = [build_table(GP, 3000.0, 0.02, 2)] * 5
-        sols = search_mitm(inst, tables, 10.0, limit=10 ** 6)
+        sols = search_mitm(inst, tables, 10.0)
         block = max(Counter(s.p[4] for s in sols).values())
         monkeypatch.setattr(quintet_search, "_MAX_HITS", 10)
         with pytest.raises(CapacityExceeded) as info:
@@ -555,7 +546,7 @@ class TestExport:
     def test_csv(self, tmp_path):
         inst = make_inst(lambda0=0.02)
         tab = build_table(GP, 961.0, 0.02, 2)
-        sols = search_mitm(inst, [tab] * 5, 8.0, limit=5)
+        sols = search_mitm(inst, [tab] * 5, 8.0)[:5]
         path = tmp_path / "solutions.csv"
         n = export_solutions(str(path), sols)
         text = path.read_text()
