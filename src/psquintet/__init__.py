@@ -48,7 +48,7 @@ from .exp_sums import (
 )
 from .quintet_search import (
     HalfSumArray,
-    QuintetSolution,
+    QuintetSolutions,
     brute_oracle,
     export_solutions,
     search_mitm,
@@ -93,7 +93,7 @@ __all__ = [
     "PsPrimeTable",
     "PsQuintetError",
     "QuadratureSpec",
-    "QuintetSolution",
+    "QuintetSolutions",
     "SchemaError",
     "SmoothingKernel",
     "SpecMismatch",

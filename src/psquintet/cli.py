@@ -58,7 +58,8 @@ from .exp_sums import (Family, GapKind, SumSpec, asym_gap, export_tscan,
                        growth_exponent, growth_ladder, moment_integral, tscan)
 from .numerics import SmoothingKernel, kernel_eval, kernel_fourier, kernel_fourier_bound
 from .ps_primes import GammaParam, export_table
-from .quintet_search import export_solutions, search_mitm, within_radius
+from .quintet_search import (QuintetSolutions, export_solutions, search_mitm,
+                             within_radius)
 
 _DEFAULT_BUDGETS = {"memory_mb": 2048.0, "max_nodes": 1024, "time_s": 1200.0}
 # most quintuples solutions.csv lists
@@ -96,7 +97,7 @@ class RunReport:
     params: DhParams
     decomposition: GammaDecomposition
     diagnostics: tuple
-    solutions: tuple
+    solutions: QuintetSolutions
     scan_ts: np.ndarray
     scan_values: np.ndarray
 
@@ -353,7 +354,7 @@ def _full_run(cfg: RunConfig, params: DhParams, threads: int,
              if with_diagnostics else [])
     deadline.check("diagnostics")
     return RunReport(params=params, decomposition=dec, diagnostics=tuple(diags),
-                     solutions=tuple(sols), scan_ts=ts, scan_values=vals)
+                     solutions=sols, scan_ts=ts, scan_values=vals)
 
 
 def _load_config(args) -> RunConfig:
@@ -434,7 +435,7 @@ def _cmd_search(cfg: RunConfig, params: DhParams, threads: int) -> int:
                        deadline=lambda: deadline.check("search"))[:_REPORT_LIMIT]
     path = os.path.join(cfg.output_dir, "solutions.csv")
     export_solutions(path, sols)
-    meets = sum(1 for s in sols if s.meets_theorem_radius)
+    meets = int(sols.meets_theorem_radius.sum())
     print(f"{len(sols)} quintuples within radius {radius:.6g} "
           f"({meets} meet the theorem radius) -> {path}")
     return 0

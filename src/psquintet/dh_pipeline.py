@@ -175,7 +175,8 @@ def gamma_direct(inst: ProblemInstance, kern: SmoothingKernel,
     outside |value| < eps, so it holds every quintuple the sum needs.
     """
     sols = within_radius(inst, solutions, kern.epsilon)
-    return math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
+    return math.fsum(kernel_eval(kern, v) * w for v, w in
+                     zip(sols.value.tolist(), sols.weight.tolist()))
 
 
 def _sum_caps(tables) -> list[float]:

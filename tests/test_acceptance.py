@@ -55,6 +55,7 @@ from psquintet.ps_primes import (
     sieve_primes,
 )
 from psquintet.quintet_search import brute_oracle, search_mitm
+from solution_rows import rows
 
 SQRT2 = math.sqrt(2.0)
 GP99 = GammaParam(0.99)
@@ -224,7 +225,7 @@ def test_criterion_07_search_oracle_equivalence():
                                0.001, lam0)
         fast = search_mitm(inst, [table] * 5, radius)
         slow = brute_oracle(inst, [table] * 5, radius)
-        disagreements += int(fast != slow)
+        disagreements += int(rows(fast) != rows(slow))
         total_solutions += len(slow)
         cases += 1
     _line(7, "search oracle equivalence", disagreements == 0,
@@ -260,11 +261,12 @@ def test_criterion_09_desk_scale_solutions():
                        memory_mb=4096.0)[:200]
     certified = 0
     lam = [Fraction(l) for l in inst.lambdas]
-    for s in sols:
-        exact = sum(lam[i] * Fraction(int(s.p[i])) ** 2 for i in range(5))
+    for p in sols.p.tolist():
+        exact = sum(lam[i] * Fraction(p[i]) ** 2 for i in range(5))
         certified += int(abs(exact) < Fraction(0.05))
     ok = len(sols) >= 1 and certified == len(sols)
-    first = f"first p={sols[0].p} value={sols[0].value:.3e}" if sols else "none"
+    first = (f"first p={tuple(sols.p[0].tolist())} value={sols.value[0]:.3e}"
+             if sols else "none")
     _line(9, "desk scale solutions", ok,
           f"{len(sols)} returned, {certified} certified exactly "
           f"(window {int(table.primes[0])}..{int(table.primes[-1])}, "

@@ -41,7 +41,8 @@ from psquintet.errors import (
     SpecMismatch,
 )
 from psquintet.ps_primes import GammaParam, build_table
-from psquintet.quintet_search import QuintetSolution
+from psquintet.quintet_search import QuintetSolutions
+from solution_rows import rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -197,6 +198,16 @@ def test_theorem_exponents_match_old_literals(k):
 # ------------------------------------------------------------ emit_report
 
 
+def solution_columns(quintuples) -> QuintetSolutions:
+    """The QuintetSolutions of (p, value, weight, max_p, meets) rows."""
+    p, value, weight, max_p, meets = list(zip(*quintuples)) or [()] * 5
+    return QuintetSolutions(np.array(p, dtype=np.int64).reshape(-1, 5),
+                            np.array(value, dtype=float),
+                            np.array(weight, dtype=float),
+                            np.array(max_p, dtype=np.int64),
+                            np.array(meets, dtype=bool))
+
+
 def tiny_report(solutions=(), diagnostics=()):
     params = DhParams(q0=5, X=31.731537849473135, Delta=0.13829244284618936,
                       eps=0.98685401709273135, H=12.112226971464933)
@@ -205,7 +216,7 @@ def tiny_report(solutions=(), diagnostics=()):
                              direct=2.0028)
     return RunReport(params=params, decomposition=dec,
                      diagnostics=tuple(diagnostics),
-                     solutions=tuple(solutions),
+                     solutions=solution_columns(solutions),
                      scan_ts=np.array([]), scan_values=np.array([], dtype=complex))
 
 
@@ -220,7 +231,7 @@ def test_empty_report_manifest(tmp_path):
 
 
 def test_three_solutions_four_lines(tmp_path):
-    sols = [QuintetSolution((2, 2, 3, 3, p5), 0.25 * i, 1.0, max(3, p5), False)
+    sols = [((2, 2, 3, 3, p5), 0.25 * i, 1.0, max(3, p5), False)
             for i, p5 in enumerate((2, 3, 5))]
     emit_report(tiny_report(solutions=sols), str(tmp_path))
     lines = (tmp_path / "solutions.csv").read_text().splitlines()
@@ -230,7 +241,7 @@ def test_three_solutions_four_lines(tmp_path):
 
 def test_emit_is_idempotent(tmp_path):
     rep = tiny_report(solutions=[
-        QuintetSolution((2, 3, 5, 7, 11), -0.5, 2.0, 11, True)])
+        ((2, 3, 5, 7, 11), -0.5, 2.0, 11, True)])
     first = emit_report(rep, str(tmp_path))
     blobs = {n: (tmp_path / n).read_bytes() for n in first}
     second = emit_report(rep, str(tmp_path))
@@ -633,7 +644,7 @@ def test_one_search_serves_solutions_and_direct(monkeypatch, radius):
     assert calls == [max(radius, kern.epsilon)]
     # the same results as separate searches at the two radii
     want = search(inst, tables, radius)
-    assert list(run.solutions) == want
+    assert rows(run.solutions) == rows(want)
     assert want
     exact = search(inst, tables, kern.epsilon)
     assert run.decomposition.direct == gamma_direct(inst, kern, exact)

@@ -21,6 +21,7 @@ from psquintet import (
     search_mitm,
     tail_bound,
 )
+from solution_rows import rows
 
 GP = GammaParam(0.99)
 SQRT2 = math.sqrt(2)
@@ -216,8 +217,9 @@ class TestInstanceTables:
 
 class TestGammaDirect:
     def test_empty_tables_zero(self):
-        inst, _, _, kern = tiny_setup()
-        assert gamma_direct(inst, kern, []) == 0.0
+        inst, _, tables, kern = tiny_setup()
+        none = search_mitm(inst, tables, kern.epsilon)[:0]
+        assert gamma_direct(inst, kern, none) == 0.0
 
     def test_no_near_solution_zero(self):
         # {7}-only windows: min |form value| = 69.3, kernel support 1
@@ -230,7 +232,7 @@ class TestGammaDirect:
         inst, _, tables, kern = theorem_setup(case)
         got = direct_count(inst, kern, tables)
         sols = brute_oracle(inst, tables, kern.epsilon)
-        want = math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
+        want = math.fsum(kernel_eval(kern, v) * w for _, v, w, _, _ in rows(sols))
         assert want > 0
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -243,9 +245,9 @@ class TestGammaDirect:
         got = search_mitm(inst, [tab] * 5, 20.0)
         sols = brute_oracle(inst, [tab] * 5, 20.0)
         assert len(sols) == 1480
-        assert got == sols
+        assert rows(got) == rows(sols)
         kern = SmoothingKernel(20.0, 7)
-        want = math.fsum(kernel_eval(kern, s.value) * s.weight for s in sols)
+        want = math.fsum(kernel_eval(kern, v) * w for _, v, w, _, _ in rows(sols))
         assert gamma_direct(inst, kern, got) == want
 
     def test_wider_search_stands_in(self):

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -24,6 +25,7 @@ from psquintet import (
 )
 from psquintet import quintet_search
 from psquintet.quintet_search import _search_bytes, within_radius
+from solution_rows import rows
 
 GP = GammaParam(0.99)
 SQRT2 = math.sqrt(2)
@@ -90,14 +92,14 @@ class TestSearchExamples:
     def test_radius_below_minimum_gives_empty(self):
         # single-prime windows {7}: the form value is 49*(sqrt2 + 3 - 3) = 69.3
         tab = build_table(GP, 64.0, 0.5, 2)
-        assert search_mitm(make_inst(), [tab] * 5, 1.0) == []
+        assert len(search_mitm(make_inst(), [tab] * 5, 1.0)) == 0
 
     def test_tiny_instance_matches_brute_force(self):
         inst = make_inst(lambda0=0.02)
         tab = build_table(GP, 961.0, 0.02, 2)  # windows of primes <= 31
         got = search_mitm(inst, [tab] * 5, 5.0)
         want = brute_oracle(inst, [tab] * 5, 5.0)
-        assert got == want
+        assert rows(got) == rows(want)
         assert len(got) > 0
 
     def test_forced_cancellation_first(self):
@@ -106,16 +108,16 @@ class TestSearchExamples:
         inst = make_inst((1, 1, 1, 1, -4), lambda0=0.5)
         tab = build_table(GP, 64.0, 0.5, 2)
         sols = search_mitm(inst, [tab] * 5, 1.0)
-        assert sols[0].p == (7, 7, 7, 7, 7)
-        assert sols[0].value == 0.0
-        assert sols[0].max_p == 7
+        assert sols.p[0].tolist() == [7, 7, 7, 7, 7]
+        assert sols.value[0] == 0.0
+        assert sols.max_p[0] == 7
 
     def test_brute_radius_inf_single_prime(self):
         inst = make_inst(lambda0=0.5)
         tab = build_table(GP, 64.0, 0.5, 2)
         sols = brute_oracle(inst, [tab] * 5, 1e9)
         assert len(sols) == 1
-        assert sols[0].p == (7, 7, 7, 7, 7)
+        assert sols.p[0].tolist() == [7, 7, 7, 7, 7]
 
 
 class TestOracleEquivalence:
@@ -123,13 +125,33 @@ class TestOracleEquivalence:
         for inst, tables, radius in random_cases(12, seed=2024):
             got = search_mitm(inst, tables, radius)
             want = brute_oracle(inst, tables, radius)
-            assert got == want
+            assert rows(got) == rows(want)
 
     def test_thread_count_invariance(self):
         inst, tables, radius = random_cases(1, seed=5)[0]
         one = search_mitm(inst, tables, radius, threads=1)
         four = search_mitm(inst, tables, radius, threads=4)
-        assert one == four
+        assert rows(one) == rows(four)
+
+    def test_ties_order_by_p(self):
+        # lambda1 = lambda2, so (a, b, ...) and (b, a, ...) share their exact
+        # value; integer lambdas summing to 0 and p^2 = 1 mod 24 put every
+        # value on a multiple of 24, so V and -V both occur. Both searches
+        # order by exact |value|, then p lexicographically
+        inst = make_inst((1, 1, 2, 3, -7), lambda0=0.02)
+        tables = [build_table(GP, 961.0, 0.02, 2)] * 5
+        radius = 50.0
+        near = [p for p in itertools.product(*[t.primes.tolist() for t in tables])
+                if abs(sum(l * q * q for l, q in zip(inst.lambdas, p))) < 2 * radius]
+        exact = {p: exact_form_value(inst, p) for p in near}
+        want = sorted((p for p, v in exact.items() if abs(v) < radius),
+                      key=lambda p: (abs(exact[p]), p))
+        values = [exact[p] for p in want]
+        assert {24, -24, 48, -48} <= set(values)
+        assert (5, 7, 5, 5, 5) in want and (7, 5, 5, 5, 5) in want
+        for sols in (search_mitm(inst, tables, radius, threads=2),
+                     brute_oracle(inst, tables, radius)):
+            assert [r[0] for r in rows(sols)] == want
 
 
 # admissible gamma of the k = 3 and k = 4 theorems (above 129/130, 245/246)
@@ -175,7 +197,7 @@ class TestOracleEquivalenceHigherPowers:
             inst, tables, radius = case
             want = brute_oracle(inst, tables, radius)
             assert want
-            assert search_mitm(inst, tables, radius) == want
+            assert rows(search_mitm(inst, tables, radius)) == rows(want)
 
         check()
 
@@ -218,10 +240,11 @@ class TestScanBandEdges:
         monkeypatch.setattr(quintet_search, "_SCAN_BLOCK", block)
         monkeypatch.setattr(quintet_search, "_guard", lambda *a: 0.0)
         monkeypatch.setattr(quintet_search, "_finalize",
-                            lambda inst, hits, *a: got.extend(hits) or [])
+                            lambda inst, hits, *a: got.append(hits))
         search_mitm(self.INST, self.TABLES, radius, threads=threads)
         want = two_pass_candidates(self.INST, self.TABLES, radius)
-        assert got == want
+        assert got[0].dtype == np.int64
+        assert list(map(tuple, got[0].tolist())) == want
         values = [exact_form_value(self.INST, p) for p in want]
         assert Fraction(radius) in values and -Fraction(radius) in values
 
@@ -232,7 +255,11 @@ class TestScanBandEdges:
         left = HalfSumArray.build(1.0, self.TABLES[0], 2.0, self.TABLES[1]).sums
         right = HalfSumArray.build(1.0, self.TABLES[2], 3.0, self.TABLES[3]).sums
         band = 24.0
-        cells = quintet_search._cell_map(left, band)
+        shifts = [shift for j in range(0, len(right), 37)
+                  for shift in (-left[-1] - band - right[j],
+                                -left[0] + band - right[j])]
+        cells = quintet_search._cell_map(left, right, shifts, band)
+        rcell = cells.cell_of(-right)
         for j in range(0, len(right), 37):
             for shift in (-left[-1] - band - right[j],
                           -left[0] + band - right[j]):
@@ -241,8 +268,8 @@ class TestScanBandEdges:
                 hi = np.searchsorted(left, -r + band, side="right")
                 want_j = np.repeat(np.arange(len(r)), hi - lo)
                 want_m = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
-                blocks = list(quintet_search._scan(left, right, float(shift), band,
-                                                   cells))
+                blocks = list(quintet_search._scan(left, right, rcell, float(shift),
+                                                   band, cells))
                 got_j = [x for bj, _ in blocks for x in bj.tolist()]
                 got_m = [x for _, bm in blocks for x in bm.tolist()]
                 assert got_j == want_j.tolist() and got_m == want_m.tolist()
@@ -293,6 +320,64 @@ def cell_scan_cases(draw):
     return left, right, shift, band
 
 
+def ulps_off(x: float, n: int) -> float:
+    """x moved n floats up (n > 0) or down."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@st.composite
+def off_grid_scan_cases(draw):
+    """(left, right, shift, band) off any fixed grid: |shift| from 2^20 to
+    2^60 against left sums at least 10^4 times smaller, right sums near
+    -shift, and left sums, band and shift a few ulps off multiples of powers
+    of two near or far below the spacing of the shift, which then sets the
+    cell width. So the rounded key edges and left sums fall on either side
+    of cell boundaries, and in the cases far below, a width set by the left
+    sums alone would put the cell indices of the shift and right sums past
+    2^63."""
+    big = math.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(20, 60)))
+    q = math.frexp(big)[1] - 50 + draw(st.integers(-24, 4))
+    band = ulps_off(2.0 ** q / 4, draw(st.integers(-2, 2)))
+    step = 2.0 ** (q + draw(st.integers(-3, 3)))
+    n = draw(st.integers(1, 40))
+    ks = {0, *draw(st.lists(st.integers(-300, 300), max_size=n - 1))}
+    left = np.array(sorted(ulps_off(k * step, draw(st.integers(-3, 3)))
+                           for k in ks))
+    right_step = step * 2.0 ** draw(st.integers(-2, 2))
+    right = np.array(sorted(
+        ulps_off(-big + k * right_step, draw(st.integers(-3, 3)))
+        for k in draw(st.lists(st.integers(-300, 300), min_size=1, max_size=30))))
+    j = draw(st.integers(0, len(right) - 1))
+    edge = draw(st.sampled_from([0.0, *left.tolist()]))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    # -(right[j] + shift) + side * band lands within a few ulps of edge
+    shift = ulps_off(side * band - edge - right[j], draw(st.integers(-3, 3)))
+    return left, right, shift, band
+
+
+def check_cell_scan(left, right, shift, band):
+    """The scan through a cell map equals the two-pass oracle, and the map's
+    width and size follow _cell_map's rule."""
+    cells = quintet_search._cell_map(left, right, [shift], band)
+    # w: the smallest power of two at least 4*band, 8 spacings of the
+    # largest magnitude the scan reaches and the span over _MAP_CELLS cells
+    # a left sum, so the map holds at most _MAP_CELLS cells a sum plus six
+    w = 1.0 / cells.scale
+    reach = max(abs(left[0]), abs(left[-1]), abs(right[0]), abs(right[-1]),
+                abs(shift)) + 2 * band
+    fine = max(4 * band, 8 * float(np.spacing(reach)),
+               (left[-1] - left[0]) / (quintet_search._MAP_CELLS * len(left)))
+    assert math.frexp(w)[0] == 0.5 and w / 2 < fine <= w
+    assert len(cells.occupied) <= quintet_search._MAP_CELLS * len(left) + 6
+    blocks = list(quintet_search._scan(left, right, cells.cell_of(-right), shift,
+                                       band, cells))
+    got = ([x for bj, _ in blocks for x in bj.tolist()],
+           [x for _, bm in blocks for x in bm.tolist()])
+    assert got == scan_pairs(left, right, shift, band)
+
+
 class TestCellFilter:
     def test_scan_matches_two_pass(self, monkeypatch):
         # short blocks: several a scan, and several for building the map
@@ -302,20 +387,18 @@ class TestCellFilter:
                   deadline=None)
         @given(cell_scan_cases())
         def check(case):
-            left, right, shift, band = case
-            cells = quintet_search._cell_map(left, band)
-            # w: the smallest power of two at least 4*band and the span over
-            # _MAP_CELLS cells a left sum (the rounding term is far smaller
-            # on this grid), so the map holds at most _MAP_CELLS cells a sum
-            w = 1.0 / cells.scale
-            fine = max(4 * band, (left[-1] - left[0]) /
-                       (quintet_search._MAP_CELLS * len(left)))
-            assert math.frexp(w)[0] == 0.5 and w / 2 < fine <= w
-            assert len(cells.occupied) <= quintet_search._MAP_CELLS * len(left) + 3
-            blocks = list(quintet_search._scan(left, right, shift, band, cells))
-            got = ([x for bj, _ in blocks for x in bj.tolist()],
-                   [x for _, bm in blocks for x in bm.tolist()])
-            assert got == scan_pairs(left, right, shift, band)
+            check_cell_scan(*case)
+
+        check()
+
+    def test_off_grid_scan_matches_two_pass(self, monkeypatch):
+        monkeypatch.setattr(quintet_search, "_SCAN_BLOCK", 7)
+
+        @settings(max_examples=400, derandomize=True, database=None,
+                  deadline=None)
+        @given(off_grid_scan_cases())
+        def check(case):
+            check_cell_scan(*case)
 
         check()
 
@@ -373,16 +456,17 @@ class TestScaledCertification:
         @given(dyadic_certify_cases(k))
         def check(case):
             inst, hits, radius = case
-            got = quintet_search._finalize(inst, hits, radius)
-            assert [(s.p, s.value, s.meets_theorem_radius) for s in got] == \
+            got = quintet_search._finalize(inst, np.array(hits, dtype=np.int64),
+                                           radius)
+            assert [(p, v, m) for p, v, _, _, m in rows(got)] == \
                 fraction_certify(inst, hits, radius)
-            assert within_radius(inst, got, radius) == got
+            assert rows(within_radius(inst, got, radius)) == rows(got)
             # a cut on a kept value's float: the prefix exactly below it
             if got:
-                cut = abs(got[len(got) // 2].value)
-                assert within_radius(inst, got, cut) == [
-                    s for s in got
-                    if abs(exact_form_value(inst, s.p)) < Fraction(cut)]
+                cut = abs(got.value[len(got) // 2])
+                assert rows(within_radius(inst, got, cut)) == [
+                    r for r in rows(got)
+                    if abs(exact_form_value(inst, r[0])) < Fraction(cut)]
 
         check()
 
@@ -396,33 +480,33 @@ class TestSolutionContract:
         assert self.sols
 
     def test_certified_within_radius(self):
-        for s in self.sols:
-            exact = exact_form_value(self.inst, s.p)
+        for p, value, _, _, _ in rows(self.sols):
+            exact = exact_form_value(self.inst, p)
             assert abs(exact) < Fraction(8)
-            assert abs(float(exact) - s.value) <= 1e-9
+            assert abs(float(exact) - value) <= 1e-9
 
     def test_ordering(self):
-        keys = [(abs(s.value), s.p) for s in self.sols]
+        keys = [(abs(value), p) for p, value, _, _, _ in rows(self.sols)]
         assert keys == sorted(keys)
 
     def test_weights_and_theorem_flag(self):
         g = GP.gamma
         exp = (71.0 - 72.0 * g) / 29.0 + self.inst.theta_exp
-        for s in self.sols:
-            w = math.prod(p ** (1 - g) * math.log(p) for p in s.p)
-            assert s.weight == pytest.approx(w, rel=1e-12)
-            assert s.max_p == max(s.p)
-            assert s.meets_theorem_radius == (abs(s.value) < s.max_p ** exp)
+        for p, value, weight, max_p, meets in rows(self.sols):
+            w = math.prod(q ** (1 - g) * math.log(q) for q in p)
+            assert weight == pytest.approx(w, rel=1e-12)
+            assert max_p == max(p)
+            assert meets == (abs(value) < max_p ** exp)
 
     def test_radius_monotonicity(self):
-        small = {s.p for s in search_mitm(self.inst, self.tables, 3.0)}
-        assert small <= {s.p for s in self.sols}
+        small = {r[0] for r in rows(search_mitm(self.inst, self.tables, 3.0))}
+        assert small <= {r[0] for r in rows(self.sols)}
 
     def test_within_radius_is_the_narrower_search(self):
-        cuts = [3.0, abs(self.sols[len(self.sols) // 2].value), 8.0, 100.0]
+        cuts = [3.0, abs(self.sols.value[len(self.sols) // 2]), 8.0, 100.0]
         for radius in cuts:
             want = search_mitm(self.inst, self.tables, min(radius, 8.0))
-            assert within_radius(self.inst, self.sols, radius) == want
+            assert rows(within_radius(self.inst, self.sols, radius)) == rows(want)
 
 
 class TestErrors:
@@ -471,41 +555,46 @@ class TestErrors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sols == []
+        assert len(sols) == 0
         est = _search_bytes([len(tab)] * 5, threads)
         assert 0.85 * est <= peak <= 1.15 * est
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_memory_estimate_with_hits_matches_peak(self, threads):
-        # radius 0.05 gives 3,276 quintuples: their candidate tuples and
-        # certification objects outweigh the pair arrays
+        # radius 0.05 gives 3,276 quintuples, whose candidate rows sit beside
+        # the pair arrays; at radius 0.5 the certification of 8,610 of them
+        # outweighs the scan
         tab = build_table(GP, 3e6, 0.1, 2)
-        tracemalloc.start()
-        try:
-            sols = search_mitm(make_inst(), [tab] * 5, 0.05, threads=threads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(sols) > 3000
-        est = _search_bytes([len(tab)] * 5, threads, len(sols))
-        assert 0.85 * est <= peak <= 1.15 * est
+        for radius, least in ((0.05, 3000), (0.5, 8000)):
+            tracemalloc.start()
+            try:
+                sols = search_mitm(make_inst(), [tab] * 5, radius,
+                                   threads=threads)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(sols) > least
+            est = _search_bytes([len(tab)] * 5, threads, len(sols))
+            assert 0.85 * est <= peak <= 1.15 * est
 
     def test_memory_budget_counts_the_hits(self):
         # a budget above the hit-free estimate lets the scan start; the hits
+        # (8,610 at radius 0.5, whose rows outweigh the queued p5 tasks)
         # push the estimate past it partway through
         tab = build_table(GP, 3e6, 0.1, 2)
         n = [len(tab)] * 5
-        sols = search_mitm(make_inst(), [tab] * 5, 0.05)
+        sols = search_mitm(make_inst(), [tab] * 5, 0.5)
         bare, full = _search_bytes(n, 1), _search_bytes(n, 1, len(sols))
+        assert full > bare
         budget = (bare + full) / 2 / 2 ** 20
         with pytest.raises(CapacityExceeded) as info:
-            search_mitm(make_inst(), [tab] * 5, 0.05, memory_mb=budget)
+            search_mitm(make_inst(), [tab] * 5, 0.5, memory_mb=budget)
         hits = int(str(info.value).split(" and ")[1].split()[0])
         assert 0 < hits < len(sols)
         assert _search_bytes(n, 1, hits) > budget * 2 ** 20
-        again = search_mitm(make_inst(), [tab] * 5, 0.05,
+        again = search_mitm(make_inst(), [tab] * 5, 0.5,
                             memory_mb=1.01 * full / 2 ** 20)
-        assert again == sols
+        assert rows(again) == rows(sols)
 
     def test_deadline_stops_between_p5_blocks(self):
         tab = build_table(GP, 3e6, 0.1, 2)
@@ -528,7 +617,7 @@ class TestErrors:
         inst = make_inst(lambda0=0.02)
         tables = [build_table(GP, 3000.0, 0.02, 2)] * 5
         sols = search_mitm(inst, tables, 10.0)
-        block = max(Counter(s.p[4] for s in sols).values())
+        block = max(Counter(sols.p[:, 4].tolist()).values())
         monkeypatch.setattr(quintet_search, "_MAX_HITS", 10)
         with pytest.raises(CapacityExceeded) as info:
             search_mitm(inst, tables, 10.0, threads=2)
@@ -556,6 +645,6 @@ class TestExport:
                            "meets_theorem_radius"]
         assert len(rows) == len(sols) + 1
         first = rows[1]
-        assert tuple(int(v) for v in first[:5]) == sols[0].p
-        assert float(first[5]) == sols[0].value
+        assert [int(v) for v in first[:5]] == sols.p[0].tolist()
+        assert float(first[5]) == sols.value[0]
         assert first[7] in ("true", "false")
