@@ -9,7 +9,12 @@ band can meet the left range. Before its binary search, each such key looks
 up one byte of a map of power-of-two cells near a left sum, at its own cell
 index (taken once a search) plus one integer offset a p5; a clear cell
 proves the key's band holds no left sum, which skips the search for about
-nine keys in ten.
+nine keys in ten. The run of right sums whose band can meet the left range
+is found for every p5 at once, by one vectorised bisection. When slots 3 and
+4 are interchangeable (equal lambdas over the same primes), the right half
+keeps one of each mirrored pair (p3, p4), (p4, p3), whose float sums are
+equal, so the scan takes half the keys; each hit gains its mirror, and each
+p5 block is put back in the order of the ordered scan.
 
 Floats locate candidates inside a guard band; the candidates, an (n, 5)
 integer array of primes, are then certified in scaled integers (exact): the
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, csv_text, fmt17
+from ._io import atomic_write_text
 from .errors import CapacityExceeded, EmptyWindow, SpecMismatch
 from .ps_primes import PsPrimeTable
 
@@ -44,6 +49,8 @@ _SCAN_BLOCK = 1 << 17
 _MAP_CELLS = 64
 # solutions.csv rows formatted at a time: bounds the export's row objects
 _CSV_ROWS = 1 << 12
+# one solutions.csv row: the text csv.writer gives of ints and fmt17 values
+_CSV_ROW = "%d,%d,%d,%d,%d,%.17g,%d,%s\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,26 +190,37 @@ class _CellMap:
         return math.floor((-shift - band) * self.scale) - self.base
 
 
-def _cell_map(left: np.ndarray, right: np.ndarray, shifts, band: float) -> _CellMap:
-    """The occupancy map of the sorted left sums for keys of half-width band,
-    for scans of the sorted right sums at the given shifts.
+def _map_shape(bottom: float, top: float, extreme: float, band: float,
+               n: int) -> tuple[float, int, int]:
+    """(scale, base, cells) of the cell map over n sorted left sums from
+    bottom to top, for keys of half-width band in scans whose sums and
+    shifts are at most extreme in magnitude: occupied has `cells` cells, the
+    first being cell `base`, of width 1/scale.
 
     The cell width w is the smallest power of two at least 4*band, at least
     span/(_MAP_CELLS*n), so that the map has at most _MAP_CELLS cells a left
-    sum (plus six), and at least 8 spacings s of the largest magnitude M a
-    sum, shift or key edge of the scans can reach, so that each rounding a
-    key's lookup meets is at most s/2 <= w/16 (see _scan_block) and each
-    cell index, below M/w < 2^50 in size, is an exact int64."""
-    reach = max(abs(left[0]), abs(left[-1]), abs(right[0]), abs(right[-1]),
-                *map(abs, shifts)) + 2 * band
-    width = max(4 * band, 8 * float(np.spacing(reach)),
-                (left[-1] - left[0]) / (_MAP_CELLS * len(left)))
+    sum (plus six), and at least 8 spacings s of the largest magnitude M =
+    extreme + 2*band a key edge can reach, so that each rounding a key's
+    lookup meets is at most s/2 <= w/16 (see _scan_block) and each cell
+    index, below M/w < 2^50 in size, is an exact int64."""
+    width = max(4 * band, 8 * float(np.spacing(extreme + 2 * band)),
+                (top - bottom) / (_MAP_CELLS * n))
     frac, e = math.frexp(width)
     scale = math.ldexp(1.0, 1 - e if frac == 0.5 else -e)
     # one spare cell below the lowest marked one: a lookup index is never
     # negative, where it would wrap round
-    base = math.floor(left[0] * scale) - 3
-    occupied = np.zeros(math.floor(left[-1] * scale) + 2 - base, dtype=bool)
+    base = math.floor(bottom * scale) - 3
+    return scale, base, math.floor(top * scale) + 2 - base
+
+
+def _cell_map(left: np.ndarray, right: np.ndarray, shifts, band: float) -> _CellMap:
+    """The occupancy map of the sorted left sums for keys of half-width band,
+    for scans of the sorted right sums at the given shifts; its shape is
+    _map_shape's."""
+    extreme = max(abs(left[0]), abs(left[-1]), abs(right[0]), abs(right[-1]),
+                  *map(abs, shifts))
+    scale, base, size = _map_shape(left[0], left[-1], extreme, band, len(left))
+    occupied = np.zeros(size, dtype=bool)
     cells = _CellMap(occupied, scale, base)
     for s in range(0, len(left), _SCAN_BLOCK):
         cell = cells.cell_of(left[s:s + _SCAN_BLOCK].copy())
@@ -213,21 +231,42 @@ def _cell_map(left: np.ndarray, right: np.ndarray, shifts, band: float) -> _Cell
     return cells
 
 
+def _runs(left: np.ndarray, right: np.ndarray, shifts,
+          band: float) -> list[tuple[int, int]]:
+    """Per shift, the run (j0, j1) of the sorted right sums whose band can
+    meet the left range: j0 is the first j with -(right[j] + shift) - band
+    <= left[-1], and j1 the first j >= j0 with -(right[j] + shift) + band <
+    left[0]. Both band edges fall as j rises, so each end is one bisection,
+    made here for all shifts at once."""
+    shifts = np.asarray(shifts, dtype=np.float64)
+    n, bottom, top = len(right), left[0], left[-1]
+
+    def first(pred, lo):
+        # bisect.bisect_left over [lo, n) for every shift at once, pred
+        # taking -(right[j] + shift): each step at least halves hi - lo
+        hi = np.full(len(shifts), n)
+        for _ in range(n.bit_length()):
+            mid = (lo + hi) // 2
+            open_ = lo < hi
+            true = pred(-(right[np.minimum(mid, n - 1)] + shifts))
+            hi = np.where(open_ & true, mid, hi)
+            lo = np.where(open_ & ~true, mid + 1, lo)
+        return lo
+
+    j0 = first(lambda e: e - band <= top, np.zeros(len(shifts), dtype=np.intp))
+    j1 = first(lambda e: e + band < bottom, j0)
+    return list(zip(j0.tolist(), j1.tolist()))
+
+
 def _scan(left: np.ndarray, right: np.ndarray, rcell: np.ndarray, shift: float,
-          band: float, cells: _CellMap):
+          band: float, cells: _CellMap, run: tuple[int, int]):
     """Index pairs (j, m), j then m ascending, with r = right[j] + shift and
     m from searchsorted(left, -r - band, "left") up to, not including,
     searchsorted(left, -r + band, "right"); yielded as arrays (j, m), one
     pair per block of _SCAN_BLOCK right sums. cells is _cell_map(left, right,
-    shifts, band) for shifts that include shift, and rcell is
-    cells.cell_of(-right)."""
-    # both band edges fall as j rises, so the j whose band can meet the left
-    # range form one run [j0, j1)
-    n, bottom, top = len(right), left[0], left[-1]
-    j0 = bisect.bisect_left(range(n), True,
-                            key=lambda j: -(right[j] + shift) - band <= top)
-    j1 = bisect.bisect_left(range(n), True, lo=j0,
-                            key=lambda j: -(right[j] + shift) + band < bottom)
+    shifts, band) and run is _runs(left, right, shifts, band)'s entry for
+    shifts that include shift, and rcell is cells.cell_of(-right)."""
+    j0, j1 = run
     o = cells.offset(shift, band)
     for s in range(j0, j1, _SCAN_BLOCK):
         yield _scan_block(left, right, rcell, s, min(s + _SCAN_BLOCK, j1),
@@ -246,7 +285,7 @@ def _scan_block(left, right, rcell, s: int, e: int, shift: float, band: float,
     # real u = t - y. The key's band [low, up], low = fl(-fl(y + shift) -
     # band) and up = fl(-fl(y + shift) + band), is off [u, u + 2*band] by
     # three roundings of at most s/2 <= w/16 each (of t, of y + shift, and
-    # of low or up; see _cell_map), and band <= w/4, so a left sum x in it
+    # of low or up; see _map_shape), and band <= w/4, so a left sum x in it
     # has u - 3w/16 <= x <= u + 11w/16: its cell c = floor(x/w) lies in
     # K - 1 ... K + 2. x marks c - 2 ... c + 1, so cell K is marked: a key
     # whose cell is clear holds no left sum in its band and is skipped
@@ -267,26 +306,76 @@ def _scan_block(left, right, rcell, s: int, e: int, shift: float, band: float,
             np.arange(int(count.sum())) + np.repeat(lo - start, count))
 
 
-def _search_bytes(n, threads: int, hits: int = 0) -> int:
-    """Peak memory of search_mitm over tables of sizes n that finds `hits`
-    candidates: the larger of scanning and certifying, which runs after the
-    scan has freed its arrays. Scanning: 16 B a stored pair (sum and index)
-    and 8 B a right pair (its cell index) throughout; building the right
-    half takes no more (8 B a right pair for its unsorted sums and sort
-    order beside the sorted ones, before the cell indices exist). Beside
-    them the cell map, 36 B a left pair (one byte a cell, between
-    _MAP_CELLS / 2 and _MAP_CELLS cells a pair; 32 and 42 on the tables
-    measured), 8 B a right sum of a scan block per scanning thread (9 B at
-    a block's peak, which the threads do not all reach at once; building
-    the map and the cell indices takes 16 B a sum of a block, once), and
-    the larger of 1.7 kB a queued p5 task (all queued at the start) and
-    80 B a candidate (its row of five primes in its p5 block and in the
-    joined array; all found at the end). Certifying: 400 B a candidate (its row,
-    its exact scaled value and the sort and gather arrays beside them)."""
-    left, right = n[0] * n[1], n[2] * n[3]
-    scan = (8 * min(right, _SCAN_BLOCK) * min(threads, n[4])
-            + max(1700 * n[4], 80 * hits))
-    return max(16 * (left + right) + 8 * right + 36 * left + scan, 400 * hits)
+def _interchangeable(inst, tables) -> bool:
+    """Whether slots 3 and 4 share their lambda and their primes, so that
+    the right pairs (p3, p4) and (p4, p3) have the same float sum."""
+    return (inst.lambdas[2] == inst.lambdas[3]
+            and np.array_equal(tables[2].primes, tables[3].primes))
+
+
+def _unordered(half: HalfSumArray) -> HalfSumArray:
+    """The entries (i, j) of half with i <= j, still sorted: one of each
+    mirrored pair of a half whose two slots are interchangeable."""
+    upper = np.triu(np.ones((half.n_b, half.n_b), dtype=bool)).ravel()
+    keep = np.flatnonzero(upper[half.index])
+    return HalfSumArray(half.sums[keep], half.index[keep], half.n_b)
+
+
+def _mirrored(flat: np.ndarray, m: np.ndarray, sums: np.ndarray, n_b: int):
+    """Hits (flat right index, left index m) over unordered right pairs, with
+    each pair (i, j), i < j, joined by (j, i) at the same m, in the order of
+    a scan of the ordered right half: right sum, then flat index (the
+    stable sort's tie order), then m."""
+    i, j = np.divmod(flat, n_b)
+    off = np.flatnonzero(i != j)
+    flat = np.concatenate((flat, j[off] * n_b + i[off]))
+    m = np.concatenate((m, m[off]))
+    order = np.lexsort((m, flat, np.concatenate((sums, sums[off]))))
+    return flat[order], m[order]
+
+
+def _search_bytes(inst, tables, radius: float, threads: int):
+    """Peak memory of search_mitm(inst, tables, radius, threads=threads), as
+    a function of the candidates it finds: the larger of scanning and
+    certifying, which runs after the scan has freed its arrays.
+
+    Scanning: 16 B a left pair (sum and index) and 24 B a stored right pair
+    (sum, index and cell index) throughout; the right half stores every
+    (p3, p4) pair, or one of each mirrored pair when slots 3 and 4 are
+    interchangeable. Building the right half, before the map exists, holds
+    24 B a stored right pair, and 16 B an ordered one beside them when it
+    keeps one of each mirrored pair. Beside the stored pairs: the cell map,
+    one byte a cell, sized by _map_shape from the tables' extreme primes;
+    8 B a right sum of a scan block per scanning thread (9 B at a block's
+    peak, which the threads do not all reach at once; building the map and
+    the cell indices takes 16 B a sum of a block, once); and the larger of
+    1.7 kB a queued p5 task (all queued at the start) and 80 B a candidate
+    (its row of five primes in its p5 block and in the joined array; all
+    found at the end). Certifying: 400 B a candidate (its row, its exact
+    scaled value and the sort and gather arrays beside them)."""
+    n = [len(t) for t in tables]
+    band = radius + _guard(inst, tables, radius)
+    # the extreme pair sums and shifts, as the search computes them: each
+    # slot term is monotone in its prime, and rounding keeps the order
+    ends = [lam * t.primes[[0, -1]].astype(np.float64) ** 2
+            for lam, t in zip(inst.lambdas[:4], tables)]
+    bottom, top = min(ends[0]) + min(ends[1]), max(ends[0]) + max(ends[1])
+    rights = [min(ends[2]) + min(ends[3]), max(ends[2]) + max(ends[3])]
+    shifts = [inst.lambdas[4] * float(p5) ** inst.k + inst.eta
+              for p5 in tables[4].primes[[0, -1]].tolist()]
+    extreme = max(abs(bottom), abs(top), *map(abs, rights), *map(abs, shifts))
+    cells = _map_shape(bottom, top, extreme, band, n[0] * n[1])[2]
+    left, ordered = n[0] * n[1], n[2] * n[3]
+    mirror = _interchangeable(inst, tables)
+    right = n[2] * (n[2] + 1) // 2 if mirror else ordered
+    hold = (16 * left + 24 * right + cells
+            + 8 * min(right, _SCAN_BLOCK) * min(threads, n[4]))
+    build = 16 * left + 24 * right + (16 * ordered if mirror else 0)
+
+    def need(hits: int = 0) -> int:
+        return max(hold + max(1700 * n[4], 80 * hits), build, 400 * hits)
+
+    return need
 
 
 def search_mitm(inst, tables, radius: float, *, threads: int = 1,
@@ -303,10 +392,10 @@ def search_mitm(inst, tables, radius: float, *, threads: int = 1,
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     tables = _check_tables(inst, tables)
-    n = [len(t) for t in tables]
+    search_bytes = _search_bytes(inst, tables, radius, threads)
 
     def check_memory(hits: int) -> None:
-        need = _search_bytes(n, threads, hits)
+        need = search_bytes(hits)
         if need > memory_mb * 2 ** 20:
             raise CapacityExceeded(
                 f"pair arrays, scan and {hits} candidates need "
@@ -322,29 +411,42 @@ def _candidates(inst, tables, band: float, threads: int, check_memory,
                 deadline) -> np.ndarray:
     """search_mitm's quintuples whose float value lies within band of zero,
     as an (n, 5) array of primes in p5 order. A function of its own, so that
-    the pair arrays and the cell map are freed before certification."""
+    the pair arrays and the cell map are freed before certification.
+
+    When slots 3 and 4 are interchangeable the scan keys only one of each
+    mirrored right pair, and every hit of a pair p3 != p4 gains its mirror;
+    each p5 block then comes out in the order of the ordered scan."""
     l1, l2, l3, l4, l5 = inst.lambdas
     left = HalfSumArray.build(l1, tables[0], l2, tables[1])
     right34 = HalfSumArray.build(l3, tables[2], l4, tables[3])
+    mirror = _interchangeable(inst, tables)
+    if mirror:
+        right34 = _unordered(right34)
     pr1, pr2, pr3, pr4, p5s = (t.primes for t in tables)
     shifts = [l5 * float(p5) ** inst.k + inst.eta for p5 in p5s.tolist()]
-    # the map and the cell indices are read-only, shared by the threads
+    # the map, the cell indices and the runs are read-only, shared by the
+    # threads
     cells = _cell_map(left.sums, right34.sums, shifts, band)
     rcell = np.empty(len(right34.sums), dtype=np.intp)
     for s in range(0, len(rcell), _SCAN_BLOCK):
         rcell[s:s + _SCAN_BLOCK] = cells.cell_of(-right34.sums[s:s + _SCAN_BLOCK])
+    runs = _runs(left.sums, right34.sums, shifts, band)
 
     def scan_one(i5: int) -> np.ndarray:
         if deadline is not None:
             deadline()
-        rows = [np.empty((0, 5), dtype=np.int64)]
-        for j, m in _scan(left.sums, right34.sums, rcell, shifts[i5], band,
-                          cells):
-            i1, i2 = np.divmod(left.index[m], left.n_b)
-            i3, i4 = np.divmod(right34.index[j], right34.n_b)
-            rows.append(np.column_stack((pr1[i1], pr2[i2], pr3[i3], pr4[i4],
-                                         np.full(len(j), p5s[i5]))))
-        return np.concatenate(rows)
+        parts = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))]
+        parts += _scan(left.sums, right34.sums, rcell, shifts[i5], band, cells,
+                       runs[i5])
+        j = np.concatenate([bj for bj, _ in parts])
+        m = np.concatenate([bm for _, bm in parts])
+        flat = right34.index[j]
+        if mirror:
+            flat, m = _mirrored(flat, m, right34.sums[j], right34.n_b)
+        i1, i2 = np.divmod(left.index[m], left.n_b)
+        i3, i4 = np.divmod(flat, right34.n_b)
+        return np.column_stack((pr1[i1], pr2[i2], pr3[i3], pr4[i4],
+                                np.full(len(m), p5s[i5])))
 
     blocks, found = [], 0
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -398,14 +500,10 @@ def brute_oracle(inst, tables, radius: float) -> QuintetSolutions:
 
 def export_solutions(path: str, sols: QuintetSolutions) -> int:
     """CSV p1..p5,value,max_p,meets_theorem_radius; row order preserved."""
-    def rows():
-        for s in range(0, len(sols), _CSV_ROWS):
-            part = sols[s:s + _CSV_ROWS]
-            yield from zip(*part.p.T.tolist(), map(fmt17, part.value.tolist()),
-                           part.max_p.tolist(),
-                           ["true" if m else "false"
-                            for m in part.meets_theorem_radius.tolist()])
-
-    return atomic_write_text(path, csv_text(
-        ["p1", "p2", "p3", "p4", "p5", "value", "max_p", "meets_theorem_radius"],
-        rows()))
+    text = ["p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius\n"]
+    for s in range(0, len(sols), _CSV_ROWS):
+        part = sols[s:s + _CSV_ROWS]
+        text.append("".join(_CSV_ROW % row for row in zip(
+            *part.p.T.tolist(), part.value.tolist(), part.max_p.tolist(),
+            ["true" if m else "false" for m in part.meets_theorem_radius.tolist()])))
+    return atomic_write_text(path, "".join(text))

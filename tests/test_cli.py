@@ -358,6 +358,25 @@ def test_verify_deterministic_across_threads(tmp_path):
         assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
 
+def test_search_identical_across_threads(tmp_path, capsys):
+    # pinned lambdas at q0 169: 658 quintuples over 21 values of p5, 40 of
+    # them with p3 = p4, whose mirrored pairs the scan keys once
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=169, radius=5.0)
+    out = tmp_path / "o"
+    runs = []
+    for threads in (1, 2):
+        code = main(["search", "--config", cfg, "--out", str(out),
+                     "--threads", str(threads)])
+        runs.append((code, capsys.readouterr().out,
+                     (out / "solutions.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    rows = [r.split(",") for r in runs[0][2].decode().splitlines()[1:]]
+    assert len(rows) == 658
+    assert len({r[4] for r in rows}) == 21
+    assert sum(r[2] == r[3] for r in rows) == 40
+
+
 def test_lattice_quadrature_report_identical_across_threads(tmp_path):
     # q0 12 integrates 219,648 lattice points in 7 chunks: 2 and 4 threads
     # split them differently, and A and B must keep every bit

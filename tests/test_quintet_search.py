@@ -24,7 +24,8 @@ from psquintet import (
     search_mitm,
 )
 from psquintet import quintet_search
-from psquintet.quintet_search import _search_bytes, within_radius
+from psquintet._io import csv_text, fmt17
+from psquintet.quintet_search import QuintetSolutions, _search_bytes, within_radius
 from solution_rows import rows
 
 GP = GammaParam(0.99)
@@ -223,30 +224,59 @@ def two_pass_candidates(inst, tables, band):
     return out
 
 
+def scan_candidates(monkeypatch, inst, tables, radius, threads):
+    """The candidate array search_mitm hands to certification, with the
+    guard at 0."""
+    got = []
+    monkeypatch.setattr(quintet_search, "_guard", lambda *a: 0.0)
+    monkeypatch.setattr(quintet_search, "_finalize",
+                        lambda inst, hits, *a: got.append(hits))
+    search_mitm(inst, tables, radius, threads=threads)
+    assert got[0].dtype == np.int64
+    return list(map(tuple, got[0].tolist()))
+
+
 class TestScanBandEdges:
     # integer lambdas and eta give integer sums; with the guard at 0 the band
     # is the dyadic radius itself, so left sums sit exactly on -r - band and
     # on -r + band, where side="left" and side="right" decide membership.
-    # p^2 = 1 mod 24 for p > 3, so every value is 12 mod 24, as is each radius
-    INST = make_inst((1, 2, 1, 3, -2), eta=7.0, lambda0=0.02)
+    # p^2 = 1 mod 24 for p > 3 and both lambdas sum to 5, so every value is
+    # 12 mod 24, as is each radius. With lambda3 = lambda4 the scan keys one
+    # of each mirrored (p3, p4) pair, and the table's equal sums from
+    # different pairs (11^2 + 23^2 = 17^2 + 19^2) tie in the right half
     TABLES = [build_table(GP, 4000.0, 0.02, 2)] * 5
 
     @pytest.mark.parametrize("radius", [12.0, 36.0, 84.0])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("block", [61, 1 << 13])
+    @pytest.mark.parametrize("lambdas", [(1, 2, 1, 3, -2), (1, 2, 2, 2, -2)],
+                             ids=["ordered", "interchangeable"])
     def test_candidates_match_two_pass_scan(self, monkeypatch, radius, threads,
-                                            block):
-        got = []
+                                            block, lambdas):
+        inst = make_inst(lambdas, eta=7.0, lambda0=0.02)
+        mirror = lambdas[2] == lambdas[3]
+        assert quintet_search._interchangeable(inst, self.TABLES) == mirror
         monkeypatch.setattr(quintet_search, "_SCAN_BLOCK", block)
-        monkeypatch.setattr(quintet_search, "_guard", lambda *a: 0.0)
-        monkeypatch.setattr(quintet_search, "_finalize",
-                            lambda inst, hits, *a: got.append(hits))
-        search_mitm(self.INST, self.TABLES, radius, threads=threads)
-        want = two_pass_candidates(self.INST, self.TABLES, radius)
-        assert got[0].dtype == np.int64
-        assert list(map(tuple, got[0].tolist())) == want
-        values = [exact_form_value(self.INST, p) for p in want]
+        got = scan_candidates(monkeypatch, inst, self.TABLES, radius, threads)
+        want = two_pass_candidates(inst, self.TABLES, radius)
+        assert got == want
+        values = [exact_form_value(inst, p) for p in want]
         assert Fraction(radius) in values and -Fraction(radius) in values
+        assert any(p[2] == p[3] for p in want)
+
+    def test_equal_lambdas_on_different_primes_scan_ordered(self, monkeypatch):
+        # lambda3 = lambda4 but slot 4 has fewer primes: not interchangeable
+        inst = make_inst((1, 2, 2, 2, -2), eta=7.0, lambda0=0.02)
+        tables = [*self.TABLES[:3], build_table(GP, 4000.0, 0.1, 2),
+                  self.TABLES[4]]
+        assert not quintet_search._interchangeable(inst, tables)
+        assert len(tables[3]) < len(tables[2])
+        got = scan_candidates(monkeypatch, inst, tables, 36.0, 2)
+        assert got == two_pass_candidates(inst, tables, 36.0)
+        assert any(p[2] == p[3] for p in got)
+        monkeypatch.undo()
+        assert rows(search_mitm(inst, tables, 36.0)) == rows(
+            brute_oracle(inst, tables, 36.0))
 
     def test_clipped_run_ends_on_the_left_range_edges(self, monkeypatch):
         # shifts that put one right sum's lower band edge exactly on the top
@@ -268,8 +298,9 @@ class TestScanBandEdges:
                 hi = np.searchsorted(left, -r + band, side="right")
                 want_j = np.repeat(np.arange(len(r)), hi - lo)
                 want_m = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+                (run,) = quintet_search._runs(left, right, [shift], band)
                 blocks = list(quintet_search._scan(left, right, rcell, float(shift),
-                                                   band, cells))
+                                                   band, cells, run))
                 got_j = [x for bj, _ in blocks for x in bj.tolist()]
                 got_m = [x for _, bm in blocks for x in bm.tolist()]
                 assert got_j == want_j.tolist() and got_m == want_m.tolist()
@@ -371,8 +402,9 @@ def check_cell_scan(left, right, shift, band):
                (left[-1] - left[0]) / (quintet_search._MAP_CELLS * len(left)))
     assert math.frexp(w)[0] == 0.5 and w / 2 < fine <= w
     assert len(cells.occupied) <= quintet_search._MAP_CELLS * len(left) + 6
+    (run,) = quintet_search._runs(left, right, [shift], band)
     blocks = list(quintet_search._scan(left, right, cells.cell_of(-right), shift,
-                                       band, cells))
+                                       band, cells, run))
     got = ([x for bj, _ in blocks for x in bj.tolist()],
            [x for _, bm in blocks for x in bm.tolist()])
     assert got == scan_pairs(left, right, shift, band)
@@ -556,7 +588,7 @@ class TestErrors:
         finally:
             tracemalloc.stop()
         assert len(sols) == 0
-        est = _search_bytes([len(tab)] * 5, threads)
+        est = _search_bytes(make_inst(), [tab] * 5, 1e-12, threads)()
         assert 0.85 * est <= peak <= 1.15 * est
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -574,7 +606,7 @@ class TestErrors:
             finally:
                 tracemalloc.stop()
             assert len(sols) > least
-            est = _search_bytes([len(tab)] * 5, threads, len(sols))
+            est = _search_bytes(make_inst(), [tab] * 5, radius, threads)(len(sols))
             assert 0.85 * est <= peak <= 1.15 * est
 
     def test_memory_budget_counts_the_hits(self):
@@ -582,16 +614,16 @@ class TestErrors:
         # (8,610 at radius 0.5, whose rows outweigh the queued p5 tasks)
         # push the estimate past it partway through
         tab = build_table(GP, 3e6, 0.1, 2)
-        n = [len(tab)] * 5
+        search_bytes = _search_bytes(make_inst(), [tab] * 5, 0.5, 1)
         sols = search_mitm(make_inst(), [tab] * 5, 0.5)
-        bare, full = _search_bytes(n, 1), _search_bytes(n, 1, len(sols))
+        bare, full = search_bytes(), search_bytes(len(sols))
         assert full > bare
         budget = (bare + full) / 2 / 2 ** 20
         with pytest.raises(CapacityExceeded) as info:
             search_mitm(make_inst(), [tab] * 5, 0.5, memory_mb=budget)
         hits = int(str(info.value).split(" and ")[1].split()[0])
         assert 0 < hits < len(sols)
-        assert _search_bytes(n, 1, hits) > budget * 2 ** 20
+        assert search_bytes(hits) > budget * 2 ** 20
         again = search_mitm(make_inst(), [tab] * 5, 0.5,
                             memory_mb=1.01 * full / 2 ** 20)
         assert rows(again) == rows(sols)
@@ -648,3 +680,23 @@ class TestExport:
         assert [int(v) for v in first[:5]] == sols.p[0].tolist()
         assert float(first[5]) == sols.value[0]
         assert first[7] in ("true", "false")
+
+    def test_text_matches_csv_writer_rendering(self, tmp_path):
+        # the row format gives the bytes csv.writer gives of fmt17 text,
+        # also for signed zeros, subnormals and values near the float range
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1,
+                  -1.2345678901234567, 2.2250738585072014e-308, 123456789.01234567]
+        n = len(values)
+        p = np.arange(5 * n, dtype=np.int64).reshape(n, 5) * 1000003 + 7
+        sols = QuintetSolutions(p=p, value=np.array(values),
+                                weight=np.ones(n), max_p=p.max(axis=1),
+                                meets_theorem_radius=np.arange(n) % 2 == 0)
+        path = tmp_path / "solutions.csv"
+        export_solutions(str(path), sols)
+        want = csv_text(
+            ["p1", "p2", "p3", "p4", "p5", "value", "max_p", "meets_theorem_radius"],
+            ([*r[:5], fmt17(v), mp, "true" if meets else "false"]
+             for r, v, mp, meets in zip(p.tolist(), values, sols.max_p.tolist(),
+                                        sols.meets_theorem_radius.tolist())))
+        assert path.read_bytes() == want.encode()
+        assert "-0," in want and "4.9406564584124654e-324" in want
