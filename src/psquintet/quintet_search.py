@@ -1,20 +1,28 @@
 """Meet-in-the-middle search for near-zero prime quintuples.
 
 Target form: lambda1*p1^2 + ... + lambda4*p4^2 + lambda5*p5^k + eta, all p_j
-PS primes drawn from per-slot tables. Left half holds the sorted pair sums
-over (p1, p2); the right half (p3, p4, p5) is streamed one p5 at a time as a
-constant shift of the sorted (p3, p4) array, so interval queries against the
+PS primes drawn from per-slot tables. The tables are first reduced exactly:
+in scaled integers the other four slots' terms sum to a fixed coset of a
+lattice gZ (on the pinned lambdas, p^2 = 1 mod 24 puts p2^2 + p3^2 + p4^2 -
+3 p5^2 in 24Z), so a slot keeps only the primes whose term lies within the
+radius of that coset; each slot is filtered against the other four's full
+tables. The slot left with the fewest primes is swapped into position 5,
+the outer loop (on the pinned lambdas slot 1, 4 of 340 primes at q0 2378).
+Over these positions the left half holds the sorted pair sums of positions
+1 and 2; the right half (3, 4, 5) is streamed one outer prime at a time as a
+constant shift of the sorted (3, 4) array, so interval queries against the
 left half are plain binary searches, made only for the shifted sums whose
 band can meet the left range. Before its binary search, each such key looks
 up one byte of a map of power-of-two cells near a left sum, at its own cell
-index (taken once a search) plus one integer offset a p5; a clear cell
-proves the key's band holds no left sum, which skips the search for about
-nine keys in ten. The run of right sums whose band can meet the left range
-is found for every p5 at once, by one vectorised bisection. When slots 3 and
-4 are interchangeable (equal lambdas over the same primes), the right half
-keeps one of each mirrored pair (p3, p4), (p4, p3), whose float sums are
-equal, so the scan takes half the keys; each hit gains its mirror, and each
-p5 block is put back in the order of the ordered scan.
+index (taken once a search) plus one integer offset an outer prime; a clear
+cell proves the key's band holds no left sum, which skips the search for
+most keys. The run of right sums whose band can meet the left range is
+found for every outer prime at once, by one vectorised bisection. When
+positions 3 and 4 are interchangeable (equal lambdas over the same primes),
+the right half is built from one of each mirrored pair (p3, p4), (p4, p3),
+whose float sums are equal, so the scan takes half the keys; each hit gains
+its mirror, and each outer block is put back in the order of the ordered
+scan.
 
 Floats locate candidates inside a guard band; the candidates, an (n, 5)
 integer array of primes, are then certified in scaled integers (exact): the
@@ -86,13 +94,24 @@ class HalfSumArray:
             raise ValueError("sums and index length mismatch")
 
     @classmethod
-    def build(cls, lam_a: float, tab_a: PsPrimeTable,
-              lam_b: float, tab_b: PsPrimeTable) -> "HalfSumArray":
-        a = lam_a * tab_a.primes.astype(np.float64) ** 2
-        b = lam_b * tab_b.primes.astype(np.float64) ** 2
-        sums = (a[:, None] + b[None, :]).ravel()
+    def build(cls, a: np.ndarray, b: np.ndarray,
+              unordered: bool = False) -> "HalfSumArray":
+        """The sums of the slot terms a_i + b_j, stably sorted, so equal
+        sums keep flat-index order. unordered (a and b the terms of two
+        interchangeable slots) keeps only the pairs i <= j, one of each
+        mirrored pair: the same entries, in the same order, as the full
+        build holds for them."""
+        if unordered:
+            # row-major, so the flat indices ascend as in the full build
+            i, j = np.triu_indices(len(b))
+            sums = a[i] + b[j]
+            index = i * len(b) + j
+        else:
+            sums = (a[:, None] + b[None, :]).ravel()
+            index = None
         order = np.argsort(sums, kind="stable")
-        return cls(sums=sums[order], index=order, n_b=len(b))
+        return cls(sums=sums[order],
+                   index=order if index is None else index[order], n_b=len(b))
 
 
 def _check_tables(inst, tables) -> list[PsPrimeTable]:
@@ -118,16 +137,22 @@ def _guard(inst, tables, radius: float) -> float:
     return 1e-6 * radius + 32.0 * np.finfo(float).eps * (span + abs(inst.eta))
 
 
-def _scaled_form(inst, radius: float):
-    """(values, bound, S): values(hits) is S times the form value of each
-    row of hits (an (n, 5) array of primes), as an object array of Python
-    ints, and bound = S * radius, with S the largest power-of-two
-    denominator of the lambdas, eta and radius. |value| < bound iff |form
-    value| < radius, and value / S is the form value rounded once to a
-    float."""
+def _scaled(inst, radius: float):
+    """(lams, eta, bound, S): the lambdas, eta and radius times S, the
+    largest power-of-two denominator among them, as Python ints."""
     ratios = [x.as_integer_ratio() for x in (*inst.lambdas, inst.eta, radius)]
     scale = max(d for _, d in ratios)
     *lams, eta, bound = [num * (scale // d) for num, d in ratios]
+    return lams, eta, bound, scale
+
+
+def _scaled_form(inst, radius: float):
+    """(values, bound, S): values(hits) is S times the form value of each
+    row of hits (an (n, 5) array of primes), as an object array of Python
+    ints, and bound = S * radius, with S as in _scaled. |value| < bound iff
+    |form value| < radius, and value / S is the form value rounded once to
+    a float."""
+    lams, eta, bound, scale = _scaled(inst, radius)
 
     def values(hits: np.ndarray) -> np.ndarray:
         # eta plus, per slot, a gather from a table of lam_j * p^k_j over
@@ -306,19 +331,71 @@ def _scan_block(left, right, rcell, s: int, e: int, shift: float, band: float,
             np.arange(int(count.sum())) + np.repeat(lo - start, count))
 
 
-def _interchangeable(inst, tables) -> bool:
-    """Whether slots 3 and 4 share their lambda and their primes, so that
-    the right pairs (p3, p4) and (p4, p3) have the same float sum."""
-    return (inst.lambdas[2] == inst.lambdas[3]
-            and np.array_equal(tables[2].primes, tables[3].primes))
+@dataclass(frozen=True)
+class _Layout:
+    """The slots as the scan takes them. Position i holds slot slots[i],
+    with its lambda, power and the primes its residue filter keeps; the
+    slot with the fewest primes is swapped into position 5, the outer loop
+    (slot 5 on a tie), so slots is its own inverse. moduli[j] is slot j's
+    modulus g: the other four slots' sum lies in one coset of gZ (scaled by
+    S as in _scaled)."""
+
+    slots: tuple[int, ...]
+    lambdas: tuple[float, ...]
+    powers: tuple[int, ...]
+    primes: tuple[np.ndarray, ...]
+    moduli: tuple[int, ...]
+
+    @property
+    def empty(self) -> bool:
+        """Whether some slot keeps no prime, so that nothing is a solution."""
+        return min(map(len, self.primes)) == 0
+
+    def terms(self) -> list[np.ndarray]:
+        """Each position's float terms lambda * p^k."""
+        return [lam * p.astype(np.float64) ** k
+                for lam, p, k in zip(self.lambdas, self.primes, self.powers)]
 
 
-def _unordered(half: HalfSumArray) -> HalfSumArray:
-    """The entries (i, j) of half with i <= j, still sorted: one of each
-    mirrored pair of a half whose two slots are interchangeable."""
-    upper = np.triu(np.ones((half.n_b, half.n_b), dtype=bool)).ravel()
-    keep = np.flatnonzero(upper[half.index])
-    return HalfSumArray(half.sums[keep], half.index[keep], half.n_b)
+def _layout(inst, tables, radius: float) -> _Layout:
+    """search_mitm's slot layout. In scaled integers (S as in _scaled) a
+    slot-j prime p has the term a_j p^k, a_j = S lambda_j, and the other
+    four slots' terms sum to r0 + gZ: r0 is the sum of their first terms
+    and g the gcd of every difference of their terms. So p is in no
+    solution unless dist(a_j p^k + S eta + r0, gZ) < S radius, and slot j
+    keeps just those p. Each slot is filtered against the other four's
+    unfiltered tables, so the result does not depend on slot order; a g of
+    0, or of at most twice the bound, would drop nothing and is not
+    applied."""
+    lams, eta, bound, _ = _scaled(inst, radius)
+    terms = [[a * p ** k for p in t.primes.tolist()]
+             for a, t, k in zip(lams, tables, inst.powers)]
+    steps = [math.gcd(*(x - ts[0] for x in ts)) for ts in terms]
+    primes, moduli = [], []
+    for j, tab in enumerate(tables):
+        others = [i for i in range(5) if i != j]
+        g = math.gcd(*(steps[i] for i in others))
+        moduli.append(g)
+        if g <= 2 * bound:
+            primes.append(tab.primes)
+            continue
+        r0 = sum(terms[i][0] for i in others)
+        off = [(x + eta + r0) % g for x in terms[j]]
+        primes.append(tab.primes[np.array([o < bound or g - o < bound for o in off],
+                                          dtype=bool)])
+    n = [len(p) for p in primes]
+    outer = 4 if n[4] == min(n) else n.index(min(n))
+    slots = list(range(5))
+    slots[outer], slots[4] = 4, outer
+    return _Layout(tuple(slots), tuple(inst.lambdas[s] for s in slots),
+                   tuple(inst.powers[s] for s in slots),
+                   tuple(primes[s] for s in slots), tuple(moduli))
+
+
+def _interchangeable(lambdas, primes) -> bool:
+    """Whether positions 3 and 4 share their lambda and their primes, so
+    that the right pairs (p3, p4) and (p4, p3) have the same float sum."""
+    return lambdas[2] == lambdas[3] and np.array_equal(primes[2], primes[3])
 
 
 def _mirrored(flat: np.ndarray, m: np.ndarray, sums: np.ndarray, n_b: int):
@@ -336,44 +413,49 @@ def _mirrored(flat: np.ndarray, m: np.ndarray, sums: np.ndarray, n_b: int):
 
 def _search_bytes(inst, tables, radius: float, threads: int):
     """Peak memory of search_mitm(inst, tables, radius, threads=threads), as
-    a function of the candidates it finds: the larger of scanning and
-    certifying, which runs after the scan has freed its arrays.
+    a function of the candidates it finds (see _layout_bytes)."""
+    return _layout_bytes(_layout(inst, tables, radius), inst.eta,
+                         radius + _guard(inst, tables, radius), threads)
+
+
+def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
+    """Peak memory of a search over the layout lay, as a function of the
+    candidates it finds: the larger of scanning and certifying, which runs
+    after the scan has freed its arrays. A layout with an empty position
+    builds no pairs and finds nothing: 0.
 
     Scanning: 16 B a left pair (sum and index) and 24 B a stored right pair
     (sum, index and cell index) throughout; the right half stores every
-    (p3, p4) pair, or one of each mirrored pair when slots 3 and 4 are
-    interchangeable. Building the right half, before the map exists, holds
-    24 B a stored right pair, and 16 B an ordered one beside them when it
-    keeps one of each mirrored pair. Beside the stored pairs: the cell map,
-    one byte a cell, sized by _map_shape from the tables' extreme primes;
-    8 B a right sum of a scan block per scanning thread (9 B at a block's
-    peak, which the threads do not all reach at once; building the map and
-    the cell indices takes 16 B a sum of a block, once); and the larger of
-    1.7 kB a queued p5 task (all queued at the start) and 80 B a candidate
-    (its row of five primes in its p5 block and in the joined array; all
-    found at the end). Certifying: 400 B a candidate (its row, its exact
-    scaled value and the sort and gather arrays beside them)."""
-    n = [len(t) for t in tables]
-    band = radius + _guard(inst, tables, radius)
+    (p3, p4) pair, or one of each mirrored pair when positions 3 and 4 are
+    interchangeable. Beside them: the cell map, one byte a cell, sized by
+    _map_shape from the layout's extreme primes; 8 B a right sum of a scan
+    block per scanning thread (9 B at a block's peak, which the threads do
+    not all reach at once; building the map and the cell indices takes 16 B
+    a sum of a block, once); and the larger of 1.7 kB a queued outer task
+    (all queued at the start) and 80 B a candidate (its row of five primes
+    in its outer block and in the joined array; all found at the end). The
+    pair builds, before the map exists, hold less. Certifying: 400 B a
+    candidate (its row, its exact scaled value and the sort and gather
+    arrays beside them)."""
+    if lay.empty:
+        return lambda hits=0: 0
+    n = [len(p) for p in lay.primes]
     # the extreme pair sums and shifts, as the search computes them: each
     # slot term is monotone in its prime, and rounding keeps the order
-    ends = [lam * t.primes[[0, -1]].astype(np.float64) ** 2
-            for lam, t in zip(inst.lambdas[:4], tables)]
+    ends = [(t[0], t[-1]) for t in lay.terms()]
     bottom, top = min(ends[0]) + min(ends[1]), max(ends[0]) + max(ends[1])
     rights = [min(ends[2]) + min(ends[3]), max(ends[2]) + max(ends[3])]
-    shifts = [inst.lambdas[4] * float(p5) ** inst.k + inst.eta
-              for p5 in tables[4].primes[[0, -1]].tolist()]
+    shifts = [x + eta for x in ends[4]]
     extreme = max(abs(bottom), abs(top), *map(abs, rights), *map(abs, shifts))
-    cells = _map_shape(bottom, top, extreme, band, n[0] * n[1])[2]
-    left, ordered = n[0] * n[1], n[2] * n[3]
-    mirror = _interchangeable(inst, tables)
-    right = n[2] * (n[2] + 1) // 2 if mirror else ordered
+    left = n[0] * n[1]
+    cells = _map_shape(bottom, top, extreme, band, left)[2]
+    mirror = _interchangeable(lay.lambdas, lay.primes)
+    right = n[2] * (n[2] + 1) // 2 if mirror else n[2] * n[3]
     hold = (16 * left + 24 * right + cells
             + 8 * min(right, _SCAN_BLOCK) * min(threads, n[4]))
-    build = 16 * left + 24 * right + (16 * ordered if mirror else 0)
 
     def need(hits: int = 0) -> int:
-        return max(hold + max(1700 * n[4], 80 * hits), build, 400 * hits)
+        return max(hold + max(1700 * n[4], 80 * hits), 400 * hits)
 
     return need
 
@@ -383,16 +465,24 @@ def search_mitm(inst, tables, radius: float, *, threads: int = 1,
     """All quintuples with |form value| < radius, best (smallest) first.
 
     tables: five per-slot PS prime tables (slots 1-4 squared, slot 5 to the
-    instance exponent). Returns every solution: past _MAX_HITS candidates
-    it raises CapacityExceeded instead of a partial result. The memory
-    budget is checked before the pair build and again, with the candidates
-    found so far, as each p5 block of them arrives. deadline, if given, is
-    called before each p5 block and may raise to abandon the search.
+    instance exponent). Each slot first keeps only the primes that its exact
+    residue filter (_layout) admits, and the slot left with the fewest
+    becomes the outer loop; neither step changes the result. A slot left
+    with no primes gives the empty result at once. Returns every solution:
+    past _MAX_HITS candidates it raises CapacityExceeded instead of a
+    partial result. The memory budget is checked before the pair build and
+    again, with the candidates found so far, as each outer block of them
+    arrives. deadline, if given, is called before each outer block and may
+    raise to abandon the search.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     tables = _check_tables(inst, tables)
-    search_bytes = _search_bytes(inst, tables, radius, threads)
+    lay = _layout(inst, tables, radius)
+    if lay.empty:
+        return _finalize(inst, np.empty((0, 5), dtype=np.int64), radius)
+    band = radius + _guard(inst, tables, radius)
+    search_bytes = _layout_bytes(lay, inst.eta, band, threads)
 
     def check_memory(hits: int) -> None:
         need = search_bytes(hits)
@@ -402,28 +492,27 @@ def search_mitm(inst, tables, radius: float, *, threads: int = 1,
                 f"~{need / 2 ** 20:.0f} MiB, budget is {memory_mb:.0f} MiB")
 
     check_memory(0)
-    band = radius + _guard(inst, tables, radius)
-    hits = _candidates(inst, tables, band, threads, check_memory, deadline)
+    hits = _candidates(lay, inst.eta, band, threads, check_memory, deadline)
     return _finalize(inst, hits, radius)
 
 
-def _candidates(inst, tables, band: float, threads: int, check_memory,
-                deadline) -> np.ndarray:
-    """search_mitm's quintuples whose float value lies within band of zero,
-    as an (n, 5) array of primes in p5 order. A function of its own, so that
-    the pair arrays and the cell map are freed before certification.
+def _candidates(lay: _Layout, eta: float, band: float, threads: int,
+                check_memory, deadline) -> np.ndarray:
+    """The quintuples of the layout lay whose float value lies within band
+    of zero, as an (n, 5) array of primes in slot order, outer block by
+    outer block. A function of its own, so that the pair arrays and the
+    cell map are freed before certification.
 
-    When slots 3 and 4 are interchangeable the scan keys only one of each
-    mirrored right pair, and every hit of a pair p3 != p4 gains its mirror;
-    each p5 block then comes out in the order of the ordered scan."""
-    l1, l2, l3, l4, l5 = inst.lambdas
-    left = HalfSumArray.build(l1, tables[0], l2, tables[1])
-    right34 = HalfSumArray.build(l3, tables[2], l4, tables[3])
-    mirror = _interchangeable(inst, tables)
-    if mirror:
-        right34 = _unordered(right34)
-    pr1, pr2, pr3, pr4, p5s = (t.primes for t in tables)
-    shifts = [l5 * float(p5) ** inst.k + inst.eta for p5 in p5s.tolist()]
+    When positions 3 and 4 are interchangeable the scan keys only one of
+    each mirrored right pair, and every hit of a pair p3 != p4 gains its
+    mirror; each outer block then comes out in the order of the ordered
+    scan."""
+    t1, t2, t3, t4, t5 = lay.terms()
+    pr1, pr2, pr3, pr4, p5s = lay.primes
+    mirror = _interchangeable(lay.lambdas, lay.primes)
+    left = HalfSumArray.build(t1, t2)
+    right34 = HalfSumArray.build(t3, t4, unordered=mirror)
+    shifts = (t5 + eta).tolist()
     # the map, the cell indices and the runs are read-only, shared by the
     # threads
     cells = _cell_map(left.sums, right34.sums, shifts, band)
@@ -445,13 +534,14 @@ def _candidates(inst, tables, band: float, threads: int, check_memory,
             flat, m = _mirrored(flat, m, right34.sums[j], right34.n_b)
         i1, i2 = np.divmod(left.index[m], left.n_b)
         i3, i4 = np.divmod(flat, right34.n_b)
-        return np.column_stack((pr1[i1], pr2[i2], pr3[i3], pr4[i4],
-                                np.full(len(m), p5s[i5])))
+        cols = (pr1[i1], pr2[i2], pr3[i3], pr4[i4], np.full(len(m), p5s[i5]))
+        # back to slot order: slots is its own inverse
+        return np.column_stack([cols[s] for s in lay.slots])
 
     blocks, found = [], 0
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        # blocks arrive in p5 order; leaving the loop early closes the map,
-        # which cancels the p5 blocks still queued
+        # blocks arrive in outer order; leaving the loop early closes the
+        # map, which cancels the outer blocks still queued
         for block in ex.map(scan_one, range(len(p5s))):
             blocks.append(block)
             found += len(block)

@@ -1,5 +1,6 @@
 """Config parsing, report emission, subcommands, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -377,6 +378,23 @@ def test_search_identical_across_threads(tmp_path, capsys):
     assert sum(r[2] == r[3] for r in rows) == 40
 
 
+# sha256 of search-desk's solutions.csv (pinned lambdas, q0 2378, radius
+# 0.05): 20,325 quintuples, recorded before the residue filter and the outer
+# slot choice, which must leave every byte as it was
+_SEARCH_DESK_SHA256 = "3adb0885a5419ee7fa09d8214ed58e80ac620d2f4e454d9e2c18b33e53f6ea68"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_desk_solutions_keep_their_bytes(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=2378, radius=0.05)
+    out = tmp_path / "o"
+    assert main(["search", "--config", cfg, "--out", str(out),
+                 "--threads", str(threads)]) == 0
+    assert capsys.readouterr().out.startswith("20325 quintuples within radius 0.05")
+    digest = hashlib.sha256((out / "solutions.csv").read_bytes()).hexdigest()
+    assert digest == _SEARCH_DESK_SHA256
+
+
 def test_lattice_quadrature_report_identical_across_threads(tmp_path):
     # q0 12 integrates 219,648 lattice points in 7 chunks: 2 and 4 threads
     # split them differently, and A and B must keep every bit
@@ -580,12 +598,15 @@ def test_time_budget_bounds_the_quadrature(tmp_path, capsys):
 
 
 def test_time_budget_bounds_the_search_scan(tmp_path, capsys):
-    # q0 2378 at radius 0.05: 340 primes a slot, 20,325 quintuples, a pair
-    # build and scan of about 0.5 s at 1 thread on a 2-CPU machine, which a
-    # machine several times faster still takes past the budget; the budget
-    # is checked before each of the 340 p5 blocks (about 1.5 ms each)
+    # lambda2 = sqrt(3) at q0 2378, radius 0.05: no slot carries a residue
+    # lattice, so the search keeps 639 primes a slot and scans all 639 p5
+    # blocks (about 2 ms each), about 1.4 s at 1 thread on a 2-CPU machine,
+    # which a machine several times faster still takes past the budget; the
+    # budget is checked before each block. The pinned lambdas search the
+    # same q0 in about 0.06 s, below the budget
     budget = 0.1
     cfg = write_cfg(tmp_path / "c.json", q0_floor=2378, radius=0.05,
+                    lambdas=[SQRT2, math.sqrt(3.0), 1.0, 1.0, -3.0],
                     budgets={"time_s": budget})
     out = tmp_path / "o"
     t0 = time.monotonic()

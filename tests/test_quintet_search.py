@@ -25,11 +25,16 @@ from psquintet import (
 )
 from psquintet import quintet_search
 from psquintet._io import csv_text, fmt17
+from psquintet.dh_pipeline import derive_params, instance_tables
 from psquintet.quintet_search import QuintetSolutions, _search_bytes, within_radius
 from solution_rows import rows
 
 GP = GammaParam(0.99)
 SQRT2 = math.sqrt(2)
+# lambda2 = sqrt(3): every slot's residue modulus, unscaled, is then below
+# 1e-13, far below twice any radius used here, so the residue filter drops
+# nothing and slot 5 stays the outer slot
+UNREDUCIBLE = (SQRT2, math.sqrt(3), 1, 1, -3)
 
 
 def make_inst(lambdas=(SQRT2, 1, 1, 1, -3), eta=0.0, k=2, lambda0=0.1):
@@ -61,14 +66,17 @@ def random_cases(n, seed):
     return cases
 
 
+def squares(tab):
+    return tab.primes.astype(np.float64) ** 2
+
+
 class TestHalfSumArray:
     def test_sorted_and_recomputable(self):
         tab = build_table(GP, 1500.0, 0.1, 2)
-        arr = HalfSumArray.build(SQRT2, tab, -1.0, tab)
+        a, b = SQRT2 * squares(tab), -1.0 * squares(tab)
+        arr = HalfSumArray.build(a, b)
         assert len(arr.sums) == len(tab) ** 2
         assert np.all(np.diff(arr.sums) >= 0)
-        a = SQRT2 * tab.primes.astype(float) ** 2
-        b = -1.0 * tab.primes.astype(float) ** 2
         assert arr.n_b == len(tab)
         assert sorted(arr.index.tolist()) == list(range(len(arr.sums)))
         for i in range(len(arr.sums)):
@@ -79,9 +87,24 @@ class TestHalfSumArray:
         # lambda_b = -lambda_a: every diagonal pair sums to 0; the stable
         # sort keeps them in flat-index order, so the search is reproducible
         tab = build_table(GP, 1500.0, 0.1, 2)
-        arr = HalfSumArray.build(1.0, tab, -1.0, tab)
+        arr = HalfSumArray.build(squares(tab), -1.0 * squares(tab))
         zeros = arr.index[arr.sums == 0.0].tolist()
         assert zeros == [i * (len(tab) + 1) for i in range(len(tab))]
+
+    def test_unordered_build_is_the_upper_triangle_of_the_full_one(self):
+        # equal sums from different pairs (11^2 + 23^2 = 17^2 + 19^2) tie:
+        # the unordered build keeps the full build's tie order
+        tab = build_table(GP, 4000.0, 0.02, 2)
+        a = 2.0 * squares(tab)
+        full = HalfSumArray.build(a, a)
+        half = HalfSumArray.build(a, a, unordered=True)
+        i, j = np.divmod(full.index, full.n_b)
+        keep = i <= j
+        assert half.n_b == full.n_b == len(tab)
+        assert len(half.sums) == len(tab) * (len(tab) + 1) // 2
+        assert half.sums.tolist() == full.sums[keep].tolist()
+        assert half.index.tolist() == full.index[keep].tolist()
+        assert len(set(half.sums.tolist())) < len(half.sums)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -203,37 +226,143 @@ class TestOracleEquivalenceHigherPowers:
         check()
 
 
-def two_pass_candidates(inst, tables, band):
-    """The scan's candidate tuples by two full searchsorted passes a p5,
-    one per band edge."""
-    l1, l2, l3, l4, l5 = inst.lambdas
-    left = HalfSumArray.build(l1, tables[0], l2, tables[1])
-    right = HalfSumArray.build(l3, tables[2], l4, tables[3])
-    pr = [t.primes for t in tables]
+@st.composite
+def lattice_cases(draw, k):
+    """(tables, radius, quintuple, instances): integer or dyadic lambdas over
+    windows of primes above 3, so that slot 1's residue modulus g (scaled by
+    S) is at least 3, and a radius whose bound S*radius lies below g/2, so
+    that the filter applies to slot 1. Each of the six instances takes an
+    eta that puts the scaled value of the drawn quintuple at -bound or
+    +bound, or one unit inside or outside either: its slot-1 term lies that
+    far from a point of gZ. Each comes with whether |value| < bound."""
+    gp = _THEOREM_GAMMA.get(k, GP)
+    tables = []
+    for kj in (2, 2, 2, 2, k):
+        top_min, top_max, span = _WINDOWS[kj]
+        hi = draw(st.integers(top_min, top_max))
+        lo = max(5, hi - draw(st.integers(span // 2, span)))
+        x = float(hi ** kj)
+        tab = build_table(gp, x, lo ** kj / x, kj)
+        assume(0 < len(tab) <= 12)
+        tables.append(tab)
+    lams = [math.ldexp(draw(st.integers(1, 40)) * draw(st.sampled_from([-1, 1])),
+                       -draw(st.integers(0, 3))) for _ in range(5)]
+    if min(lams) > 0 or max(lams) < 0:
+        lams[4] = -lams[4]
+    # eta = 0 and radius 1 leave S the lambdas' largest denominator, and the
+    # etas and radius below have denominators dividing it
+    probe = ProblemInstance(tuple(lams), 0.0, k, gp, 0.001, 0.5)
+    g = quintet_search._layout(probe, tables, 1.0).moduli[0]
+    assume(g >= 3)
+    scale = quintet_search._scaled(probe, 1.0)[3]
+    bound = draw(st.integers(1, (g - 1) // 2))
+    p = tuple(int(draw(st.sampled_from(t.primes.tolist()))) for t in tables)
+    scaled = sum(int(l * scale) * pj ** kj
+                 for l, pj, kj in zip(lams, p, (2, 2, 2, 2, k)))
+    instances = []
+    for side, unit in itertools.product((-1, 1), (-1, 0, 1)):
+        eta = (side * bound + unit - scaled) / scale
+        assert eta * scale == side * bound + unit - scaled
+        instances.append((ProblemInstance(tuple(lams), eta, k, gp, 0.001, 0.5),
+                          side * unit == -1))
+    return tables, bound / scale, p, instances
+
+
+class TestResidueFilter:
+    # the search reduces each slot by its residue filter and scans the
+    # smallest slot outermost; neither may change its result
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_search_matches_brute_force_on_a_lattice(self, k):
+        @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+        @given(lattice_cases(k))
+        def check(case):
+            tables, radius, p, instances = case
+            for inst, inside in instances:
+                want = brute_oracle(inst, tables, radius)
+                assert (p in [r[0] for r in rows(want)]) == inside
+                assert rows(search_mitm(inst, tables, radius, threads=2)) == rows(want)
+
+        check()
+
+    def test_pinned_instance_at_desk_scale(self):
+        # q0 2378 (search-desk): slot 1 keeps 4 of its 340 primes and is
+        # scanned outermost; with lambda2 = sqrt(3) nothing is dropped
+        inst = make_inst(lambda0=0.1)
+        tables = instance_tables(inst, derive_params(inst, 2378))
+        lay = quintet_search._layout(inst, tables, 0.05)
+        scale = quintet_search._scaled(inst, 0.05)[3]
+        assert lay.moduli[0] == 24 * scale
+        assert lay.slots == (4, 1, 2, 3, 0)
+        assert [len(p) for p in lay.primes] == [340] * 4 + [4]
+        inst = make_inst(UNREDUCIBLE)
+        tables = instance_tables(inst, derive_params(inst, 2378))
+        lay = quintet_search._layout(inst, tables, 0.05)
+        assert lay.slots == (0, 1, 2, 3, 4)
+        assert all(len(p) == len(t) for p, t in zip(lay.primes, tables))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_outer_slot_swap_matches_brute_force(self, k):
+        # lambda1 = 1/8 against integer lambdas: slot 1's modulus is 24 and
+        # its terms p^2/8 spread over the residues, so it keeps 2 of 9
+        # primes, fewer than slot 5's table of p^k, which moves into the
+        # left half
+        gp = _THEOREM_GAMMA[k]
+        square = build_table(gp, 3600.0, 1 / 9, 2)
+        top = {3: 40, 4: 20}[k]
+        tables = [square] * 4 + [build_table(gp, float(top ** k),
+                                             (top // 3 / top) ** k, k)]
+        lams = (0.125, 1.0, 1.0, 1.0, {3: -12.0, 4: -1.0}[k])
+        p = [37, 37, 37, 37, int(tables[4].primes[-1])]
+        eta = 0.25 - sum(l * q ** kj for l, q, kj in zip(lams, p, (2, 2, 2, 2, k)))
+        inst = ProblemInstance(lams, eta, k, gp, 0.001, 0.5)
+        lay = quintet_search._layout(inst, tables, 1.0)
+        assert lay.slots == (4, 1, 2, 3, 0)
+        assert len(lay.primes[4]) == 2 < len(tables[4]) < len(square) == 9
+        want = brute_oracle(inst, tables, 1.0)
+        assert len(want) == 7
+        assert rows(search_mitm(inst, tables, 1.0)) == rows(want)
+
+
+def two_pass_candidates(lay, eta, band):
+    """The scan's candidate tuples over a search layout, by two full
+    searchsorted passes an outer prime, one per band edge; each tuple's
+    primes in slot order."""
+    t = lay.terms()
+    left = HalfSumArray.build(t[0], t[1])
+    right = HalfSumArray.build(t[2], t[3])
+    pr = lay.primes
     out = []
-    for p5 in pr[4]:
-        r = right.sums + (l5 * float(p5) ** inst.k + inst.eta)
+    for p5, shift in zip(pr[4], t[4]):
+        r = right.sums + (shift + eta)
         lo = np.searchsorted(left.sums, -r - band, side="left")
         hi = np.searchsorted(left.sums, -r + band, side="right")
         for j in np.flatnonzero(hi > lo):
             i3, i4 = divmod(int(right.index[j]), right.n_b)
             for m in range(lo[j], hi[j]):
                 i1, i2 = divmod(int(left.index[m]), left.n_b)
-                out.append((int(pr[0][i1]), int(pr[1][i2]), int(pr[2][i3]),
-                            int(pr[3][i4]), int(p5)))
+                row = (int(pr[0][i1]), int(pr[1][i2]), int(pr[2][i3]),
+                       int(pr[3][i4]), int(p5))
+                out.append(tuple(row[s] for s in lay.slots))
     return out
 
 
 def scan_candidates(monkeypatch, inst, tables, radius, threads):
-    """The candidate array search_mitm hands to certification, with the
-    guard at 0."""
-    got = []
+    """(candidates, want, layout): the candidate array the scan of
+    search_mitm finds, with the guard at 0, and the two-pass scan of the
+    layout it is given."""
+    seen = []
+    candidates = quintet_search._candidates
+
+    def spy(lay, eta, band, *args):
+        seen.append((lay, eta, band, candidates(lay, eta, band, *args)))
+        return seen[-1][3]
+
     monkeypatch.setattr(quintet_search, "_guard", lambda *a: 0.0)
-    monkeypatch.setattr(quintet_search, "_finalize",
-                        lambda inst, hits, *a: got.append(hits))
+    monkeypatch.setattr(quintet_search, "_candidates", spy)
     search_mitm(inst, tables, radius, threads=threads)
-    assert got[0].dtype == np.int64
-    return list(map(tuple, got[0].tolist()))
+    lay, eta, band, got = seen[0]
+    assert got.dtype == np.int64 and band == radius
+    return list(map(tuple, got.tolist())), two_pass_candidates(lay, eta, band), lay
 
 
 class TestScanBandEdges:
@@ -241,38 +370,46 @@ class TestScanBandEdges:
     # is the dyadic radius itself, so left sums sit exactly on -r - band and
     # on -r + band, where side="left" and side="right" decide membership.
     # p^2 = 1 mod 24 for p > 3 and both lambdas sum to 5, so every value is
-    # 12 mod 24, as is each radius. With lambda3 = lambda4 the scan keys one
-    # of each mirrored (p3, p4) pair, and the table's equal sums from
-    # different pairs (11^2 + 23^2 = 17^2 + 19^2) tie in the right half
+    # 12 mod 24, as is each radius. The other four lambdas of each slot
+    # include an odd one, so each slot's residue modulus is 24, at most twice
+    # the radius: the filter drops nothing and the layout is the slot order
+    # (with lambda = (1, 2, 2, 2, -2) slot 1's modulus is 48, and at radius
+    # 12 it drops every slot-1 prime: no value lies below 12). With lambda3 =
+    # lambda4 the scan keys one of each mirrored (p3, p4) pair, and the
+    # table's equal sums from different pairs (11^2 + 23^2 = 17^2 + 19^2)
+    # tie in the right half
     TABLES = [build_table(GP, 4000.0, 0.02, 2)] * 5
 
     @pytest.mark.parametrize("radius", [12.0, 36.0, 84.0])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("block", [61, 1 << 13])
-    @pytest.mark.parametrize("lambdas", [(1, 2, 1, 3, -2), (1, 2, 2, 2, -2)],
+    @pytest.mark.parametrize("lambdas", [(1, 2, 1, 3, -2), (1, 3, 2, 2, -3)],
                              ids=["ordered", "interchangeable"])
     def test_candidates_match_two_pass_scan(self, monkeypatch, radius, threads,
                                             block, lambdas):
         inst = make_inst(lambdas, eta=7.0, lambda0=0.02)
         mirror = lambdas[2] == lambdas[3]
-        assert quintet_search._interchangeable(inst, self.TABLES) == mirror
         monkeypatch.setattr(quintet_search, "_SCAN_BLOCK", block)
-        got = scan_candidates(monkeypatch, inst, self.TABLES, radius, threads)
-        want = two_pass_candidates(inst, self.TABLES, radius)
+        got, want, lay = scan_candidates(monkeypatch, inst, self.TABLES, radius,
+                                         threads)
+        assert lay.slots == (0, 1, 2, 3, 4)
+        assert quintet_search._interchangeable(lay.lambdas, lay.primes) == mirror
         assert got == want
         values = [exact_form_value(inst, p) for p in want]
         assert Fraction(radius) in values and -Fraction(radius) in values
         assert any(p[2] == p[3] for p in want)
 
     def test_equal_lambdas_on_different_primes_scan_ordered(self, monkeypatch):
-        # lambda3 = lambda4 but slot 4 has fewer primes: not interchangeable
+        # lambda3 = lambda4 but slot 4 has fewer primes: not interchangeable.
+        # Slot 5 has as few, so it stays the outer slot
         inst = make_inst((1, 2, 2, 2, -2), eta=7.0, lambda0=0.02)
-        tables = [*self.TABLES[:3], build_table(GP, 4000.0, 0.1, 2),
-                  self.TABLES[4]]
-        assert not quintet_search._interchangeable(inst, tables)
+        small = build_table(GP, 4000.0, 0.1, 2)
+        tables = [*self.TABLES[:3], small, small]
         assert len(tables[3]) < len(tables[2])
-        got = scan_candidates(monkeypatch, inst, tables, 36.0, 2)
-        assert got == two_pass_candidates(inst, tables, 36.0)
+        got, want, lay = scan_candidates(monkeypatch, inst, tables, 36.0, 2)
+        assert lay.slots == (0, 1, 2, 3, 4)
+        assert not quintet_search._interchangeable(lay.lambdas, lay.primes)
+        assert got == want
         assert any(p[2] == p[3] for p in got)
         monkeypatch.undo()
         assert rows(search_mitm(inst, tables, 36.0)) == rows(
@@ -282,8 +419,10 @@ class TestScanBandEdges:
         # shifts that put one right sum's lower band edge exactly on the top
         # left sum, or its upper edge exactly on the bottom one
         monkeypatch.setattr(quintet_search, "_SCAN_BLOCK", 61)
-        left = HalfSumArray.build(1.0, self.TABLES[0], 2.0, self.TABLES[1]).sums
-        right = HalfSumArray.build(1.0, self.TABLES[2], 3.0, self.TABLES[3]).sums
+        left = HalfSumArray.build(squares(self.TABLES[0]),
+                                  2.0 * squares(self.TABLES[1])).sums
+        right = HalfSumArray.build(squares(self.TABLES[2]),
+                                   3.0 * squares(self.TABLES[3])).sums
         band = 24.0
         shifts = [shift for j in range(0, len(right), 37)
                   for shift in (-left[-1] - band - right[j],
@@ -579,57 +718,86 @@ class TestErrors:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_memory_estimate_matches_peak(self, threads):
         # radius far below any form value: no hits, so the peak is the
-        # pair arrays and the scan temporaries the budget guards
-        tab = build_table(GP, 3e6, 0.1, 2)
+        # pair arrays and the scan temporaries the budget guards. The lambdas
+        # carry no residue lattice, so no slot shrinks
+        inst, tab = make_inst(UNREDUCIBLE), build_table(GP, 3e6, 0.1, 2)
         tracemalloc.start()
         try:
-            sols = search_mitm(make_inst(), [tab] * 5, 1e-12, threads=threads)
+            sols = search_mitm(inst, [tab] * 5, 1e-12, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(sols) == 0
-        est = _search_bytes(make_inst(), [tab] * 5, 1e-12, threads)()
+        assert quintet_search._layout(inst, [tab] * 5, 1e-12).slots == (0, 1, 2, 3, 4)
+        est = _search_bytes(inst, [tab] * 5, 1e-12, threads)()
         assert 0.85 * est <= peak <= 1.15 * est
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_memory_estimate_with_hits_matches_peak(self, threads):
-        # radius 0.05 gives 3,276 quintuples, whose candidate rows sit beside
+    @pytest.mark.parametrize("lambdas, cases", [
+        # 3,276 quintuples at radius 0.05, whose candidate rows sit beside
         # the pair arrays; at radius 0.5 the certification of 8,610 of them
-        # outweighs the scan
-        tab = build_table(GP, 3e6, 0.1, 2)
-        for radius, least in ((0.05, 3000), (0.5, 8000)):
+        # outweighs the scan. Slot 1 keeps 2 and 6 of its 158 primes and is
+        # the outer slot
+        ((SQRT2, 1, 1, 1, -3), ((0.05, 3000), (0.5, 8000))),
+        # no slot shrinks: 884 quintuples at radius 0.05, beside the queued
+        # outer tasks, and 7,661 at radius 0.5
+        (UNREDUCIBLE, ((0.05, 800), (0.5, 7000)))], ids=["pinned", "unreducible"])
+    def test_memory_estimate_with_hits_matches_peak(self, threads, lambdas, cases):
+        inst, tab = make_inst(lambdas), build_table(GP, 3e6, 0.1, 2)
+        for radius, least in cases:
             tracemalloc.start()
             try:
-                sols = search_mitm(make_inst(), [tab] * 5, radius,
-                                   threads=threads)
+                sols = search_mitm(inst, [tab] * 5, radius, threads=threads)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert len(sols) > least
-            est = _search_bytes(make_inst(), [tab] * 5, radius, threads)(len(sols))
+            est = _search_bytes(inst, [tab] * 5, radius, threads)(len(sols))
             assert 0.85 * est <= peak <= 1.15 * est
 
     def test_memory_budget_counts_the_hits(self):
         # a budget above the hit-free estimate lets the scan start; the hits
-        # (8,610 at radius 0.5, whose rows outweigh the queued p5 tasks)
+        # (7,661 at radius 0.5, whose rows outweigh the queued outer tasks)
         # push the estimate past it partway through
-        tab = build_table(GP, 3e6, 0.1, 2)
-        search_bytes = _search_bytes(make_inst(), [tab] * 5, 0.5, 1)
-        sols = search_mitm(make_inst(), [tab] * 5, 0.5)
+        inst, tab = make_inst(UNREDUCIBLE), build_table(GP, 3e6, 0.1, 2)
+        search_bytes = _search_bytes(inst, [tab] * 5, 0.5, 1)
+        sols = search_mitm(inst, [tab] * 5, 0.5)
         bare, full = search_bytes(), search_bytes(len(sols))
         assert full > bare
         budget = (bare + full) / 2 / 2 ** 20
         with pytest.raises(CapacityExceeded) as info:
-            search_mitm(make_inst(), [tab] * 5, 0.5, memory_mb=budget)
+            search_mitm(inst, [tab] * 5, 0.5, memory_mb=budget)
         hits = int(str(info.value).split(" and ")[1].split()[0])
         assert 0 < hits < len(sols)
         assert search_bytes(hits) > budget * 2 ** 20
-        again = search_mitm(make_inst(), [tab] * 5, 0.5,
-                            memory_mb=1.01 * full / 2 ** 20)
+        again = search_mitm(inst, [tab] * 5, 0.5, memory_mb=1.01 * full / 2 ** 20)
         assert rows(again) == rows(sols)
 
+    def test_slot_reduced_to_nothing(self, monkeypatch):
+        # p2^2 + p3^2 + p4^2 - 3 p5^2 is a multiple of 24, and no slot-1
+        # prime of these tables has sqrt(2) p1^2 within 1e-12 of one: the
+        # search is empty, builds no pairs and needs no memory, while an
+        # empty input table still raises
+        inst, tab = make_inst(), build_table(GP, 3e6, 0.1, 2)
+        lay = quintet_search._layout(inst, [tab] * 5, 1e-12)
+        assert [len(p) for p in lay.primes] == [len(tab)] * 4 + [0]
+        assert lay.slots == (4, 1, 2, 3, 0)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("pair build")
+
+        monkeypatch.setattr(HalfSumArray, "build", no_build)
+        sols = search_mitm(inst, [tab] * 5, 1e-12, memory_mb=1e-9)
+        assert len(sols) == 0 and sols.p.shape == (0, 5)
+        search_bytes = _search_bytes(inst, [tab] * 5, 1e-12, 1)
+        assert search_bytes() == search_bytes(10 ** 6) == 0
+        empty = build_table(GP, 24.0, 0.99, 2)
+        with pytest.raises(EmptyWindow):
+            search_mitm(inst, [tab] * 4 + [empty], 1e-12)
+
     def test_deadline_stops_between_p5_blocks(self):
-        tab = build_table(GP, 3e6, 0.1, 2)
+        # no slot shrinks, so slot 5's 158 primes are the outer blocks
+        inst, tab = make_inst(UNREDUCIBLE), build_table(GP, 3e6, 0.1, 2)
         ticks = []
 
         def deadline():
@@ -640,16 +808,19 @@ class TestErrors:
         # every block checks before it scans, so the blocks the worker
         # starts after the sixth raise at once
         with pytest.raises(BudgetExceeded):
-            search_mitm(make_inst(), [tab] * 5, 0.05, deadline=deadline)
+            search_mitm(inst, [tab] * 5, 0.05, deadline=deadline)
         assert 6 <= len(ticks) <= len(tab)
 
-    def test_hit_ceiling_stops_the_scan(self, monkeypatch):
-        # the ceiling is checked as p5 blocks arrive, so the count it reports
-        # stays within the blocks in flight, far below the full count
-        inst = make_inst(lambda0=0.02)
+    @pytest.mark.parametrize("lambdas", [(SQRT2, 1, 1, 1, -3), UNREDUCIBLE],
+                             ids=["pinned", "unreducible"])
+    def test_hit_ceiling_stops_the_scan(self, monkeypatch, lambdas):
+        # the ceiling is checked as outer blocks arrive, so the count it
+        # reports stays within the blocks in flight, far below the full count
+        inst = make_inst(lambdas, lambda0=0.02)
         tables = [build_table(GP, 3000.0, 0.02, 2)] * 5
         sols = search_mitm(inst, tables, 10.0)
-        block = max(Counter(sols.p[:, 4].tolist()).values())
+        outer = quintet_search._layout(inst, tables, 10.0).slots[4]
+        block = max(Counter(sols.p[:, outer].tolist()).values())
         monkeypatch.setattr(quintet_search, "_MAX_HITS", 10)
         with pytest.raises(CapacityExceeded) as info:
             search_mitm(inst, tables, 10.0, threads=2)
