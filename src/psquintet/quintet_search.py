@@ -27,16 +27,22 @@ scan.
 Floats locate candidates inside a guard band; the candidates, an (n, 5)
 integer array of primes, are then certified in scaled integers (exact): the
 float coefficients, eta and the radius are dyadic rationals, so one power of
-two turns each into an integer, and each quintuple's value is eta plus five
-gathers from per-slot tables of its scaled terms over the slot's distinct
-primes. Membership in |value| < radius is decided exactly and the returned
-ordering is reproducible bit for bit across thread counts.
+two S turns each into an integer. Each slot's scaled terms are exact Python
+integers over the slot's distinct primes only; split into two limbs, hi * 2^40
++ lo, they are gathered and summed in int64 columns with one carry step, so
+no row holds a Python object. Membership in |value| < radius is decided by
+comparing limbs, one lexsort orders the rows by exact |value| and then
+lexicographically, and the float value is one rounding of the limbs' sum. A
+search whose terms could carry the sum past 2^52 in its high limb keeps the
+Python-integer columns instead. The returned ordering is reproducible bit
+for bit across thread counts.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -55,10 +61,11 @@ _MAX_HITS = 10 ** 7
 _SCAN_BLOCK = 1 << 17
 # the scan's cell map has at most this many cells a left sum (plus six)
 _MAP_CELLS = 64
-# solutions.csv rows formatted at a time: bounds the export's row objects
-_CSV_ROWS = 1 << 12
-# one solutions.csv row: the text csv.writer gives of ints and fmt17 values
-_CSV_ROW = "%d,%d,%d,%d,%d,%.17g,%d,%s\n"
+# certification splits each exact scaled value into limbs hi * 2^_LIMB + lo,
+# 0 <= lo < 2^_LIMB, summed in int64
+_LIMB = 40
+# solutions.csv rows rendered at a time: bounds the export's byte matrices
+_CSV_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,47 +153,102 @@ def _scaled(inst, radius: float):
     return lams, eta, bound, scale
 
 
-def _scaled_form(inst, radius: float):
-    """(values, bound, S): values(hits) is S times the form value of each
-    row of hits (an (n, 5) array of primes), as an object array of Python
-    ints, and bound = S * radius, with S as in _scaled. |value| < bound iff
-    |form value| < radius, and value / S is the form value rounded once to
-    a float."""
+@dataclass(frozen=True)
+class _Exact:
+    """S times the form value of each row of some candidates, with S as in
+    _scaled. slots[j] is np.unique's (distinct primes, inverse) of column j;
+    inside says whether |value| < S * radius; magnitude holds the exact
+    |value| as np.lexsort keys, least significant first; value is the form
+    value rounded once to a float. limbs tells the path: int64 limbs, or
+    Python integers when a sum could reach 2^52 in its high limb."""
+
+    slots: list[tuple[np.ndarray, np.ndarray]]
+    inside: np.ndarray
+    magnitude: tuple[np.ndarray, ...]
+    value: np.ndarray
+    limbs: bool
+
+
+def _limbs_fit(reach: int, scale: int) -> bool:
+    """Whether scaled values of at most reach in size, over the power of two
+    scale, certify in int64 limbs. Below 2^(_LIMB + 51) each high limb, the
+    carry included, stays below 2^52, so hi * 2^_LIMB and lo are exact
+    doubles and their float sum is the value rounded once; a scale below
+    2^960 keeps the division by it exact."""
+    return reach < 1 << (_LIMB + 51) and scale < 1 << 960
+
+
+def _exact(inst, hits: np.ndarray, radius: float) -> _Exact:
+    """The exact scaled values of the rows of hits, an (n, 5) array of
+    primes: eta plus, per slot, a gather from a table of a_j * p^k_j over
+    the slot's distinct primes."""
     lams, eta, bound, scale = _scaled(inst, radius)
-
-    def values(hits: np.ndarray) -> np.ndarray:
-        # eta plus, per slot, a gather from a table of lam_j * p^k_j over
-        # the slot's distinct primes
+    slots = [np.unique(col, return_inverse=True) for col in hits.T]
+    terms = [[a * p ** k for p in primes.tolist()]
+             for a, (primes, _), k in zip(lams, slots, inst.powers)]
+    reach = abs(eta) + sum(max(map(abs, t), default=0) for t in terms)
+    if not _limbs_fit(reach, scale):
         total = eta
-        for col, lam, k in zip(hits.T, lams, inst.powers):
-            primes, at = np.unique(col, return_inverse=True)
-            terms = np.array([lam * p ** k for p in primes.tolist()], dtype=object)
-            total = total + terms[at]
-        return total
+        for t, (_, at) in zip(terms, slots):
+            total = total + np.array(t, dtype=object)[at]
+        mag = np.abs(total)
+        return _Exact(slots, mag < bound, (mag,),
+                      (total / scale).astype(np.float64), False)
+    mask = (1 << _LIMB) - 1
+    hi = np.full(len(hits), eta >> _LIMB, dtype=np.int64)
+    lo = np.full(len(hits), eta & mask, dtype=np.int64)
+    for t, (_, at) in zip(terms, slots):
+        hi += np.array([x >> _LIMB for x in t], dtype=np.int64)[at]
+        lo += np.array([x & mask for x in t], dtype=np.int64)[at]
+    hi += lo >> _LIMB
+    lo &= mask
+    # |value|: a negative value's limbs negated, then carried (a lo of 0
+    # carries nothing)
+    neg = hi < 0
+    mag_hi, mag_lo = np.where(neg, -hi, hi), np.where(neg, -lo, lo)
+    mag_hi += mag_lo >> _LIMB
+    mag_lo &= mask
+    # a bound past every |value| decides nothing: cap it to fit int64
+    bound = min(bound, 1 << (_LIMB + 52))
+    b_hi, b_lo = bound >> _LIMB, bound & mask
+    inside = (mag_hi < b_hi) | ((mag_hi == b_hi) & (mag_lo < b_lo))
+    value = (hi * float(1 << _LIMB) + lo) / float(scale)
+    return _Exact(slots, inside, (mag_lo, mag_hi), value, True)
 
-    return values, bound, scale
+
+def _lex_rank(slots, rows: np.ndarray) -> np.ndarray:
+    """The mixed-radix rank of each of the given rows over the slots'
+    distinct primes (slots as in _Exact): ranks order as the rows' primes
+    do lexicographically. A rank that could pass int64 is first replaced
+    by its dense rank among these rows."""
+    rank, top = np.zeros(len(rows), dtype=np.int64), 1
+    for primes, at in slots:
+        if top * len(primes) >= 1 << 63:
+            rank = np.unique(rank, return_inverse=True)[1]
+            top = len(rows)
+        rank = rank * len(primes) + at[rows]
+        top *= len(primes)
+    return rank
 
 
 def _finalize(inst, hits: np.ndarray, radius: float) -> QuintetSolutions:
-    """Certify the candidate rows exactly, order (|value| asc, lex p)."""
-    values, bound, scale = _scaled_form(inst, radius)
-    v = values(hits)
-    mag = np.abs(v)
-    keep = np.flatnonzero(mag < bound)
-    p, v, mag = hits[keep], v[keep], mag[keep]
-    # p lexicographic, then a stable sort on the exact |value|: the order of
-    # sorted((|value|, p))
-    order = np.lexsort(p.T[::-1])
-    order = order[np.argsort(mag[order], kind="stable")]
-    p, v = p[order], v[order]
-    value = (v / scale).astype(np.float64)   # int / int: rounded once
-    # Python's ** and math.log per distinct prime, multiplied in slot order:
-    # the weights do not depend on a vector libm's last bits
+    """Certify the candidate rows exactly, order (|value| asc, lex p): one
+    lexsort over the exact |value| (_exact) and each row's rank of its
+    primes (_lex_rank)."""
+    ex = _exact(inst, hits, radius)
+    keep = np.flatnonzero(ex.inside)
+    order = np.lexsort((_lex_rank(ex.slots, keep), *(m[keep] for m in ex.magnitude)))
+    keep = keep[order]
+    p = hits[keep]
+    # Python's ** and math.log per distinct prime of each slot, multiplied in
+    # slot order: the weights do not depend on a vector libm's last bits
     g = inst.gamma.gamma
-    primes, at = np.unique(p, return_inverse=True)
-    factor = np.array([q ** (1.0 - g) * math.log(q) for q in primes.tolist()])
-    f = factor[at.reshape(p.shape)]
-    weight = f[:, 0] * f[:, 1] * f[:, 2] * f[:, 3] * f[:, 4]
+    weight = None
+    for primes, at in ex.slots:
+        factor = np.array([q ** (1.0 - g) * math.log(q) for q in primes.tolist()])
+        f = factor[at[keep]]
+        weight = f if weight is None else weight * f
+    value = ex.value[keep]
     max_p = p.max(axis=1)
     tops, at = np.unique(max_p, return_inverse=True)
     limit = np.array([float(t) ** inst.radius_exponent for t in tops.tolist()])
@@ -338,13 +400,17 @@ class _Layout:
     slot with the fewest primes is swapped into position 5, the outer loop
     (slot 5 on a tie), so slots is its own inverse. moduli[j] is slot j's
     modulus g: the other four slots' sum lies in one coset of gZ (scaled by
-    S as in _scaled)."""
+    S as in _scaled). limbs tells whether the certification of its
+    candidates takes int64 limbs (_limbs_fit over its largest terms), and
+    held is the bytes _layout held at its peak."""
 
     slots: tuple[int, ...]
     lambdas: tuple[float, ...]
     powers: tuple[int, ...]
     primes: tuple[np.ndarray, ...]
     moduli: tuple[int, ...]
+    limbs: bool
+    held: int
 
     @property
     def empty(self) -> bool:
@@ -357,6 +423,15 @@ class _Layout:
                 for lam, p, k in zip(self.lambdas, self.primes, self.powers)]
 
 
+def _lattice(a: int, tab: PsPrimeTable, k: int) -> tuple[int, int]:
+    """(first, step) of a slot's scaled terms a p^k: its first term and the
+    gcd of every difference of its terms, |a| gcd(p^k - p0^k). Its primes
+    are Python ints only while this runs."""
+    ps = tab.primes.tolist()
+    p0 = ps[0] ** k
+    return a * p0, abs(a) * math.gcd(*(p ** k - p0 for p in ps))
+
+
 def _layout(inst, tables, radius: float) -> _Layout:
     """search_mitm's slot layout. In scaled integers (S as in _scaled) a
     slot-j prime p has the term a_j p^k, a_j = S lambda_j, and the other
@@ -367,29 +442,36 @@ def _layout(inst, tables, radius: float) -> _Layout:
     unfiltered tables, so the result does not depend on slot order; a g of
     0, or of at most twice the bound, would drop nothing and is not
     applied."""
-    lams, eta, bound, _ = _scaled(inst, radius)
-    terms = [[a * p ** k for p in t.primes.tolist()]
-             for a, t, k in zip(lams, tables, inst.powers)]
-    steps = [math.gcd(*(x - ts[0] for x in ts)) for ts in terms]
+    lams, eta, bound, scale = _scaled(inst, radius)
+    firsts, steps = zip(*map(_lattice, lams, tables, inst.powers))
+    # _lattice's peak: per prime of a table, a list and a tuple pointer and
+    # two Python ints (4 B above their getsizeof: a small int takes 32 B),
+    # and about 2 kB of frames and small objects
+    held = 2048 + max(len(t) * (16 + 2 * (4 + sys.getsizeof(int(t.primes[-1]) ** k)))
+                      for t, k in zip(tables, inst.powers))
     primes, moduli = [], []
-    for j, tab in enumerate(tables):
+    for j, (a, tab, k) in enumerate(zip(lams, tables, inst.powers)):
         others = [i for i in range(5) if i != j]
         g = math.gcd(*(steps[i] for i in others))
         moduli.append(g)
         if g <= 2 * bound:
             primes.append(tab.primes)
             continue
-        r0 = sum(terms[i][0] for i in others)
-        off = [(x + eta + r0) % g for x in terms[j]]
-        primes.append(tab.primes[np.array([o < bound or g - o < bound for o in off],
-                                          dtype=bool)])
+        c = eta + sum(firsts[i] for i in others)
+        off = ((a * p ** k + c) % g for p in tab.primes.tolist())
+        primes.append(tab.primes[np.fromiter((o < bound or g - o < bound for o in off),
+                                             dtype=bool, count=len(tab))])
+        held += primes[-1].nbytes
+    reach = abs(eta) + sum(abs(a) * int(p[-1]) ** k
+                           for a, p, k in zip(lams, primes, inst.powers) if len(p))
     n = [len(p) for p in primes]
     outer = 4 if n[4] == min(n) else n.index(min(n))
     slots = list(range(5))
     slots[outer], slots[4] = 4, outer
     return _Layout(tuple(slots), tuple(inst.lambdas[s] for s in slots),
                    tuple(inst.powers[s] for s in slots),
-                   tuple(primes[s] for s in slots), tuple(moduli))
+                   tuple(primes[s] for s in slots), tuple(moduli),
+                   _limbs_fit(reach, scale), held)
 
 
 def _interchangeable(lambdas, primes) -> bool:
@@ -420,9 +502,8 @@ def _search_bytes(inst, tables, radius: float, threads: int):
 
 def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
     """Peak memory of a search over the layout lay, as a function of the
-    candidates it finds: the larger of scanning and certifying, which runs
-    after the scan has freed its arrays. A layout with an empty position
-    builds no pairs and finds nothing: 0.
+    candidates it finds: the largest of building the layout, scanning and
+    certifying, which runs after the scan has freed its arrays.
 
     Scanning: 16 B a left pair (sum and index) and 24 B a stored right pair
     (sum, index and cell index) throughout; the right half stores every
@@ -434,11 +515,14 @@ def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
     a sum of a block, once); and the larger of 1.7 kB a queued outer task
     (all queued at the start) and 80 B a candidate (its row of five primes
     in its outer block and in the joined array; all found at the end). The
-    pair builds, before the map exists, hold less. Certifying: 400 B a
-    candidate (its row, its exact scaled value and the sort and gather
-    arrays beside them)."""
+    pair builds, before the map exists, hold less. Certifying: 240 B a
+    candidate in int64 limbs (its row; per slot its np.unique inverse; the
+    limbs of its value and of |value|, its float value, the sort keys and
+    the result's columns), or 280 B in Python integers (lay.limbs). Before
+    either, _layout held lay.held; a layout with an empty position builds
+    no pairs and finds nothing, so that is all it needs."""
     if lay.empty:
-        return lambda hits=0: 0
+        return lambda hits=0: lay.held
     n = [len(p) for p in lay.primes]
     # the extreme pair sums and shifts, as the search computes them: each
     # slot term is monotone in its prime, and rounding keeps the order
@@ -454,8 +538,10 @@ def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
     hold = (16 * left + 24 * right + cells
             + 8 * min(right, _SCAN_BLOCK) * min(threads, n[4]))
 
+    certify = 240 if lay.limbs else 280
+
     def need(hits: int = 0) -> int:
-        return max(hold + max(1700 * n[4], 80 * hits), 400 * hits)
+        return max(lay.held, hold + max(1700 * n[4], 80 * hits), certify * hits)
 
     return need
 
@@ -558,9 +644,8 @@ def within_radius(inst, sols: QuintetSolutions, radius: float) -> QuintetSolutio
     sols is ordered as search_mitm returns it (exact |value| ascending), so
     the kept solutions are a prefix, found by bisection on exact values.
     """
-    values, bound, _ = _scaled_form(inst, radius)
-    cut = bisect.bisect_left(range(len(sols)), True,
-                             key=lambda i: abs(values(sols.p[i:i + 1])[0]) >= bound)
+    cut = bisect.bisect_left(range(len(sols)), True, key=lambda i: not _exact(
+        inst, sols.p[i:i + 1], radius).inside[0])
     return sols[:cut]
 
 
@@ -588,12 +673,51 @@ def brute_oracle(inst, tables, radius: float) -> QuintetSolutions:
     return _finalize(inst, np.concatenate(hits), radius)
 
 
+def _digits(x: np.ndarray) -> np.ndarray:
+    """The decimal text of the non-negative int64s x as ASCII codes, one row
+    per value, right-aligned and padded on the left with NULs."""
+    width = len(str(int(x.max()))) if len(x) else 1
+    out = np.empty((len(x), width), dtype=np.uint8)
+    q = x
+    for c in range(width - 1, -1, -1):
+        rest = q // 10
+        out[:, c] = q - 10 * rest + 48
+        if c < width - 1:
+            # a leading zero becomes NUL; the units digit always shows
+            out[:, c] *= q > 0
+        q = rest
+    return out
+
+
+def _tokens(strings: list[str], at: np.ndarray) -> np.ndarray:
+    """Row i holds strings[at[i]] as ASCII codes, padded with NULs."""
+    table = np.array(strings, dtype=np.bytes_)
+    return table.view(np.uint8).reshape(len(strings), -1)[at]
+
+
+def _csv_rows(sols: QuintetSolutions) -> bytes:
+    """The solutions.csv lines of sols: every column rendered into a byte
+    matrix padded with NULs, the matrices joined and the NULs dropped. Each
+    distinct value is formatted once, keyed on its bit pattern, so that -0.0
+    and 0.0 keep their own text."""
+    n = len(sols)
+    comma = np.full((n, 1), ord(","), dtype=np.uint8)
+    bits, at = np.unique(sols.value.view(np.int64), return_inverse=True)
+    value = _tokens(["%.17g" % v for v in bits.view(np.float64).tolist()], at)
+    flag = _tokens(["false", "true"], sols.meets_theorem_radius.astype(np.intp))
+    parts = []
+    for col in sols.p.T:
+        parts += [_digits(col), comma]
+    parts += [value, comma, _digits(sols.max_p), comma, flag,
+              np.full((n, 1), ord("\n"), dtype=np.uint8)]
+    text = np.hstack(parts).ravel()
+    return text[text != 0].tobytes()
+
+
 def export_solutions(path: str, sols: QuintetSolutions) -> int:
-    """CSV p1..p5,value,max_p,meets_theorem_radius; row order preserved."""
-    text = ["p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius\n"]
+    """CSV p1..p5,value,max_p,meets_theorem_radius; row order preserved. The
+    text is csv.writer's of the ints and fmt17 values."""
+    text = [b"p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius\n"]
     for s in range(0, len(sols), _CSV_ROWS):
-        part = sols[s:s + _CSV_ROWS]
-        text.append("".join(_CSV_ROW % row for row in zip(
-            *part.p.T.tolist(), part.value.tolist(), part.max_p.tolist(),
-            ["true" if m else "false" for m in part.meets_theorem_radius.tolist()])))
-    return atomic_write_text(path, "".join(text))
+        text.append(_csv_rows(sols[s:s + _CSV_ROWS]))
+    return atomic_write_text(path, b"".join(text).decode("ascii"))

@@ -395,6 +395,26 @@ def test_search_desk_solutions_keep_their_bytes(tmp_path, capsys, threads):
     assert digest == _SEARCH_DESK_SHA256
 
 
+# sha256 of solutions.csv for lambda2 = sqrt(3) at q0 1079, radius 2: 33,986
+# quintuples over 3,943 distinct values of both signs, 15,910 within the
+# theorem radius; no slot carries a residue lattice. Recorded before the
+# certification and the CSV writer went to int64 columns
+_SEARCH_SQRT3_SHA256 = "b973fe94e18874a55f67e4cc9ab6942e87c3bcd8faa14551ccdbc803f70aecea"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_unreducible_search_solutions_keep_their_bytes(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=1079, radius=2.0,
+                    lambdas=[SQRT2, math.sqrt(3.0), 1.0, 1.0, -3.0])
+    out = tmp_path / "o"
+    assert main(["search", "--config", cfg, "--out", str(out),
+                 "--threads", str(threads)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "33986 quintuples within radius 2 (15910 meet the theorem radius)")
+    digest = hashlib.sha256((out / "solutions.csv").read_bytes()).hexdigest()
+    assert digest == _SEARCH_SQRT3_SHA256
+
+
 def test_lattice_quadrature_report_identical_across_threads(tmp_path):
     # q0 12 integrates 219,648 lattice points in 7 chunks: 2 and 4 threads
     # split them differently, and A and B must keep every bit

@@ -620,6 +620,53 @@ def dyadic_certify_cases(draw, k):
     return inst, hits, math.ldexp(int(frac * 2 ** 53) | 1, exp2 - 53)
 
 
+# the form values of limb_edge_cases are built in units of 2^-20, the
+# largest denominator of its lambdas
+_EDGE_SCALE = 2 ** 20
+_POWERS = {k: (2, 2, 2, 2, k) for k in (2, 3, 4)}
+
+
+@st.composite
+def limb_edge_cases(draw, k, shift):
+    """(lambdas, hits): lambdas odd/2^e * 2^shift with e up to 20, 20 among
+    them, and at least two random quintuples, the first two of distinct
+    values without eta. Every term, in units of 2^-20, is 2^shift times an
+    integer below 2^50. With shift 0, S = 2^20 and the values
+    certify in int64 limbs; with shift 110 the lambdas are integers, S = 1,
+    and every term is past 2^91, so the values take Python integers."""
+    top = {2: 400, 3: 60, 4: 20}[k]
+    hits = draw(st.lists(st.tuples(*[st.integers(2, 400)] * 4, st.integers(2, top)),
+                         min_size=2, max_size=30, unique=True))
+    exps = [20, *draw(st.lists(st.integers(0, 20), min_size=4, max_size=4))]
+    lams = [math.ldexp(odd_dyadic(draw, 12, e), shift) for e in exps]
+    if min(lams) > 0 or max(lams) < 0:
+        lams[4] = -lams[4]
+    assume(len({scaled_form(lams, k, p) for p in hits[:2]}) == 2)
+    return lams, hits
+
+
+def scaled_form(lams, k, p):
+    """S times the form value of p without eta, S = 2^20, exactly."""
+    return sum(int(l * _EDGE_SCALE) * pj ** kj for l, pj, kj in zip(lams, p, _POWERS[k]))
+
+
+def edge_instance(lams, k, eta_scaled):
+    return ProblemInstance(tuple(lams), eta_scaled / _EDGE_SCALE, k,
+                           _THEOREM_GAMMA.get(k, GP), 0.001, 0.5)
+
+
+def check_certified(inst, hits, radius, limbs):
+    """_finalize and within_radius agree with the Fraction reference, on
+    the path named by limbs; returns the result."""
+    got = quintet_search._finalize(inst, np.array(hits, dtype=np.int64), radius)
+    assert quintet_search._exact(inst, np.array(hits, dtype=np.int64),
+                                 radius).limbs == limbs
+    assert [(p, v, m) for p, v, _, _, m in rows(got)] == \
+        fraction_certify(inst, hits, radius)
+    assert rows(within_radius(inst, got, radius)) == rows(got)
+    return got
+
+
 class TestScaledCertification:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_matches_fraction_reference(self, k):
@@ -640,6 +687,91 @@ class TestScaledCertification:
                     if abs(exact_form_value(inst, r[0])) < Fraction(cut)]
 
         check()
+
+    # the limb arithmetic at its edges, against Fraction, on both paths:
+    # shift 0 takes int64 limbs, shift 110 Python integers
+    @pytest.mark.parametrize("shift", [0, 110], ids=["limbs", "python-int"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_opposite_ties_order_by_p(self, k, shift):
+        @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+        @given(limb_edge_cases(k, shift))
+        def check(case):
+            lams, hits = case
+            f0, f1 = (scaled_form(lams, k, p) for p in hits[:2])
+            # eta halfway between the first two rows: their values are V
+            # and -V, V != 0
+            inst = edge_instance(lams, k, -(f0 + f1) / 2)
+            got = check_certified(inst, hits, 2.0 ** 200, shift == 0)
+            at = [rows(got).index(r) for r in rows(got) if r[0] in hits[:2]]
+            assert len(at) == 2 and got.value[at[0]] == -got.value[at[1]] != 0
+            assert got.p[at[0]].tolist() < got.p[at[1]].tolist()
+
+        check()
+
+    @pytest.mark.parametrize("shift", [0, 110], ids=["limbs", "python-int"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_values_one_unit_either_side_of_the_bound(self, k, shift):
+        # the first row's scaled value is -V or +V, V = m 2^(40 + shift),
+        # against bounds V - u, V and V + u, u = 2^shift, one step of the
+        # values' lattice. With shift 0 a negative value has lo limb 0: the
+        # negation for |value| must carry nothing
+        @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+        @given(limb_edge_cases(k, shift), st.integers(1, 1000))
+        def check(case, m):
+            lams, hits = case
+            unit = 2 ** shift
+            v = m * 2 ** 40 * unit
+            f0 = scaled_form(lams, k, hits[0])
+            for sign, step in itertools.product((-1, 1), (-1, 0, 1)):
+                inst = edge_instance(lams, k, sign * v - f0)
+                radius = (v + step * unit) / _EDGE_SCALE
+                assert quintet_search._scaled(inst, radius)[3] == (
+                    _EDGE_SCALE if shift == 0 else 1)
+                got = check_certified(inst, hits, radius, shift == 0)
+                kept = hits[0] in [r[0] for r in rows(got)]
+                assert kept == (step == 1)
+                ex = quintet_search._exact(inst, np.array(hits[:1], dtype=np.int64),
+                                           radius)
+                assert ex.value[0] == sign * v / _EDGE_SCALE
+                if shift == 0:
+                    # |value| in limbs: (m, 0), whatever the sign
+                    assert [int(x[0]) for x in ex.magnitude] == [0, m]
+
+        check()
+
+    def test_lex_rank_past_int64_is_a_dense_rank(self):
+        # 9,000 rows, most entries of a column distinct: the mixed-radix rank
+        # over their product, past 2^63, is renumbered on the way, and the
+        # order is still (|value|, lex p)
+        rng = np.random.default_rng(7)
+        hits = np.column_stack([rng.permutation(np.arange(2, 9002)) for _ in range(5)])
+        # integer lambdas summing to 0 over equal squares: many exact ties
+        hits[::4] = hits[::4, :1]
+        assert math.prod(len(np.unique(c)) for c in hits.T) >= 2 ** 63
+        inst = make_inst((1, 1, 2, 3, -7))
+        check_certified(inst, [tuple(r) for r in hits.tolist()], 2.0 ** 60, True)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_search_with_tiny_eta_takes_python_ints(self, k):
+        # eta = 1e-30 makes S about 2^152, so the scaled terms pass 2^91:
+        # the layout and the certification both take Python integers
+        case = {2: ((SQRT2, 1, 1, 1, -3), 961.0, 0.02, 8.0),
+                3: ((SQRT2, 1, 1, 1, -0.25), 961.0, 0.02, 40.0),
+                4: ((SQRT2, 1, 1, 1, -0.02), 961.0, 0.02, 40.0)}[k]
+        lams, x, lam0, radius = case
+        gp = _THEOREM_GAMMA.get(k, GP)
+        square = build_table(gp, x, lam0, 2)
+        top = build_table(gp, {2: x, 3: 27000.0, 4: 160000.0}[k], lam0, k)
+        tables = [square] * 4 + [top]
+        inst = ProblemInstance(lams, 1e-30, k, gp, 0.001, lam0)
+        assert not quintet_search._layout(inst, tables, radius).limbs
+        got = search_mitm(inst, tables, radius, threads=2)
+        want = brute_oracle(inst, tables, radius)
+        assert len(got) > 0 and rows(got) == rows(want)
+        hits = [tuple(r) for r in got.p.tolist()]
+        check_certified(inst, hits, radius, False)
+        plain = ProblemInstance(lams, 0.0, k, gp, 0.001, lam0)
+        assert quintet_search._layout(plain, tables, radius).limbs
 
 
 class TestSolutionContract:
@@ -734,14 +866,16 @@ class TestErrors:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("lambdas, cases", [
-        # 3,276 quintuples at radius 0.05, whose candidate rows sit beside
-        # the pair arrays; at radius 0.5 the certification of 8,610 of them
-        # outweighs the scan. Slot 1 keeps 2 and 6 of its 158 primes and is
-        # the outer slot
-        ((SQRT2, 1, 1, 1, -3), ((0.05, 3000), (0.5, 8000))),
+        # 3,276 and 8,610 quintuples at radius 0.05 and 0.5, whose candidate
+        # rows sit beside the pair arrays; at radius 2 the certification of
+        # 56,305 of them outweighs the scan. Slot 1 keeps 2, 6 and 37 of its
+        # 158 primes and is the outer slot
+        ((SQRT2, 1, 1, 1, -3), ((0.05, 3000), (0.5, 8000), (2.0, 50000))),
         # no slot shrinks: 884 quintuples at radius 0.05, beside the queued
-        # outer tasks, and 7,661 at radius 0.5
-        (UNREDUCIBLE, ((0.05, 800), (0.5, 7000)))], ids=["pinned", "unreducible"])
+        # outer tasks, 7,661 at radius 0.5, and 30,814 at radius 2, whose
+        # certification outweighs the scan
+        (UNREDUCIBLE, ((0.05, 800), (0.5, 7000), (2.0, 30000)))],
+        ids=["pinned", "unreducible"])
     def test_memory_estimate_with_hits_matches_peak(self, threads, lambdas, cases):
         inst, tab = make_inst(lambdas), build_table(GP, 3e6, 0.1, 2)
         for radius, least in cases:
@@ -754,6 +888,22 @@ class TestErrors:
             assert len(sols) > least
             est = _search_bytes(inst, [tab] * 5, radius, threads)(len(sols))
             assert 0.85 * est <= peak <= 1.15 * est
+
+    def test_memory_estimate_on_the_python_int_path(self):
+        # eta = 1e-30: the scaled terms pass 2^91, so the 15,389
+        # candidates certify in Python integers, which outweighs the scan
+        inst, tab = make_inst(UNREDUCIBLE, eta=1e-30), build_table(GP, 3e6, 0.1, 2)
+        assert not quintet_search._layout(inst, [tab] * 5, 1.0).limbs
+        tracemalloc.start()
+        try:
+            sols = search_mitm(inst, [tab] * 5, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        search_bytes = _search_bytes(inst, [tab] * 5, 1.0, 1)
+        assert len(sols) > 10000 and search_bytes(len(sols)) > search_bytes()
+        est = search_bytes(len(sols))
+        assert 0.85 * est <= peak <= 1.15 * est
 
     def test_memory_budget_counts_the_hits(self):
         # a budget above the hit-free estimate lets the scan start; the hits
@@ -776,8 +926,9 @@ class TestErrors:
     def test_slot_reduced_to_nothing(self, monkeypatch):
         # p2^2 + p3^2 + p4^2 - 3 p5^2 is a multiple of 24, and no slot-1
         # prime of these tables has sqrt(2) p1^2 within 1e-12 of one: the
-        # search is empty, builds no pairs and needs no memory, while an
-        # empty input table still raises
+        # search is empty and builds no pairs, so the budget, checked before
+        # the pair build, does not apply. Its peak is what _layout held,
+        # which the estimate counts. An empty input table still raises
         inst, tab = make_inst(), build_table(GP, 3e6, 0.1, 2)
         lay = quintet_search._layout(inst, [tab] * 5, 1e-12)
         assert [len(p) for p in lay.primes] == [len(tab)] * 4 + [0]
@@ -787,10 +938,15 @@ class TestErrors:
             raise AssertionError("pair build")
 
         monkeypatch.setattr(HalfSumArray, "build", no_build)
-        sols = search_mitm(inst, [tab] * 5, 1e-12, memory_mb=1e-9)
+        tracemalloc.start()
+        try:
+            sols = search_mitm(inst, [tab] * 5, 1e-12, memory_mb=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(sols) == 0 and sols.p.shape == (0, 5)
-        search_bytes = _search_bytes(inst, [tab] * 5, 1e-12, 1)
-        assert search_bytes() == search_bytes(10 ** 6) == 0
+        est = _search_bytes(inst, [tab] * 5, 1e-12, 1)()
+        assert 0.85 * est <= peak <= 1.15 * est
         empty = build_table(GP, 24.0, 0.99, 2)
         with pytest.raises(EmptyWindow):
             search_mitm(inst, [tab] * 4 + [empty], 1e-12)
@@ -871,3 +1027,63 @@ class TestExport:
                                         sols.meets_theorem_radius.tolist())))
         assert path.read_bytes() == want.encode()
         assert "-0," in want and "4.9406564584124654e-324" in want
+
+    def test_columns_match_csv_writer_rendering(self, tmp_path, monkeypatch):
+        # property: the columnar writer gives csv.writer's bytes of the ints
+        # and fmt17 values; blocks of 7 rows put results of up to 7 rows in
+        # one block and longer ones in several
+        monkeypatch.setattr(quintet_search, "_CSV_ROWS", 7)
+        path = tmp_path / "solutions.csv"
+
+        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+        @given(solution_columns())
+        def check(sols):
+            n = export_solutions(str(path), sols)
+            assert path.read_bytes() == csv_bytes(sols)
+            assert n == len(csv_bytes(sols))
+
+        check()
+
+    def test_empty_result_writes_the_header(self, tmp_path):
+        sols = QuintetSolutions(p=np.empty((0, 5), dtype=np.int64),
+                                value=np.empty(0), weight=np.empty(0),
+                                max_p=np.empty(0, dtype=np.int64),
+                                meets_theorem_radius=np.empty(0, dtype=bool))
+        path = tmp_path / "solutions.csv"
+        assert export_solutions(str(path), sols) == len(csv_bytes(sols))
+        assert path.read_bytes() == csv_bytes(sols) == (
+            b"p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius\n")
+
+
+_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   -2.2250738585072009e-308, 1e300, -1e300, 1.7976931348623157e308]
+
+
+@st.composite
+def solution_columns(draw):
+    """Result columns of 1 to 30 rows: positive int64s of 1 to 19 digits,
+    values from a small pool (so they repeat) of finite floats, signed
+    zeros, subnormals and values near the float range, and mixed flags."""
+    n = draw(st.integers(1, 30))
+    # each int of a random digit count d: uniform over [10^(d-1), 10^d)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    digits = rng.integers(1, 20, size=(n, 6))
+    cols = np.array([[int(rng.integers(10 ** (d - 1), min(10 ** d, 2 ** 63)))
+                      for d in row] for row in digits.tolist()], dtype=np.int64)
+    pool = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_VALUES),
+                                   st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=8))
+    at = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return QuintetSolutions(p=cols[:, :5], value=np.array(pool)[at], weight=np.ones(n),
+                            max_p=cols[:, 5], meets_theorem_radius=np.array(flags))
+
+
+def csv_bytes(sols) -> bytes:
+    """csv.writer's document of the result columns, values through fmt17."""
+    return csv_text(
+        ["p1", "p2", "p3", "p4", "p5", "value", "max_p", "meets_theorem_radius"],
+        ([*r, fmt17(v), mp, "true" if meets else "false"]
+         for r, v, mp, meets in zip(sols.p.tolist(), sols.value.tolist(),
+                                    sols.max_p.tolist(),
+                                    sols.meets_theorem_radius.tolist()))).encode()
