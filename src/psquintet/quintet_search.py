@@ -20,9 +20,9 @@ most keys. The run of right sums whose band can meet the left range is
 found for every outer prime at once, by one vectorised bisection. When
 positions 3 and 4 are interchangeable (equal lambdas over the same primes),
 the right half is built from one of each mirrored pair (p3, p4), (p4, p3),
-whose float sums are equal, so the scan takes half the keys; each hit gains
-its mirror, and each outer block is put back in the order of the ordered
-scan.
+whose float sums are equal, so the scan takes half the keys, and each hit
+gains its mirror. The candidates come out in no set order: certification
+alone orders them.
 
 Floats locate candidates inside a guard band; the candidates, an (n, 5)
 integer array of primes, are then certified in scaled integers (exact): the
@@ -34,8 +34,9 @@ no row holds a Python object. Membership in |value| < radius is decided by
 comparing limbs, one lexsort orders the rows by exact |value| and then
 lexicographically, and the float value is one rounding of the limbs' sum. A
 search whose terms could carry the sum past 2^52 in its high limb keeps the
-Python-integer columns instead. The returned ordering is reproducible bit
-for bit across thread counts.
+Python-integer columns instead. The order is total over distinct rows, so
+the result depends only on the set of candidates, bit for bit across thread
+counts.
 """
 
 from __future__ import annotations
@@ -103,20 +104,17 @@ class HalfSumArray:
     @classmethod
     def build(cls, a: np.ndarray, b: np.ndarray,
               unordered: bool = False) -> "HalfSumArray":
-        """The sums of the slot terms a_i + b_j, stably sorted, so equal
-        sums keep flat-index order. unordered (a and b the terms of two
-        interchangeable slots) keeps only the pairs i <= j, one of each
-        mirrored pair: the same entries, in the same order, as the full
-        build holds for them."""
+        """The sums of the slot terms a_i + b_j, sorted; equal sums come
+        in no set order. unordered (a and b the terms of two interchangeable
+        slots) keeps only the pairs i <= j, one of each mirrored pair."""
         if unordered:
-            # row-major, so the flat indices ascend as in the full build
             i, j = np.triu_indices(len(b))
             sums = a[i] + b[j]
             index = i * len(b) + j
         else:
             sums = (a[:, None] + b[None, :]).ravel()
             index = None
-        order = np.argsort(sums, kind="stable")
+        order = np.argsort(sums)
         return cls(sums=sums[order],
                    index=order if index is None else index[order], n_b=len(b))
 
@@ -232,9 +230,9 @@ def _lex_rank(slots, rows: np.ndarray) -> np.ndarray:
 
 
 def _finalize(inst, hits: np.ndarray, radius: float) -> QuintetSolutions:
-    """Certify the candidate rows exactly, order (|value| asc, lex p): one
-    lexsort over the exact |value| (_exact) and each row's rank of its
-    primes (_lex_rank)."""
+    """Certify the distinct candidate rows exactly, order (|value| asc, lex
+    p): one lexsort over the exact |value| (_exact) and each row's rank of
+    its primes (_lex_rank), a total order whatever order the rows come in."""
     ex = _exact(inst, hits, radius)
     keep = np.flatnonzero(ex.inside)
     order = np.lexsort((_lex_rank(ex.slots, keep), *(m[keep] for m in ex.magnitude)))
@@ -480,17 +478,13 @@ def _interchangeable(lambdas, primes) -> bool:
     return lambdas[2] == lambdas[3] and np.array_equal(primes[2], primes[3])
 
 
-def _mirrored(flat: np.ndarray, m: np.ndarray, sums: np.ndarray, n_b: int):
+def _mirrored(flat: np.ndarray, m: np.ndarray, n_b: int):
     """Hits (flat right index, left index m) over unordered right pairs, with
-    each pair (i, j), i < j, joined by (j, i) at the same m, in the order of
-    a scan of the ordered right half: right sum, then flat index (the
-    stable sort's tie order), then m."""
+    each pair (i, j), i < j, joined by its mirror (j, i) at the same m."""
     i, j = np.divmod(flat, n_b)
     off = np.flatnonzero(i != j)
-    flat = np.concatenate((flat, j[off] * n_b + i[off]))
-    m = np.concatenate((m, m[off]))
-    order = np.lexsort((m, flat, np.concatenate((sums, sums[off]))))
-    return flat[order], m[order]
+    return (np.concatenate((flat, j[off] * n_b + i[off])),
+            np.concatenate((m, m[off])))
 
 
 def _search_bytes(inst, tables, radius: float, threads: int):
@@ -585,14 +579,13 @@ def search_mitm(inst, tables, radius: float, *, threads: int = 1,
 def _candidates(lay: _Layout, eta: float, band: float, threads: int,
                 check_memory, deadline) -> np.ndarray:
     """The quintuples of the layout lay whose float value lies within band
-    of zero, as an (n, 5) array of primes in slot order, outer block by
-    outer block. A function of its own, so that the pair arrays and the
-    cell map are freed before certification.
+    of zero, as an (n, 5) array of primes in slot order, its rows in no set
+    order. A function of its own, so that the pair arrays and the cell map
+    are freed before certification.
 
     When positions 3 and 4 are interchangeable the scan keys only one of
     each mirrored right pair, and every hit of a pair p3 != p4 gains its
-    mirror; each outer block then comes out in the order of the ordered
-    scan."""
+    mirror."""
     t1, t2, t3, t4, t5 = lay.terms()
     pr1, pr2, pr3, pr4, p5s = lay.primes
     mirror = _interchangeable(lay.lambdas, lay.primes)
@@ -617,7 +610,7 @@ def _candidates(lay: _Layout, eta: float, band: float, threads: int,
         m = np.concatenate([bm for _, bm in parts])
         flat = right34.index[j]
         if mirror:
-            flat, m = _mirrored(flat, m, right34.sums[j], right34.n_b)
+            flat, m = _mirrored(flat, m, right34.n_b)
         i1, i2 = np.divmod(left.index[m], left.n_b)
         i3, i4 = np.divmod(flat, right34.n_b)
         cols = (pr1[i1], pr2[i2], pr3[i3], pr4[i4], np.full(len(m), p5s[i5]))
