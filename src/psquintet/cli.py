@@ -56,12 +56,14 @@ from .errors import (
 )
 from .exp_sums import (Family, GapKind, SumSpec, asym_gap, export_tscan,
                        growth_exponent, growth_ladder, moment_integral, tscan)
-from .numerics import SmoothingKernel, kernel_eval, kernel_fourier, kernel_fourier_bound
+from .numerics import (DEFAULT_MAX_NODES, SmoothingKernel, kernel_eval, kernel_fourier,
+                       kernel_fourier_bound)
 from .ps_primes import GammaParam, export_table
-from .quintet_search import (QuintetSolutions, export_solutions, search_mitm,
-                             within_radius)
+from .quintet_search import (DEFAULT_MEMORY_MB, QuintetSolutions, export_solutions,
+                             search_mitm, within_radius)
 
-_DEFAULT_BUDGETS = {"memory_mb": 2048.0, "max_nodes": 1024, "time_s": 1200.0}
+_DEFAULT_BUDGETS = {"memory_mb": DEFAULT_MEMORY_MB, "max_nodes": DEFAULT_MAX_NODES,
+                    "time_s": 1200.0}
 # most quintuples solutions.csv lists
 _REPORT_LIMIT = 10 ** 6
 # exit code and stderr label per error class; any other error propagates

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DegenerateRatio
 from .numerics import (
+    DEFAULT_MAX_NODES,
     QuadratureSpec,
     SmoothingKernel,
     _cf_walk,
@@ -232,17 +233,16 @@ def _integrand(inst: ProblemInstance, kern: SmoothingKernel, tables):
 
 def gamma_integral(inst: ProblemInstance, params: DhParams,
                    kern: SmoothingKernel, tables, *, threads: int = 1,
-                   nodes_cap: int = 1024,
-                   direct: Optional[float] = None,
+                   nodes_cap: int = DEFAULT_MAX_NODES, direct: Optional[float] = None,
                    deadline=None) -> GammaDecomposition:
     """Main-range A, oscillatory-range B, and the tail bound C.
 
     A integrates over |t| < Delta and B over Delta <= |t| <= H; both use the
     conjugate symmetry of the integrand to evaluate only t >= 0 and return
-    exactly real values. Each region is integrated to QuadratureSpec's
-    default rel_tol, as if it held at least 128 cycles, so a short or slowly
-    turning region still gets a fine rule. deadline is handed to
-    oscillatory_integral, which calls it between chunks of integrand points.
+    exactly real values. Each region is integrated to numerics.REL_TOL, as
+    if it held at least 128 cycles, so a short or slowly turning region
+    still gets a fine rule. deadline is handed to oscillatory_integral,
+    which calls it between chunks of integrand points.
     """
     if params.H <= params.Delta:
         raise AdmissibilityError(

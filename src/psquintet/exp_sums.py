@@ -16,7 +16,6 @@ numerics.phase_sum; eval_sum is tscan at a single t.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,10 +105,9 @@ def _base_weights(spec: SumSpec, table) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integral_value(spec: SumSpec, t: float) -> complex:
-    # family I by quadrature; the upper limit is sqrt(x_max) as in the source
-    # formula (x_max^(1/k) at k=2, the only k the diagnostics exercise)
+    # family I by quadrature over the window lambda0*X < y^k <= X
     y_lo = (spec.lambda0 * spec.x_max) ** (1.0 / spec.k)
-    y_hi = math.sqrt(spec.x_max)
+    y_hi = spec.x_max ** (1.0 / spec.k)
     if y_hi <= y_lo:
         return complex(0)
     freq = abs(t) * spec.k * y_hi ** (spec.k - 1)

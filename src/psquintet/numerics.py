@@ -58,6 +58,8 @@ _MAX_CF_DEN = 10 ** 15    # denominators beyond double resolution are noise
 # Quadrature panels span at most this many cycles of the top frequency.
 _PANEL_CYCLES = 64
 _NODES_INIT = 8    # node counts per panel are _NODES_INIT * 2^j
+REL_TOL = 1e-9             # relative agreement of every quadrature
+DEFAULT_MAX_NODES = 1024   # default nodes_cap, and the CLI's max_nodes default
 # Integrand points per quadrature chunk. Chunk boundaries depend on the node
 # count alone, so the reduction order, and with it every bit of the result,
 # is the same for any thread count; with lattice_phase_sum's blocks the
@@ -249,22 +251,19 @@ class QuadratureSpec:
     """Panelized quadrature request for a possibly oscillatory integrand.
 
     max_frequency bounds |d/dt of the phase in cycles| over [lo, hi]; the
-    panels and their node counts follow the cycles it implies (see
-    oscillatory_integral).
+    panels and their node counts follow the cycles it implies, and every
+    request is integrated to REL_TOL (see oscillatory_integral).
     """
 
     lo: float
     hi: float
     max_frequency: float
-    rel_tol: float = 1e-9
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("need lo < hi")
         if self.max_frequency < 0 or not math.isfinite(self.max_frequency):
             raise ValueError("max_frequency must be finite and >= 0")
-        if not (0 < self.rel_tol <= 0.1):
-            raise ValueError("rel_tol must be in (0, 0.1]")
 
 
 def _legendre_pair(n: int, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +382,7 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
 
 
 def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
-                         nodes_cap: int = 1024, deadline=None) -> complex:
+                         nodes_cap: int = DEFAULT_MAX_NODES, deadline=None) -> complex:
     """Integrate a vectorized complex integrand f over [spec.lo, spec.hi].
 
     f is called as f(t, mid, off) on the panel lattice (see _panel_sums) and
@@ -395,7 +394,7 @@ def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
     needs a degree a little above pi*c, so panels start at n nodes, the
     smallest _NODES_INIT * 2^j with at least two nodes per cycle, and are
     compared with 2n nodes; a panel of fewer cycles gets fewer nodes. The
-    estimates agree to rel_tol * scale on the first comparison for any
+    estimates agree to REL_TOL * scale on the first comparison for any
     integrand band-limited to max_frequency; otherwise n doubles until they
     do. scale = max(|estimate|, 1e-3 * integral of |f|), so integrals that
     cancel to about zero still converge. Raises NonConvergence once 2n would
@@ -416,10 +415,10 @@ def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
     while 2 * nodes <= nodes_cap:
         nodes *= 2
         cur, mass = _panel_sums(f, edges, nodes, threads, deadline)
-        if abs(cur - prev) <= spec.rel_tol * max(abs(cur), 1e-3 * mass):
+        if abs(cur - prev) <= REL_TOL * max(abs(cur), 1e-3 * mass):
             return cur
         prev = cur
     raise NonConvergence(
-        f"no agreement to rel_tol={spec.rel_tol} within {nodes_cap} nodes/panel "
+        f"no agreement to rel_tol={REL_TOL} within {nodes_cap} nodes/panel "
         f"({n_panels} panels of {cycles / n_panels:.4g} cycles on "
         f"[{spec.lo}, {spec.hi}], starting at {start} nodes)")

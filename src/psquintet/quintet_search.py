@@ -49,13 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, fmt17
 from .errors import CapacityExceeded, EmptyWindow, SpecMismatch
 from .ps_primes import PsPrimeTable
 
 # hard ceiling on certified candidates per search, independent of the
 # caller's memory budget
 _MAX_HITS = 10 ** 7
+DEFAULT_MEMORY_MB = 2048.0   # default memory budget, and the CLI's memory_mb default
 # right sums a scan step searches at once: bounds the scan's temporaries;
 # fewer, larger steps hold the interpreter lock less (2^17 scans the
 # search-desk tables faster on two threads than 2^15 or 2^16)
@@ -541,7 +542,7 @@ def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
 
 
 def search_mitm(inst, tables, radius: float, *, threads: int = 1,
-                memory_mb: float = 2048.0, deadline=None) -> QuintetSolutions:
+                memory_mb: float = DEFAULT_MEMORY_MB, deadline=None) -> QuintetSolutions:
     """All quintuples with |form value| < radius, best (smallest) first.
 
     tables: five per-slot PS prime tables (slots 1-4 squared, slot 5 to the
@@ -696,7 +697,7 @@ def _csv_rows(sols: QuintetSolutions) -> bytes:
     n = len(sols)
     comma = np.full((n, 1), ord(","), dtype=np.uint8)
     bits, at = np.unique(sols.value.view(np.int64), return_inverse=True)
-    value = _tokens(["%.17g" % v for v in bits.view(np.float64).tolist()], at)
+    value = _tokens([fmt17(v) for v in bits.view(np.float64).tolist()], at)
     flag = _tokens(["false", "true"], sols.meets_theorem_radius.astype(np.intp))
     parts = []
     for col in sols.p.T:

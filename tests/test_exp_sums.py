@@ -61,8 +61,16 @@ class TestEvalSum:
         # e(n^2/2) = (-1)^n over n = 6..10
         assert eval_sum(U_SPEC, 0.5) == pytest.approx(1.0, abs=1e-12)
 
-    def test_i_window_length_at_zero(self):
-        assert eval_sum(I_SPEC, 0.0) == pytest.approx(5.0, rel=1e-12)
+    @pytest.mark.parametrize("k, x_max, lambda0, want", [
+        (2, 100.0, 0.25, 5.0),
+        (2, 1000.0, 0.1, 1000.0 ** 0.5 - 100.0 ** 0.5),
+        (3, 1000.0, 0.1, 10.0 - 100.0 ** (1 / 3)),
+        (4, 1000.0, 0.1, 1000.0 ** 0.25 - 100.0 ** 0.25),
+    ])
+    def test_i_window_length_at_zero(self, k, x_max, lambda0, want):
+        # I(0) is the length of the window lambda0*X < y^k <= X
+        got = eval_sum(SumSpec(Family.I, k, x_max, lambda0), 0.0)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_sigma_chebyshev_value(self):
         primes = sieve_primes(*window_bounds(200.0, 0.02, 2))
