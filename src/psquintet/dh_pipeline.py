@@ -206,27 +206,38 @@ def _integrand(inst: ProblemInstance, kern: SmoothingKernel, tables):
     midpoints and node offsets (see numerics.oscillatory_integral); each
     S_j comes from lattice_phase_sum on lambda_j * mid and lambda_j * off.
     Slots with the same lambda, table and power share one sum per call, and
-    the sums multiply in slot order; Theta(t) is taken point by point.
+    the sums multiply in slot order into one accumulator, in place; each sum
+    is dropped after its last slot. Theta(t) is taken point by point.
+
+    On the real line |f| <= (7 eps/4) * prod_j W_j, with W_j the weight sum
+    of slot j, and f has exponential type 2 pi times the frequency bound
+    that gamma_integral passes: oscillatory_integral's truncation bound
+    covers it.
     """
     slots = [(lam, id(t), kj) for lam, t, kj in zip(inst.lambdas, tables, inst.powers)]
     terms = {key: (t.primes.astype(np.float64) ** key[2], t.weights)
              for key, t in zip(slots, tables)}
+    last = {key: j for j, key in enumerate(slots)}
+    empty = any(len(t) == 0 for t in tables)
     eta = inst.eta
     one = np.ones(1)
 
     def f(t: np.ndarray, mid: np.ndarray, off: np.ndarray) -> np.ndarray:
+        if empty:
+            return np.zeros_like(t, dtype=complex)
         acc = kernel_fourier(kern, t).astype(complex)
         sums = {}
-        for key in slots:
-            base, w = terms[key]
-            if len(base) == 0:
-                return np.zeros_like(t, dtype=complex)
+        for j, key in enumerate(slots):
             if key not in sums:
+                base, w = terms[key]
                 lam = key[0]
                 sums[key] = lattice_phase_sum(lam * mid, lam * off, base, w).ravel()
-            acc = acc * sums[key]
+            acc *= sums[key]
+            if last[key] == j:
+                del sums[key]
         # e(eta t) is a one-term sum with weight 1, on the lattice as well
-        return acc * lattice_phase_sum(eta * mid, eta * off, one, one).ravel()
+        acc *= lattice_phase_sum(eta * mid, eta * off, one, one).ravel()
+        return acc
 
     return f
 
@@ -239,10 +250,16 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
 
     A integrates over |t| < Delta and B over Delta <= |t| <= H; both use the
     conjugate symmetry of the integrand to evaluate only t >= 0 and return
-    exactly real values. Each region is integrated to numerics.REL_TOL, as
-    if it held at least 128 cycles, so a short or slowly turning region
-    still gets a fine rule. deadline is handed to oscillatory_integral,
-    which calls it between chunks of integrand points.
+    exactly real values. Each region is integrated in one pass of
+    oscillatory_integral, whose truncation error is at most
+    numerics.TRUNCATION_TOL * (7 eps/4) * prod_j W_j * (region length): the
+    integrand is bounded by (7 eps/4) * prod_j W_j on the real line (W_j the
+    weight sum of slot j), and freq bounds its exponential type. Each region
+    is taken as if it held at least 128 cycles, so a short or slowly turning
+    region still gets a fine rule; A's two panels of 64 cycles and B's
+    panels of just under 64 then share one Gauss-Legendre rule. deadline is
+    handed to oscillatory_integral, which calls it between chunks of
+    integrand points.
     """
     if params.H <= params.Delta:
         raise AdmissibilityError(

@@ -27,11 +27,8 @@ class DegenerateRatio(PsQuintetError):
 
 
 class NonConvergence(PsQuintetError):
-    """Quadrature estimates did not agree within the per-panel node cap.
-
-    Raised also when the cap is below the node count that the panels' cycles
-    call for, before any integrand evaluation.
-    """
+    """The quadrature's truncation bound needs more nodes per panel than the
+    cap allows; raised before any integrand evaluation."""
 
 
 class BudgetExceeded(PsQuintetError):

@@ -29,8 +29,13 @@ rejected: it cannot keep the three regimes exact nor support 1e-8 relative
 agreement between the closed form and quadrature of theta.
 
 The oscillatory quadrature cuts its range into equal panels of many cycles of
-the integrand's top frequency and takes each panel's Gauss-Legendre node count
-from the cycles it holds (see oscillatory_integral). It calls the integrand as
+the integrand's top frequency and integrates them in one pass of a
+Gauss-Legendre rule whose node count is fixed in advance by a
+Bernstein-ellipse bound on the truncation error (see oscillatory_integral).
+The bound covers integrands of exponential type 2*pi*max_frequency that are
+bounded on the real line, such as products of trigonometric sums with
+frequencies up to max_frequency and Theta; nothing is evaluated twice to
+estimate the error. It calls the integrand as
 f(t, mid, off) on the lattice of a chunk of panels: mid holds the panel
 midpoints, off = h * x the node offsets for the half-width h shared by every
 panel, and t = (mid[:, None] + off[None, :]).ravel() the flat points. An
@@ -57,14 +62,15 @@ _MAX_CF_DEN = 10 ** 15    # denominators beyond double resolution are noise
 
 # Quadrature panels span at most this many cycles of the top frequency.
 _PANEL_CYCLES = 64
-_NODES_INIT = 8    # node counts per panel are _NODES_INIT * 2^j
-REL_TOL = 1e-9             # relative agreement of every quadrature
+# Truncation-error bound of every quadrature relative to sup|f| * (hi - lo)
+# (see oscillatory_integral), at the level of double-precision rounding.
+TRUNCATION_TOL = 1e-15
 DEFAULT_MAX_NODES = 1024   # default nodes_cap, and the CLI's max_nodes default
 # Integrand points per quadrature chunk. Chunk boundaries depend on the node
 # count alone, so the reduction order, and with it every bit of the result,
 # is the same for any thread count; with lattice_phase_sum's blocks the
 # bound also caps working memory for any table size.
-_CHUNK_POINTS = 1 << 16
+_CHUNK_POINTS = 1 << 14
 # Lattice points x base terms per block of a lattice_phase_sum.
 _BLOCK_ENTRIES = 1 << 21
 
@@ -159,11 +165,25 @@ def kernel_eval(kern: SmoothingKernel, y: float) -> float:
     return out
 
 
+def _int_power(x: np.ndarray, l: int) -> np.ndarray:
+    """x ** l for an integer l >= 1 by repeated squaring: a few multiplies a
+    point, where NumPy runs its general float pow for l > 2."""
+    out = None
+    while True:
+        if l & 1:
+            out = x if out is None else out * x
+        l >>= 1
+        if not l:
+            return out
+        x = x * x
+
+
 def kernel_fourier(kern: SmoothingKernel, x):
     """Theta(x), closed form; accepts a scalar or ndarray, value 7e/4 at x=0."""
     eps, l = kern.epsilon, kern.l
     x = np.asarray(x, dtype=float)
-    out = (7 * eps / 4) * np.sinc(7 * eps * x / 4) * np.sinc(eps * x / (4 * l)) ** l
+    boxes = _int_power(np.sinc(eps * x / (4 * l)), l)
+    out = (7 * eps / 4) * np.sinc(7 * eps * x / 4) * boxes
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,8 +271,8 @@ class QuadratureSpec:
     """Panelized quadrature request for a possibly oscillatory integrand.
 
     max_frequency bounds |d/dt of the phase in cycles| over [lo, hi]; the
-    panels and their node counts follow the cycles it implies, and every
-    request is integrated to REL_TOL (see oscillatory_integral).
+    panels and their node count follow the cycles it implies, and every
+    request is integrated to TRUNCATION_TOL (see oscillatory_integral).
     """
 
     lo: float
@@ -339,9 +359,61 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([w[:n // 2], w[::-1]]))
 
 
+def _log_truncation_bound(cycles: float, nodes: int) -> float:
+    """For c cycles and n nodes, the log of the minimum over rho > 1 of
+    (32/15) e^((pi c/2)(rho - 1/rho)) rho^(-2n) / (rho^2 - 1).
+
+    Times sup|f| on the real line and the panel length, this bounds the
+    error of the n-node Gauss-Legendre rule on a panel of c cycles for any f
+    of exponential type 2 pi F, c = F * panel length: on the Bernstein
+    ellipse E_rho of the panel |f| <= sup|f| e^((pi c/2)(rho - 1/rho)), and
+    Trefethen (SIAM Review 50(1), 2008, Thm 4.5) bounds the error by
+    (64/15) M rho^(-2n) / (rho^2 - 1) on [-1, 1]. With rho = e^u the log is
+    log(16/15) + pi c sinh u - (2n + 1) u - log sinh u, convex in u, so its
+    minimum sits at the one root of pi c cosh u = 2n + 1 + coth u, found by
+    bisection. With c = 0 (a constant f) the bound falls to 0 as rho grows.
+    """
+    if cycles == 0:
+        return -math.inf
+
+    def slope(u):
+        return math.pi * cycles * math.cosh(u) - (2 * nodes + 1) - 1.0 / math.tanh(u)
+
+    lo, hi = 0.0, 1.0
+    while slope(hi) < 0:
+        lo, hi = hi, 2 * hi
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if slope(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (math.log(16 / 15) + math.pi * cycles * math.sinh(hi)
+            - (2 * nodes + 1) * hi - math.log(math.sinh(hi)))
+
+
+@functools.cache
+def _nodes_for_cycles(cycles: int) -> int:
+    """The smallest n whose truncation bound is at most TRUNCATION_TOL.
+
+    Integer cycles keep the cache small and give every panel near the
+    _PANEL_CYCLES cap the same rule: n(64) = 133.
+    """
+    def enough(n):
+        return _log_truncation_bound(cycles, n) <= math.log(TRUNCATION_TOL)
+
+    lo, hi = 0, 1              # the bound falls as n grows: bisect on n
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
 def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
-                deadline=None) -> tuple[complex, float]:
-    """Gauss-Legendre over every panel; returns (integral of f, integral of |f|).
+                deadline=None) -> complex:
+    """Gauss-Legendre with the given node count over every panel.
 
     The panels are equal, of half-width h = (edges[-1] - edges[0]) /
     (2 * n_panels). f is called once per chunk of panels as f(t, mid, off):
@@ -358,27 +430,23 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
     off = h * xs
     per_chunk = max(1, _CHUNK_POINTS // nodes)
 
-    def one_chunk(start: int) -> tuple[complex, float]:
+    def one_chunk(start: int) -> complex:
         if deadline is not None:
             deadline()
         stop = min(start + per_chunk, n_panels)
         mid = (edges[start:stop] + edges[start + 1:stop + 1]) / 2
         t = (mid[:, None] + off[None, :]).ravel()
         vals = np.broadcast_to(np.asarray(f(t, mid, off), dtype=complex), t.shape)
-        vals = vals.reshape(-1, nodes)
         # einsum rather than matmul: BLAS would add threads of its own
-        panel = np.einsum("ij,j->i", vals, ws) * h
-        mass = np.einsum("ij,j->i", np.abs(vals), ws) * h
-        return complex(np.sum(panel)), float(np.sum(mass))
+        panel = np.einsum("ij,j->i", vals.reshape(-1, nodes), ws) * h
+        return complex(np.sum(panel))
 
     total = complex(0)
-    mass = 0.0
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # map yields in chunk order, whatever thread ran each chunk
-        for part, m in pool.map(one_chunk, range(0, n_panels, per_chunk)):
+        for part in pool.map(one_chunk, range(0, n_panels, per_chunk)):
             total += part
-            mass += m
-    return total, mass
+    return total
 
 
 def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
@@ -388,37 +456,27 @@ def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
     f is called as f(t, mid, off) on the panel lattice (see _panel_sums) and
     returns the values at the flat points t, or a scalar broadcast to them.
 
-    The range is cut into equal panels of at most _PANEL_CYCLES cycles of
-    max_frequency (a single panel when max_frequency == 0). A Gauss-Legendre
-    rule with n nodes is exact to degree 2n - 1, and e(x t) over c cycles
-    needs a degree a little above pi*c, so panels start at n nodes, the
-    smallest _NODES_INIT * 2^j with at least two nodes per cycle, and are
-    compared with 2n nodes; a panel of fewer cycles gets fewer nodes. The
-    estimates agree to REL_TOL * scale on the first comparison for any
-    integrand band-limited to max_frequency; otherwise n doubles until they
-    do. scale = max(|estimate|, 1e-3 * integral of |f|), so integrals that
-    cancel to about zero still converge. Raises NonConvergence once 2n would
-    exceed nodes_cap, before any evaluation when nodes_cap < 2n at the start.
-    deadline, if given, is called before each chunk of integrand evaluations
-    (see _panel_sums).
+    The range is cut into equal panels of c <= _PANEL_CYCLES cycles of
+    max_frequency (a single panel when max_frequency == 0) and integrated
+    once, every panel with the same n = _nodes_for_cycles(ceil(c)) nodes.
+    For any f of exponential type 2 pi max_frequency that is bounded on the
+    real line (an entire function such as Theta(t) times trigonometric sums
+    of frequencies up to max_frequency) the truncation error is then at most
+    TRUNCATION_TOL * sup|f| * (hi - lo) (see _log_truncation_bound). Other
+    integrands get no such guarantee; one analytic near each panel, such as
+    a polynomial times e(x t) between the kernel's knots, or e(t y^k),
+    typically comes out to a similar accuracy. Raises NonConvergence, before
+    any evaluation, when n exceeds nodes_cap. deadline, if given, is called
+    before each chunk of integrand evaluations (see _panel_sums).
     """
     cycles = (spec.hi - spec.lo) * spec.max_frequency
     n_panels = max(1, math.ceil(cycles / _PANEL_CYCLES))
+    nodes = _nodes_for_cycles(math.ceil(cycles / n_panels))
+    if nodes > nodes_cap:
+        raise NonConvergence(
+            f"the truncation bound needs {nodes} nodes/panel for "
+            f"{TRUNCATION_TOL:g} relative to sup|f| * length, above nodes_cap="
+            f"{nodes_cap} ({n_panels} panels of {cycles / n_panels:.4g} cycles "
+            f"on [{spec.lo}, {spec.hi}])")
     edges = np.linspace(spec.lo, spec.hi, n_panels + 1)
-    start = _NODES_INIT
-    while start < 2.0 * cycles / n_panels:
-        start *= 2
-
-    nodes = start
-    if 2 * nodes <= nodes_cap:
-        prev, _ = _panel_sums(f, edges, nodes, threads, deadline)
-    while 2 * nodes <= nodes_cap:
-        nodes *= 2
-        cur, mass = _panel_sums(f, edges, nodes, threads, deadline)
-        if abs(cur - prev) <= REL_TOL * max(abs(cur), 1e-3 * mass):
-            return cur
-        prev = cur
-    raise NonConvergence(
-        f"no agreement to rel_tol={REL_TOL} within {nodes_cap} nodes/panel "
-        f"({n_panels} panels of {cycles / n_panels:.4g} cycles on "
-        f"[{spec.lo}, {spec.hi}], starting at {start} nodes)")
+    return _panel_sums(f, edges, nodes, threads, deadline)

@@ -16,8 +16,8 @@ Known failures at desk scale, kept red on purpose:
     reproduces the direct count to eight digits. Dominance of the main
     range sets in at the next convergent: `psquintet gamma --q0-floor 70`
     (X = 9,195, 13 primes per slot) gives A = 26,626.89, B = -12,889.64,
-    direct = 13,737.25 and rel_gap = 1.1e-11, but takes about 12 s, so the
-    criterion keeps its pinned instance.
+    direct = 13,737.25 and rel_gap = 1.1e-11. The criterion keeps its
+    pinned instance; tests/test_dh_pipeline.py checks q0 = 70 on its own.
 """
 
 import json

@@ -1,5 +1,6 @@
 """Config parsing, report emission, subcommands, exit codes."""
 
+import functools
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psquintet import cli, ps_primes
+from psquintet import cli, numerics, ps_primes
 from psquintet.cli import (
     RunConfig,
     RunReport,
@@ -605,9 +606,9 @@ def test_exit_code_time_budget(tmp_path, capsys):
 
 
 def test_time_budget_bounds_the_quadrature(tmp_path, capsys):
-    # the pinned instance spends most of a second in the A/B integral; the
+    # at q0 70 the A/B integral takes a few seconds at one thread; the
     # budget must stop it there, not after it
-    cfg = write_cfg(tmp_path / "c.json", q0_floor=29, radius="theorem",
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=70, radius="theorem",
                     budgets={"time_s": 0.3})
     t0 = time.monotonic()
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
@@ -615,6 +616,23 @@ def test_time_budget_bounds_the_quadrature(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "time budget" in err and "(at integral)" in err
     assert elapsed < 4.0
+
+
+@pytest.mark.parametrize("q0", [12, 29])
+def test_verify_builds_one_gauss_rule(tmp_path, monkeypatch, q0):
+    # A's two 64-cycle panels and B's panels of just under 64 cycles share
+    # one node count, so a run builds one Gauss-Legendre rule
+    built = []
+    leggauss = numerics._leggauss.__wrapped__
+
+    def counted(n):
+        built.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(numerics, "_leggauss", functools.cache(counted))
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=q0, radius="theorem")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert built == [133]
 
 
 def test_time_budget_bounds_the_search_scan(tmp_path, capsys):

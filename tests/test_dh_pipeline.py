@@ -313,6 +313,61 @@ class TestGammaIntegral:
         assert small.B == ref.B
 
 
+def run_setup(q0):
+    """The pinned config's instance at convergent q0, as a run derives it."""
+    inst = make_inst()
+    params = derive_params(inst, q0)
+    kern = SmoothingKernel(params.eps, max(1, math.floor(math.log(params.X))))
+    return inst, params, instance_tables(inst, params), kern
+
+
+class TestTruncationBound:
+    def test_bound_holds_on_the_ab_integrand(self, monkeypatch):
+        # at q0 12, for A and for B: |I_n - I_2n| within the truncation bound
+        # of the rule's n, taken with sup|f| = (7 eps/4) prod_j W_j. The
+        # integrand's rounding stays below it here: the gaps read 1.0e-13
+        # (A) and 4.3e-13 (B) against bounds of 2.3e-12 and 1.8e-9
+        inst, params, tables, kern = run_setup(12)
+        seen = []
+
+        def spy(f, spec, **kw):
+            seen.append((f, spec))
+            return numerics.oscillatory_integral(f, spec, **kw)
+
+        monkeypatch.setattr(dh_pipeline, "oscillatory_integral", spy)
+        gamma_integral(inst, params, kern, tables)
+        assert len(seen) == 2
+        sup = 7 * kern.epsilon / 4 * math.prod(math.fsum(t.weights) for t in tables)
+        for f, spec in seen:
+            length = spec.hi - spec.lo
+            panels = max(1, math.ceil(length * spec.max_frequency / 64))
+            cycles = math.ceil(length * spec.max_frequency / panels)
+            n = numerics._nodes_for_cycles(cycles)
+            assert n == 133
+            edges = np.linspace(spec.lo, spec.hi, panels + 1)
+            one = numerics._panel_sums(f, edges, n, 1)
+            two = numerics._panel_sums(f, edges, 2 * n, 1)
+            bound = sup * length * sum(
+                math.exp(numerics._log_truncation_bound(cycles, m)) for m in (n, 2 * n))
+            assert bound <= 2 * numerics.TRUNCATION_TOL * sup * length
+            assert abs(one - two) <= bound
+
+
+class TestMainRangeDominance:
+    def test_a_dominates_b_at_q0_70(self):
+        # the next convergent after the pinned q0 29: A + B matches the
+        # direct count by criterion 08's gap rule, and |A| > |B| there
+        inst, params, tables, kern = run_setup(70)
+        assert params.q0 == 70
+        found = search_mitm(inst, tables, kern.epsilon, threads=2)
+        direct = gamma_direct(inst, kern, found)
+        dec = gamma_integral(inst, params, kern, tables, threads=2, direct=direct)
+        gap = abs(dec.total.real - direct)
+        assert gap <= max(0.05 * abs(direct), dec.C_bound + 10 * 1e-9 * abs(direct))
+        assert abs(dec.A) > abs(dec.B)
+        assert abs(dec.A) > dec.C_bound
+
+
 def flat_integrand(inst, kern, tables, t):
     """The integrand point by point on a flat t, one phase sum per slot."""
     acc = numerics.kernel_fourier(kern, t).astype(complex)

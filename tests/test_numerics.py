@@ -19,7 +19,7 @@ import pytest
 from psquintet import numerics
 from psquintet.errors import BudgetExceeded, NonConvergence
 from psquintet.numerics import (
-    REL_TOL,
+    TRUNCATION_TOL,
     QuadratureSpec,
     SmoothingKernel,
     cf_convergents,
@@ -247,23 +247,23 @@ class TestOscillatoryIntegral:
         assert a == b
 
     def test_nonconvergence_raises(self):
-        rng_vals = {}
+        # an a priori rule cannot tell a noisy integrand from a smooth one;
+        # what it can refuse is a rule larger than the cap: 20 cycles need
+        # n(20) = 54 nodes
+        calls = []
 
-        def noisy(t, *_):
-            # deterministic per-point noise, unresolvable by any fixed rule
-            key = len(t)
-            if key not in rng_vals:
-                rng_vals[key] = np.random.default_rng(key).uniform(-1, 1, size=key)
-            return rng_vals[key]
+        def f(t, *_):
+            calls.append(len(t))
+            return np.ones_like(t, dtype=complex)
 
-        with pytest.raises(NonConvergence):
-            oscillatory_integral(noisy, QuadratureSpec(0.0, 1.0, 0.0),
-                                 nodes_cap=64)
+        with pytest.raises(NonConvergence, match="needs 54 nodes"):
+            oscillatory_integral(f, QuadratureSpec(0.0, 1.0, 20.0), nodes_cap=53)
+        assert calls == []
 
     @pytest.mark.parametrize("freq", [32.0, 37.0])
     def test_whole_cycles_cancel_over_many_panels(self, freq):
         # 32 puts exactly 64 cycles in each of the 50 panels, so every panel
-        # integral is ~0 and only the integral of |f| gives a usable scale
+        # integral is ~0, far below sup|f| times the panel length
         got = oscillatory_integral(lambda t, *_: np.exp(2j * np.pi * freq * t),
                                    QuadratureSpec(0.0, 100.0, freq))
         assert abs(got) < 1e-9
@@ -284,7 +284,7 @@ class TestOscillatoryIntegral:
                 a * (mpmath.expjpi(2 * mpmath.mpf(nu) * hi)
                      - mpmath.expjpi(2 * mpmath.mpf(nu) * lo))
                 / (2j * mpmath.pi * nu) for a, nu in zip(amps, freqs)))
-        assert abs(got - want) <= REL_TOL * abs(want)
+        assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_thread_count_invariance_with_more_chunks_than_threads(self):
         calls = []
@@ -297,13 +297,13 @@ class TestOscillatoryIntegral:
         one = oscillatory_integral(f, spec, threads=1)
         chunks = len(calls)
         three = oscillatory_integral(f, spec, threads=3)
-        assert chunks > 2 * 3          # two node levels, each over > 3 chunks
+        assert chunks > 3              # one node level, over > 3 chunks
         assert sorted(calls[chunks:]) == sorted(calls[:chunks])
         assert one == three
 
-    @pytest.mark.parametrize("cap", [64, 128, 255])
+    @pytest.mark.parametrize("cap", [64, 128, 132])
     def test_cap_below_starting_nodes_raises(self, cap):
-        # 64 cycles in one panel start at 128 nodes, compared against 256
+        # 64 cycles in one panel take n(64) = 133 nodes, in one pass
         calls = []
 
         def f(t, *_):
@@ -314,12 +314,14 @@ class TestOscillatoryIntegral:
             oscillatory_integral(f, QuadratureSpec(0.0, 1.0, 64.0), nodes_cap=cap)
         assert calls == []
         assert oscillatory_integral(f, QuadratureSpec(0.0, 1.0, 64.0),
-                                    nodes_cap=256) == pytest.approx(0, abs=1e-12)
-        assert calls == [128, 256]
+                                    nodes_cap=133) == pytest.approx(0, abs=1e-12)
+        assert calls == [133]
 
     def test_nodes_follow_cycles_per_panel(self):
-        for freq, first in [(0.0, 8), (3.0, 8), (5.0, 16), (20.0, 64), (64.0, 128),
-                            (6400.0, 128)]:
+        # n(c) for the whole cycles ceil(c) a panel holds; 2.5 cycles take
+        # the rule of 3, and a constant (0 cycles) one node
+        for freq, nodes in [(0.0, 1), (2.5, 17), (3.0, 17), (5.0, 22), (20.0, 54),
+                            (64.0, 133), (6400.0, 133)]:
             calls = []
 
             def f(t, *_):
@@ -328,21 +330,81 @@ class TestOscillatoryIntegral:
 
             oscillatory_integral(f, QuadratureSpec(0.0, 1.0, freq))
             panels = max(1, math.ceil(freq / 64))
-            assert calls[0] == first * panels, freq
+            assert calls == [nodes * panels], freq
+
+    @pytest.mark.parametrize("cycles", [1, 3, 17, 63, 64])
+    def test_node_count_is_the_smallest_within_tolerance(self, cycles):
+        n = numerics._nodes_for_cycles(cycles)
+        log_tol = math.log(TRUNCATION_TOL)
+        assert numerics._log_truncation_bound(cycles, n) <= log_tol
+        assert numerics._log_truncation_bound(cycles, n - 1) > log_tol
+
+    @pytest.mark.parametrize("cycles,nodes", [(1, 10), (17, 49), (64, 133), (64, 266)])
+    def test_truncation_bound_is_its_minimum_over_rho(self, cycles, nodes):
+        # the bisection's minimum against the formula on a fine grid of rho
+        rho = 1.0 + np.geomspace(1e-6, 1e3, 200_001)
+        grid = (math.log(32 / 15) + (np.pi * cycles / 2) * (rho - 1 / rho)
+                - 2 * nodes * np.log(rho) - np.log(rho * rho - 1))
+        got = numerics._log_truncation_bound(cycles, nodes)
+        assert got <= np.min(grid) + 1e-12
+        assert got >= np.min(grid) - 1e-6
+
+    def test_bound_holds_on_the_multi_frequency_closed_form(self):
+        # f has type 2 pi * 40 and |f| <= sum |a| on the real line. 20 and 30
+        # nodes below the rule the truncation error is far above rounding;
+        # at the rule |I_n - I_2n| is rounding, allowed for as the phase
+        # error of nu * t (t up to hi) plus the sums' roundings
+        freqs = (-39.5, 17.25, 3.125, 40.0)
+        amps = (0.75, 2.0, -1.5j, 1.0)
+        lo, hi = 0.3, 64.7
+
+        def f(t, *_):
+            return sum(a * np.exp(2j * np.pi * (nu * t - np.rint(nu * t)))
+                       for a, nu in zip(amps, freqs))
+
+        panels = math.ceil((hi - lo) * 40.0 / 64)
+        cycles = math.ceil((hi - lo) * 40.0 / panels)
+        rule = numerics._nodes_for_cycles(cycles)
+        edges = np.linspace(lo, hi, panels + 1)
+        scale = sum(abs(a) for a in amps) * (hi - lo)
+        assert math.exp(numerics._log_truncation_bound(cycles, rule)) <= TRUNCATION_TOL
+        with mpmath.workdps(30):
+            want = complex(mpmath.fsum(
+                a * (mpmath.expjpi(2 * mpmath.mpf(nu) * hi)
+                     - mpmath.expjpi(2 * mpmath.mpf(nu) * lo))
+                / (2j * mpmath.pi * nu) for a, nu in zip(amps, freqs)))
+        for n in (rule - 30, rule - 20, rule):
+            one = numerics._panel_sums(f, edges, n, 1)
+            two = numerics._panel_sums(f, edges, 2 * n, 1)
+            trunc = scale * sum(math.exp(numerics._log_truncation_bound(cycles, m))
+                                for m in (n, 2 * n))
+            rounding = 2.0 ** -52 * (hi - lo) * (
+                2 * math.pi * hi * sum(abs(a * nu) for a, nu in zip(amps, freqs))
+                + (8 + 3 * n + 2 * panels) * sum(abs(a) for a in amps))
+            assert abs(one - two) <= trunc + rounding, n
+            assert abs(one - want) <= trunc + rounding, n
+            assert abs(one - two) > rounding or n == rule, n
+        assert one == oscillatory_integral(f, QuadratureSpec(lo, hi, 40.0))
 
     def test_deadline_stops_between_chunks(self):
-        ticks = []
+        # 15 chunks; the fourth check raises, and so does every check after
+        # it, so no chunk past the third reaches the integrand
+        ticks, calls = [], []
 
         def deadline():
             ticks.append(1)
             if len(ticks) > 3:
                 raise BudgetExceeded("time budget exhausted")
 
+        def f(t, *_):
+            calls.append(len(t))
+            return np.exp(2j * np.pi * 37.0 * t)
+
         with pytest.raises(BudgetExceeded):
-            oscillatory_integral(lambda t, *_: np.exp(2j * np.pi * 37.0 * t),
-                                 QuadratureSpec(0.0, 3000.0, 37.0),
+            oscillatory_integral(f, QuadratureSpec(0.0, 3000.0, 37.0),
                                  deadline=deadline)
-        assert len(ticks) == 4
+        assert len(calls) == 3
+        assert len(ticks) >= 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -511,7 +573,8 @@ class TestLatticeHandOff:
             points[nodes] = points.get(nodes, 0) + len(t)
             mids = points.setdefault(("mid", nodes), [])
             mids.extend(mid)
-        # every panel midpoint once per node level, in panel order
+        # one node level, and every panel midpoint once, in panel order
+        assert len({len(off) for _, _, off in seen}) == 1
         for nodes in {len(off) for _, _, off in seen}:
             assert points[nodes] == n_panels * nodes
             assert np.array_equal(points[("mid", nodes)], (edges[:-1] + edges[1:]) / 2)
