@@ -432,14 +432,16 @@ def _cmd_search(cfg: RunConfig, params: DhParams, threads: int) -> int:
     deadline = _Deadline(cfg.budgets["time_s"])
     tables = instance_tables(cfg.instance, params)
     radius = effective_radius(cfg, tables)
-    sols = search_mitm(cfg.instance, tables, radius, threads=threads,
-                       memory_mb=cfg.budgets["memory_mb"],
-                       deadline=lambda: deadline.check("search"))[:_REPORT_LIMIT]
+    found = search_mitm(cfg.instance, tables, radius, threads=threads,
+                        memory_mb=cfg.budgets["memory_mb"],
+                        deadline=lambda: deadline.check("search"))
     path = os.path.join(cfg.output_dir, "solutions.csv")
+    sols = found[:_REPORT_LIMIT]
     export_solutions(path, sols)
-    meets = int(sols.meets_theorem_radius.sum())
-    print(f"{len(sols)} quintuples within radius {radius:.6g} "
-          f"({meets} meet the theorem radius) -> {path}")
+    meets = int(found.meets_theorem_radius.sum())
+    cut = f"; the first {len(sols)} listed" if len(sols) < len(found) else ""
+    print(f"{len(found)} quintuples within radius {radius:.6g} "
+          f"({meets} meet the theorem radius{cut}) -> {path}")
     return 0
 
 

@@ -180,13 +180,20 @@ def window_table(gp: GammaParam, x_max: float, lambda0: float, k: int,
     """
     keep = [int(p) for p in candidates if is_ps_prime(int(p), gp.gamma)[0]]
     primes = np.asarray(keep, dtype=np.int64)
-    pf = primes.astype(np.float64)
-    weights = pf ** (1.0 - gp.gamma) * np.log(pf)
+    weights = prime_weights(primes, gp.gamma)
     t_top = x_max ** (1.0 / k)
     ratio = len(primes) / (t_top ** gp.gamma / math.log(t_top)) if t_top > 1 else 0.0
     return PsPrimeTable(gamma=gp, x_max=float(x_max), lambda0=float(lambda0),
                         k=int(k), primes=primes, weights=weights,
                         density_ratio=float(ratio))
+
+
+def prime_weights(primes: np.ndarray, gamma: float) -> np.ndarray:
+    """The weights p^(1-gamma)*log p of the primes, in NumPy: the one rule
+    for a prime's weight. A table holds them, and every count that weights a
+    prime gathers it from there."""
+    pf = primes.astype(np.float64)
+    return pf ** (1.0 - gamma) * np.log(pf)
 
 
 def ps_prime_count(limit: int, gamma) -> int:

@@ -25,12 +25,14 @@ gains its mirror. The candidates come out in no set order: certification
 alone orders them.
 
 Floats locate candidates inside a guard band; the candidates, an (n, 5)
-integer array of primes, are then certified in scaled integers (exact): the
-float coefficients, eta and the radius are dyadic rationals, so one power of
-two S turns each into an integer. Each slot's scaled terms are exact Python
-integers over the slot's distinct primes only; split into two limbs, hi * 2^40
-+ lo, they are gathered and summed in int64 columns with one carry step, so
-no row holds a Python object. Membership in |value| < radius is decided by
+integer array whose column j indexes the primes slot j keeps, are then
+certified in scaled integers (exact): the float coefficients, eta and the
+radius are dyadic rationals, so one power of two S turns each into an
+integer. Each slot's scaled terms are exact Python integers over its kept
+primes; split into two limbs, hi * 2^40 + lo, they are gathered by index and
+summed in int64 columns with one carry step, so no row holds a Python
+object. The same indices gather a row's primes and its weight, the product
+of the slot tables' weights. Membership in |value| < radius is decided by
 comparing limbs, one lexsort orders the rows by exact |value| and then
 lexicographically, and the float value is one rounding of the limbs' sum. A
 search whose terms could carry the sum past 2^52 in its high limb keeps the
@@ -155,48 +157,47 @@ def _scaled(inst, radius: float):
 @dataclass(frozen=True)
 class _Exact:
     """S times the form value of each row of some candidates, with S as in
-    _scaled. slots[j] is np.unique's (distinct primes, inverse) of column j;
-    inside says whether |value| < S * radius; magnitude holds the exact
-    |value| as np.lexsort keys, least significant first; value is the form
-    value rounded once to a float. limbs tells the path: int64 limbs, or
-    Python integers when a sum could reach 2^52 in its high limb."""
+    _scaled. inside says whether |value| < S * radius; magnitude holds the
+    exact |value| as np.lexsort keys, least significant first; value is the
+    form value rounded once to a float. limbs tells the path: int64 limbs,
+    or Python integers when a sum could reach 2^52 in its high limb."""
 
-    slots: list[tuple[np.ndarray, np.ndarray]]
     inside: np.ndarray
     magnitude: tuple[np.ndarray, ...]
     value: np.ndarray
     limbs: bool
 
 
-def _limbs_fit(reach: int, scale: int) -> bool:
-    """Whether scaled values of at most reach in size, over the power of two
-    scale, certify in int64 limbs. Below 2^(_LIMB + 51) each high limb, the
-    carry included, stays below 2^52, so hi * 2^_LIMB and lo are exact
-    doubles and their float sum is the value rounded once; a scale below
-    2^960 keeps the division by it exact."""
+def _limbs_fit(inst, primes, radius: float) -> bool:
+    """Whether the scaled values (S as in _scaled) of quintuples over the
+    slots' primes, each ascending, certify in int64 limbs. Below 2^(_LIMB +
+    51) each high limb, the carry included, stays below 2^52, so hi *
+    2^_LIMB and lo are exact doubles and their float sum is the value
+    rounded once; a scale below 2^960 keeps the division by it exact."""
+    lams, eta, _, scale = _scaled(inst, radius)
+    reach = abs(eta) + sum(abs(a) * int(p[-1]) ** k
+                           for a, p, k in zip(lams, primes, inst.powers) if len(p))
     return reach < 1 << (_LIMB + 51) and scale < 1 << 960
 
 
-def _exact(inst, hits: np.ndarray, radius: float) -> _Exact:
-    """The exact scaled values of the rows of hits, an (n, 5) array of
-    primes: eta plus, per slot, a gather from a table of a_j * p^k_j over
-    the slot's distinct primes."""
+def _exact(inst, slots, radius: float) -> _Exact:
+    """The exact scaled values of some candidate rows: eta plus, per slot, a
+    gather from a table of a_j * p^k_j. slots[j] is slot j's (primes
+    ascending, index column of the rows into them); the limb path is decided
+    on every one of those primes."""
     lams, eta, bound, scale = _scaled(inst, radius)
-    slots = [np.unique(col, return_inverse=True) for col in hits.T]
-    terms = [[a * p ** k for p in primes.tolist()]
-             for a, (primes, _), k in zip(lams, slots, inst.powers)]
-    reach = abs(eta) + sum(max(map(abs, t), default=0) for t in terms)
-    if not _limbs_fit(reach, scale):
-        total = eta
-        for t, (_, at) in zip(terms, slots):
-            total = total + np.array(t, dtype=object)[at]
+    # each slot's table, built in turn, up to the largest prime its rows use:
+    # rows that use few primes, or none, cost no table over the rest
+    terms = (([a * p ** k for p in primes[:at.max(initial=-1) + 1].tolist()], at)
+             for a, (primes, at), k in zip(lams, slots, inst.powers))
+    if not _limbs_fit(inst, [primes for primes, _ in slots], radius):
+        total = sum((np.array(t, dtype=object)[at] for t, at in terms), eta)
         mag = np.abs(total)
-        return _Exact(slots, mag < bound, (mag,),
-                      (total / scale).astype(np.float64), False)
+        return _Exact(mag < bound, (mag,), (total / scale).astype(np.float64), False)
     mask = (1 << _LIMB) - 1
-    hi = np.full(len(hits), eta >> _LIMB, dtype=np.int64)
-    lo = np.full(len(hits), eta & mask, dtype=np.int64)
-    for t, (_, at) in zip(terms, slots):
+    hi = np.full(len(slots[0][1]), eta >> _LIMB, dtype=np.int64)
+    lo = np.full(len(hi), eta & mask, dtype=np.int64)
+    for t, at in terms:
         hi += np.array([x >> _LIMB for x in t], dtype=np.int64)[at]
         lo += np.array([x & mask for x in t], dtype=np.int64)[at]
     hi += lo >> _LIMB
@@ -212,41 +213,37 @@ def _exact(inst, hits: np.ndarray, radius: float) -> _Exact:
     b_hi, b_lo = bound >> _LIMB, bound & mask
     inside = (mag_hi < b_hi) | ((mag_hi == b_hi) & (mag_lo < b_lo))
     value = (hi * float(1 << _LIMB) + lo) / float(scale)
-    return _Exact(slots, inside, (mag_lo, mag_hi), value, True)
+    return _Exact(inside, (mag_lo, mag_hi), value, True)
 
 
-def _lex_rank(slots, rows: np.ndarray) -> np.ndarray:
-    """The mixed-radix rank of each of the given rows over the slots'
-    distinct primes (slots as in _Exact): ranks order as the rows' primes
-    do lexicographically. A rank that could pass int64 is first replaced
-    by its dense rank among these rows."""
+def _lex_rank(sizes, rows: np.ndarray) -> np.ndarray:
+    """The mixed-radix rank of each index row, column j into sizes[j] primes
+    ascending: ranks order as the rows' primes do lexicographically. A rank
+    that could pass int64 is first replaced by its dense rank among the rows."""
     rank, top = np.zeros(len(rows), dtype=np.int64), 1
-    for primes, at in slots:
-        if top * len(primes) >= 1 << 63:
+    for size, at in zip(sizes, rows.T):
+        if top * size >= 1 << 63:
             rank = np.unique(rank, return_inverse=True)[1]
             top = len(rows)
-        rank = rank * len(primes) + at[rows]
-        top *= len(primes)
+        rank = rank * size + at
+        top *= size
     return rank
 
 
-def _finalize(inst, hits: np.ndarray, radius: float) -> QuintetSolutions:
+def _finalize(inst, slots, rows: np.ndarray, radius: float) -> QuintetSolutions:
     """Certify the distinct candidate rows exactly, order (|value| asc, lex
     p): one lexsort over the exact |value| (_exact) and each row's rank of
-    its primes (_lex_rank), a total order whatever order the rows come in."""
-    ex = _exact(inst, hits, radius)
+    its primes (_lex_rank), a total order whatever order the rows come in.
+    Column j of rows indexes slots[j], slot j's (primes ascending, weights);
+    a row's weight is the product of its slots' weights, in slot order."""
+    ex = _exact(inst, [(p, at) for (p, _), at in zip(slots, rows.T)], radius)
     keep = np.flatnonzero(ex.inside)
-    order = np.lexsort((_lex_rank(ex.slots, keep), *(m[keep] for m in ex.magnitude)))
+    order = np.lexsort((_lex_rank([len(p) for p, _ in slots], rows[keep]),
+                        *(m[keep] for m in ex.magnitude)))
     keep = keep[order]
-    p = hits[keep]
-    # Python's ** and math.log per distinct prime of each slot, multiplied in
-    # slot order: the weights do not depend on a vector libm's last bits
-    g = inst.gamma.gamma
-    weight = None
-    for primes, at in ex.slots:
-        factor = np.array([q ** (1.0 - g) * math.log(q) for q in primes.tolist()])
-        f = factor[at[keep]]
-        weight = f if weight is None else weight * f
+    rows = rows[keep]
+    p = np.column_stack([primes[at] for (primes, _), at in zip(slots, rows.T)])
+    weight = math.prod(w[at] for (_, w), at in zip(slots, rows.T))
     value = ex.value[keep]
     max_p = p.max(axis=1)
     tops, at = np.unique(max_p, return_inverse=True)
@@ -395,18 +392,19 @@ def _scan_block(left, right, rcell, s: int, e: int, shift: float, band: float,
 @dataclass(frozen=True)
 class _Layout:
     """The slots as the scan takes them. Position i holds slot slots[i],
-    with its lambda, power and the primes its residue filter keeps; the
-    slot with the fewest primes is swapped into position 5, the outer loop
-    (slot 5 on a tie), so slots is its own inverse. moduli[j] is slot j's
-    modulus g: the other four slots' sum lies in one coset of gZ (scaled by
-    S as in _scaled). limbs tells whether the certification of its
-    candidates takes int64 limbs (_limbs_fit over its largest terms), and
-    held is the bytes _layout held at its peak."""
+    with its lambda, power, the primes its residue filter keeps and their
+    table weights; the slot with the fewest primes is swapped into position
+    5, the outer loop (slot 5 on a tie), so slots is its own inverse.
+    moduli[j] is slot j's modulus g: the other four slots' sum lies in one
+    coset of gZ (scaled by S as in _scaled). limbs tells whether the
+    certification of its candidates takes int64 limbs (_limbs_fit over its
+    primes), and held is the bytes _layout held at its peak."""
 
     slots: tuple[int, ...]
     lambdas: tuple[float, ...]
     powers: tuple[int, ...]
     primes: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
     moduli: tuple[int, ...]
     limbs: bool
     held: int
@@ -441,36 +439,37 @@ def _layout(inst, tables, radius: float) -> _Layout:
     unfiltered tables, so the result does not depend on slot order; a g of
     0, or of at most twice the bound, would drop nothing and is not
     applied."""
-    lams, eta, bound, scale = _scaled(inst, radius)
+    lams, eta, bound, _ = _scaled(inst, radius)
     firsts, steps = zip(*map(_lattice, lams, tables, inst.powers))
     # _lattice's peak: per prime of a table, a list and a tuple pointer and
     # two Python ints (4 B above their getsizeof: a small int takes 32 B),
     # and about 2 kB of frames and small objects
     held = 2048 + max(len(t) * (16 + 2 * (4 + sys.getsizeof(int(t.primes[-1]) ** k)))
                       for t, k in zip(tables, inst.powers))
-    primes, moduli = [], []
+    primes, weights, moduli = [], [], []
     for j, (a, tab, k) in enumerate(zip(lams, tables, inst.powers)):
         others = [i for i in range(5) if i != j]
         g = math.gcd(*(steps[i] for i in others))
         moduli.append(g)
         if g <= 2 * bound:
             primes.append(tab.primes)
+            weights.append(tab.weights)
             continue
         c = eta + sum(firsts[i] for i in others)
         off = ((a * p ** k + c) % g for p in tab.primes.tolist())
-        primes.append(tab.primes[np.fromiter((o < bound or g - o < bound for o in off),
-                                             dtype=bool, count=len(tab))])
-        held += primes[-1].nbytes
-    reach = abs(eta) + sum(abs(a) * int(p[-1]) ** k
-                           for a, p, k in zip(lams, primes, inst.powers) if len(p))
+        kept = np.fromiter((o < bound or g - o < bound for o in off), dtype=bool,
+                           count=len(tab))
+        primes.append(tab.primes[kept])
+        weights.append(tab.weights[kept])
+        held += primes[-1].nbytes + weights[-1].nbytes
     n = [len(p) for p in primes]
     outer = 4 if n[4] == min(n) else n.index(min(n))
     slots = list(range(5))
     slots[outer], slots[4] = 4, outer
     return _Layout(tuple(slots), tuple(inst.lambdas[s] for s in slots),
                    tuple(inst.powers[s] for s in slots),
-                   tuple(primes[s] for s in slots), tuple(moduli),
-                   _limbs_fit(reach, scale), held)
+                   tuple(primes[s] for s in slots), tuple(weights[s] for s in slots),
+                   tuple(moduli), _limbs_fit(inst, primes, radius), held)
 
 
 def _interchangeable(lambdas, primes) -> bool:
@@ -508,14 +507,15 @@ def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
     block per scanning thread (9 B at a block's peak, which the threads do
     not all reach at once; building the map and the cell indices takes 16 B
     a sum of a block, once); and the larger of 1.7 kB a queued outer task
-    (all queued at the start) and 80 B a candidate (its row of five primes
+    (all queued at the start) and 80 B a candidate (its row of five indices
     in its outer block and in the joined array; all found at the end). The
-    pair builds, before the map exists, hold less. Certifying: 240 B a
-    candidate in int64 limbs (its row; per slot its np.unique inverse; the
-    limbs of its value and of |value|, its float value, the sort keys and
-    the result's columns), or 280 B in Python integers (lay.limbs). Before
-    either, _layout held lay.held; a layout with an empty position builds
-    no pairs and finds nothing, so that is all it needs."""
+    pair builds, before the map exists, hold less. Certifying: 226 B a
+    candidate in int64 limbs (its index row, the limbs of its value and of
+    |value|, its float value, the sort keys, its kept index row and the
+    result's columns), or 263 B in Python integers (lay.limbs), both read off
+    measured peaks. Before either, _layout held lay.held, the kept primes and
+    weights among it; a layout with an empty position builds no pairs and
+    finds nothing, so that is all it needs."""
     if lay.empty:
         return lambda hits=0: lay.held
     n = [len(p) for p in lay.primes]
@@ -533,7 +533,7 @@ def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
     hold = (16 * left + 24 * right + cells
             + 8 * min(right, _SCAN_BLOCK) * min(threads, n[4]))
 
-    certify = 240 if lay.limbs else 280
+    certify = 226 if lay.limbs else 263
 
     def need(hits: int = 0) -> int:
         return max(lay.held, hold + max(1700 * n[4], 80 * hits), certify * hits)
@@ -560,8 +560,9 @@ def search_mitm(inst, tables, radius: float, *, threads: int = 1,
         raise ValueError(f"radius must be positive, got {radius}")
     tables = _check_tables(inst, tables)
     lay = _layout(inst, tables, radius)
+    slots = [(lay.primes[s], lay.weights[s]) for s in lay.slots]
     if lay.empty:
-        return _finalize(inst, np.empty((0, 5), dtype=np.int64), radius)
+        return _finalize(inst, slots, np.empty((0, 5), dtype=np.intp), radius)
     band = radius + _guard(inst, tables, radius)
     search_bytes = _layout_bytes(lay, inst.eta, band, threads)
 
@@ -573,22 +574,21 @@ def search_mitm(inst, tables, radius: float, *, threads: int = 1,
                 f"~{need / 2 ** 20:.0f} MiB, budget is {memory_mb:.0f} MiB")
 
     check_memory(0)
-    hits = _candidates(lay, inst.eta, band, threads, check_memory, deadline)
-    return _finalize(inst, hits, radius)
+    rows = _candidates(lay, inst.eta, band, threads, check_memory, deadline)
+    return _finalize(inst, slots, rows, radius)
 
 
 def _candidates(lay: _Layout, eta: float, band: float, threads: int,
                 check_memory, deadline) -> np.ndarray:
     """The quintuples of the layout lay whose float value lies within band
-    of zero, as an (n, 5) array of primes in slot order, its rows in no set
-    order. A function of its own, so that the pair arrays and the cell map
-    are freed before certification.
+    of zero, as an (n, 5) array whose column j indexes the primes slot j
+    keeps, its rows in no set order. A function of its own, so that the
+    pair arrays and the cell map are freed before certification.
 
     When positions 3 and 4 are interchangeable the scan keys only one of
     each mirrored right pair, and every hit of a pair p3 != p4 gains its
     mirror."""
     t1, t2, t3, t4, t5 = lay.terms()
-    pr1, pr2, pr3, pr4, p5s = lay.primes
     mirror = _interchangeable(lay.lambdas, lay.primes)
     left = HalfSumArray.build(t1, t2)
     right34 = HalfSumArray.build(t3, t4, unordered=mirror)
@@ -614,7 +614,7 @@ def _candidates(lay: _Layout, eta: float, band: float, threads: int,
             flat, m = _mirrored(flat, m, right34.n_b)
         i1, i2 = np.divmod(left.index[m], left.n_b)
         i3, i4 = np.divmod(flat, right34.n_b)
-        cols = (pr1[i1], pr2[i2], pr3[i3], pr4[i4], np.full(len(m), p5s[i5]))
+        cols = (i1, i2, i3, i4, np.full(len(m), i5))
         # back to slot order: slots is its own inverse
         return np.column_stack([cols[s] for s in lay.slots])
 
@@ -622,7 +622,7 @@ def _candidates(lay: _Layout, eta: float, band: float, threads: int,
     with ThreadPoolExecutor(max_workers=threads) as ex:
         # blocks arrive in outer order; leaving the loop early closes the
         # map, which cancels the outer blocks still queued
-        for block in ex.map(scan_one, range(len(p5s))):
+        for block in ex.map(scan_one, range(len(t5))):
             blocks.append(block)
             found += len(block)
             if found > _MAX_HITS:
@@ -639,7 +639,8 @@ def within_radius(inst, sols: QuintetSolutions, radius: float) -> QuintetSolutio
     the kept solutions are a prefix, found by bisection on exact values.
     """
     cut = bisect.bisect_left(range(len(sols)), True, key=lambda i: not _exact(
-        inst, sols.p[i:i + 1], radius).inside[0])
+        inst, [np.unique(c, return_inverse=True) for c in sols.p[i:i + 1].T],
+        radius).inside[0])
     return sols[:cut]
 
 
@@ -657,14 +658,13 @@ def brute_oracle(inst, tables, radius: float) -> QuintetSolutions:
     v4 = (l1 * sq[0][:, None, None, None] + l2 * sq[1][None, :, None, None]
           + l3 * sq[2][None, None, :, None] + l4 * sq[3][None, None, None, :])
     band = radius + _guard(inst, tables, radius)
-    hits = []
-    for p5 in tables[4].primes:
+    rows = []
+    for i5, p5 in enumerate(tables[4].primes):
         vals = v4 + (l5 * float(p5) ** inst.k + inst.eta)
-        i1, i2, i3, i4 = np.nonzero(np.abs(vals) < band)
-        hits.append(np.column_stack((tables[0].primes[i1], tables[1].primes[i2],
-                                     tables[2].primes[i3], tables[3].primes[i4],
-                                     np.full(len(i1), p5))))
-    return _finalize(inst, np.concatenate(hits), radius)
+        at = np.nonzero(np.abs(vals) < band)
+        rows.append(np.column_stack((*at, np.full(len(at[0]), i5))))
+    return _finalize(inst, [(t.primes, t.weights) for t in tables],
+                     np.concatenate(rows), radius)
 
 
 def _digits(x: np.ndarray) -> np.ndarray:

@@ -731,7 +731,8 @@ def test_one_search_serves_solutions_and_direct(monkeypatch, radius):
 
 def test_listing_cap_cuts_only_the_listing(tmp_path, monkeypatch, capsys):
     # solutions.csv lists the first _REPORT_LIMIT quintuples; the direct
-    # count still sums every quintuple inside the kernel support
+    # count still sums every quintuple inside the kernel support, and the
+    # search's summary line counts the whole result and says it was cut
     cfg = write_cfg(tmp_path / "c.json")
     runs = {}
     for name, cap in (("full", cli._REPORT_LIMIT), ("cut", 3)):
@@ -744,7 +745,16 @@ def test_listing_cap_cuts_only_the_listing(tmp_path, monkeypatch, capsys):
     assert len(runs["full", "search"][1]) > 4
     for command in ("search", "report"):
         assert runs["cut", command][1] == runs["full", command][1][:4]
-    assert runs["cut", "search"][0].startswith("3 quintuples within radius")
+    listing = runs["full", "search"][1][1:]
+    meets = sum(row.endswith(",true") for row in listing)
+
+    def summary(name, note):
+        path = tmp_path / name / "search" / "solutions.csv"
+        return (f"{len(listing)} quintuples within radius 2 ({meets} meet the "
+                f"theorem radius{note}) -> {path}\n")
+
+    assert runs["full", "search"][0] == summary("full", "")
+    assert runs["cut", "search"][0] == summary("cut", "; the first 3 listed")
     full, cut = (json.loads((tmp_path / name / "report" / "report.json").read_text())
                  for name in ("full", "cut"))
     assert cut["solutions_found"] == 3

@@ -26,6 +26,7 @@ from psquintet import (
 from psquintet import quintet_search
 from psquintet._io import csv_text, fmt17
 from psquintet.dh_pipeline import derive_params, instance_tables
+from psquintet.ps_primes import prime_weights
 from psquintet.quintet_search import QuintetSolutions, _search_bytes, within_radius
 from solution_rows import rows
 
@@ -68,6 +69,16 @@ def random_cases(n, seed):
 
 def squares(tab):
     return tab.primes.astype(np.float64) ** 2
+
+
+def index_rows(hits, gamma):
+    """(slots, rows) of the prime rows hits, as _finalize takes them: per
+    slot its distinct primes ascending with their weights by the table's
+    rule, and the rows as indices into them."""
+    cols = [np.unique(c, return_inverse=True)
+            for c in np.array(hits, dtype=np.int64).reshape(-1, 5).T]
+    return ([(primes, prime_weights(primes, gamma)) for primes, _ in cols],
+            np.column_stack([at for _, at in cols]))
 
 
 class TestHalfSumArray:
@@ -356,6 +367,8 @@ def scan_candidates(monkeypatch, inst, tables, radius, threads):
     search_mitm(inst, tables, radius, threads=threads)
     lay, eta, band, got = seen[0]
     assert got.dtype == np.int64 and band == radius
+    # column j indexes the primes slot j keeps: slots is its own inverse
+    got = np.column_stack([lay.primes[s][at] for s, at in zip(lay.slots, got.T)])
     return (Counter(map(tuple, got.tolist())),
             Counter(two_pass_candidates(lay, eta, band)), lay)
 
@@ -418,7 +431,8 @@ class TestScanBandEdges:
         got, _, _ = scan_candidates(monkeypatch, inst, self.TABLES, 84.0, 2)
         hits = np.array(sorted(got), dtype=np.int64)
         assert any(p[2] != p[3] and (*p[:2], p[3], p[2], p[4]) in got for p in got)
-        want = quintet_search._finalize(inst, hits, 84.0)
+        g = inst.gamma.gamma
+        want = quintet_search._finalize(inst, *index_rows(hits, g), 84.0)
         assert 0 < len(np.unique(np.abs(want.value))) < len(want)
 
         def columns(sols):
@@ -428,8 +442,8 @@ class TestScanBandEdges:
 
         for seed in range(5):
             shuffled = hits[np.random.default_rng(seed).permutation(len(hits))]
-            assert columns(quintet_search._finalize(inst, shuffled, 84.0)) == \
-                columns(want)
+            assert columns(quintet_search._finalize(inst, *index_rows(shuffled, g),
+                                                    84.0)) == columns(want)
 
     def test_clipped_run_ends_on_the_left_range_edges(self, monkeypatch):
         # shifts that put one right sum's lower band edge exactly on the top
@@ -674,8 +688,9 @@ def edge_instance(lams, k, eta_scaled):
 def check_certified(inst, hits, radius, limbs):
     """_finalize and within_radius agree with the Fraction reference, on
     the path named by limbs; returns the result."""
-    got = quintet_search._finalize(inst, np.array(hits, dtype=np.int64), radius)
-    assert quintet_search._exact(inst, np.array(hits, dtype=np.int64),
+    slots, at = index_rows(hits, inst.gamma.gamma)
+    got = quintet_search._finalize(inst, slots, at, radius)
+    assert quintet_search._exact(inst, [(p, c) for (p, _), c in zip(slots, at.T)],
                                  radius).limbs == limbs
     assert [(p, v, m) for p, v, _, _, m in rows(got)] == \
         fraction_certify(inst, hits, radius)
@@ -690,7 +705,7 @@ class TestScaledCertification:
         @given(dyadic_certify_cases(k))
         def check(case):
             inst, hits, radius = case
-            got = quintet_search._finalize(inst, np.array(hits, dtype=np.int64),
+            got = quintet_search._finalize(inst, *index_rows(hits, inst.gamma.gamma),
                                            radius)
             assert [(p, v, m) for p, v, _, _, m in rows(got)] == \
                 fraction_certify(inst, hits, radius)
@@ -746,8 +761,9 @@ class TestScaledCertification:
                 got = check_certified(inst, hits, radius, shift == 0)
                 kept = hits[0] in [r[0] for r in rows(got)]
                 assert kept == (step == 1)
-                ex = quintet_search._exact(inst, np.array(hits[:1], dtype=np.int64),
-                                           radius)
+                slots, at = index_rows(hits[:1], inst.gamma.gamma)
+                ex = quintet_search._exact(
+                    inst, [(p, c) for (p, _), c in zip(slots, at.T)], radius)
                 assert ex.value[0] == sign * v / _EDGE_SCALE
                 if shift == 0:
                     # |value| in limbs: (m, 0), whatever the sign
@@ -788,6 +804,74 @@ class TestScaledCertification:
         check_certified(inst, hits, radius, False)
         plain = ProblemInstance(lams, 0.0, k, gp, 0.001, lam0)
         assert quintet_search._layout(plain, tables, radius).limbs
+
+
+def check_table_weights(inst, tables, sols):
+    """Every weight of sols is the product, in slot order, of its primes'
+    weights in the slot tables, bit for bit; Python's ** and math.log would
+    give another weight for some row, so the weights are the tables'."""
+    g = inst.gamma.gamma
+    want, scalar = np.ones(len(sols)), np.ones(len(sols))
+    for tab, col in zip(tables, sols.p.T):
+        at = np.searchsorted(tab.primes, col)
+        assert np.array_equal(tab.primes[at], col)
+        want *= tab.weights[at]
+        scalar *= np.array([q ** (1.0 - g) * math.log(q) for q in col.tolist()])
+    assert np.array_equal(sols.weight.view(np.int64), want.view(np.int64))
+    assert np.any(scalar != want)
+
+
+class TestTableWeights:
+    # a prime's weight has one rule, the table's: on the pinned instance's
+    # tables NumPy's rule and Python's scalar one differ in the last bits
+    # for 2 of 6 primes at q0 29 and 24 of 340 at q0 2378
+    def test_search_gathers_the_table_weights(self):
+        inst = make_inst(lambda0=0.1)
+        tables = instance_tables(inst, derive_params(inst, 2378))
+        sols = search_mitm(inst, tables, 0.05, threads=2)
+        assert len(sols) == 20325
+        check_table_weights(inst, tables, sols)
+
+    def test_brute_oracle_gathers_the_table_weights(self):
+        inst = make_inst(lambda0=0.1)
+        tables = instance_tables(inst, derive_params(inst, 29))
+        sols = brute_oracle(inst, tables, 20.0)
+        assert len(sols) == 40
+        check_table_weights(inst, tables, sols)
+        assert rows(search_mitm(inst, tables, 20.0)) == rows(sols)
+
+
+class TestCertificationPath:
+    # the search certifies on the primes its layout keeps, so it takes the
+    # path the layout named: on the search-desk tables (slot 1 keeps 4 of
+    # 340 primes and is scanned outermost), int64 limbs on the pinned
+    # instance, and Python integers when eta = 1e-30 puts the scaled terms
+    # past 2^91
+    @pytest.mark.parametrize("eta, limbs", [(0.0, True), (1e-30, False)],
+                             ids=["pinned", "tiny-eta"])
+    def test_exact_takes_the_layout_path(self, monkeypatch, eta, limbs):
+        inst = make_inst(lambda0=0.1)
+        tables = instance_tables(inst, derive_params(inst, 2378))
+        inst = make_inst(eta=eta, lambda0=0.1)
+        layouts, calls = [], []
+        layout, exact = quintet_search._layout, quintet_search._exact
+
+        def layout_spy(*args):
+            layouts.append(layout(*args))
+            return layouts[-1]
+
+        def exact_spy(inst, slots, radius):
+            calls.append((slots, exact(inst, slots, radius)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(quintet_search, "_layout", layout_spy)
+        monkeypatch.setattr(quintet_search, "_exact", exact_spy)
+        sols = search_mitm(inst, tables, 0.05, threads=2)
+        (lay,), ((slots, ex),) = layouts, calls
+        assert len(sols) == 20325 and lay.slots == (4, 1, 2, 3, 0)
+        assert lay.limbs == ex.limbs == limbs
+        # slot j's primes are the very array the layout keeps for it
+        assert all(primes is lay.primes[s] for (primes, _), s in zip(slots, lay.slots))
 
 
 class TestSolutionContract:
