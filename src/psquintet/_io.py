@@ -12,6 +12,7 @@ import csv
 import io
 import os
 import tempfile
+from collections.abc import Iterable
 
 from .errors import IoError
 
@@ -35,9 +36,13 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path: str, text: str) -> int:
-    """Write text to path via temp+rename; returns the byte count."""
-    data = text.encode("utf-8")
+def atomic_write_text(path: str, text: str | Iterable[str]) -> int:
+    """Write text to path via temp+rename; returns the byte count. text is a
+    str or an iterable of str pieces, each encoded and written as it comes,
+    so that the whole text need never be held at once."""
+    if isinstance(text, str):
+        text = (text,)
+    size = 0
     d = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(d, exist_ok=True)
@@ -47,7 +52,8 @@ def atomic_write_text(path: str, text: str) -> int:
                 # mkstemp creates mode 0600 and os.replace keeps it; give
                 # the file the mode open() would: 0666 less the umask
                 os.fchmod(fh.fileno(), 0o666 & ~_umask())
-                fh.write(data)
+                for piece in text:
+                    size += fh.write(piece.encode("utf-8"))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -55,7 +61,7 @@ def atomic_write_text(path: str, text: str) -> int:
             raise
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    return len(data)
+    return size
 
 
 def canonical_json(obj) -> str:

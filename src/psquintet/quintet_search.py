@@ -13,7 +13,7 @@ Over these positions the left half holds the sorted pair sums of positions
 constant shift of the sorted (3, 4) array, so interval queries against the
 left half are plain binary searches, made only for the shifted sums whose
 band can meet the left range. Before its binary search, each such key looks
-up one byte of a map of power-of-two cells near a left sum, at its own cell
+up one bit of a map of power-of-two cells near a left sum, at its own cell
 index (taken once a search) plus one integer offset an outer prime; a clear
 cell proves the key's band holds no left sum, which skips the search for
 most keys. The run of right sums whose band can meet the left range is
@@ -38,12 +38,14 @@ lexicographically, and the float value is one rounding of the limbs' sum. A
 search whose terms could carry the sum past 2^52 in its high limb keeps the
 Python-integer columns instead. The order is total over distinct rows, so
 the result depends only on the set of candidates, bit for bit across thread
-counts.
+counts. solutions.csv is rendered in columns and written in blocks of rows,
+so the whole text is never held at once.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -64,12 +66,16 @@ DEFAULT_MEMORY_MB = 2048.0   # default memory budget, and the CLI's memory_mb de
 # search-desk tables faster on two threads than 2^15 or 2^16)
 _SCAN_BLOCK = 1 << 17
 # the scan's cell map has at most this many cells a left sum (plus six)
-_MAP_CELLS = 64
+_MAP_CELLS = 128
+# left sums the cell map's build takes at a time: keeps its temporaries
+# below the map
+_MAP_BLOCK = 1 << 14
 # certification splits each exact scaled value into limbs hi * 2^_LIMB + lo,
 # 0 <= lo < 2^_LIMB, summed in int64
 _LIMB = 40
-# solutions.csv rows rendered at a time: bounds the export's byte matrices
-_CSV_ROWS = 1 << 16
+# solutions.csv rows rendered and written at a time: bounds the export's
+# byte matrices and text
+_CSV_ROWS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +100,8 @@ class QuintetSolutions:
 
 @dataclass(frozen=True)
 class HalfSumArray:
-    """Sorted pair sums a_i + b_j, each with its flat index i*n_b + j."""
+    """Sorted pair sums a_i + b_j, each with its flat index i*n_b + j: int32
+    when every i*n_b + j is below 2^31, intp otherwise."""
 
     sums: np.ndarray
     index: np.ndarray
@@ -114,12 +121,16 @@ class HalfSumArray:
             i, j = np.triu_indices(len(b))
             sums = a[i] + b[j]
             index = i * len(b) + j
+            del i, j
         else:
             sums = (a[:, None] + b[None, :]).ravel()
             index = None
         order = np.argsort(sums)
-        return cls(sums=sums[order],
-                   index=order if index is None else index[order], n_b=len(b))
+        sums = sums[order]
+        index = order if index is None else index[order]
+        if len(a) * len(b) < 1 << 31:
+            index = index.astype(np.int32)
+        return cls(sums=sums, index=index, n_b=len(b))
 
 
 def _check_tables(inst, tables) -> list[PsPrimeTable]:
@@ -255,8 +266,8 @@ def _finalize(inst, slots, rows: np.ndarray, radius: float) -> QuintetSolutions:
 @dataclass(frozen=True)
 class _CellMap:
     """Which cells [c*w, (c+1)*w), w = 1/scale a power of two, lie from two
-    cells below a left sum's cell to one above it: occupied[c - base] for
-    cell c."""
+    cells below a left sum's cell to one above it, one bit a cell: cell c
+    is bit i & 7 of occupied[i >> 3], i = c - base."""
 
     occupied: np.ndarray
     scale: float
@@ -268,8 +279,8 @@ class _CellMap:
         return np.floor(x, out=x).astype(np.intp)
 
     def offset(self, shift: float, band: float) -> int:
-        """o for a scan at shift: the key of right sum y looks up
-        occupied[cell_of(-y) + o]."""
+        """o for a scan at shift: the key of right sum y looks up bit
+        cell_of(-y) + o."""
         return math.floor((-shift - band) * self.scale) - self.base
 
 
@@ -277,7 +288,7 @@ def _map_shape(bottom: float, top: float, extreme: float, band: float,
                n: int) -> tuple[float, int, int]:
     """(scale, base, cells) of the cell map over n sorted left sums from
     bottom to top, for keys of half-width band in scans whose sums and
-    shifts are at most extreme in magnitude: occupied has `cells` cells, the
+    shifts are at most extreme in magnitude: the map has `cells` cells, the
     first being cell `base`, of width 1/scale.
 
     The cell width w is the smallest power of two at least 4*band, at least
@@ -296,21 +307,42 @@ def _map_shape(bottom: float, top: float, extreme: float, band: float,
     return scale, base, math.floor(top * scale) + 2 - base
 
 
+def _map_bytes(cells: int) -> int:
+    """The bytes of a cell map of `cells` cells: one bit a cell, and a spare
+    byte that the top left sums' marks may spill into (left clear)."""
+    return -(-cells // 8) + 1
+
+
+# bits c & 7 ... (c & 7) + 3 of two bytes, for each c & 7: the four cells
+# from c on
+_MARKS = np.array([0xF << b for b in range(8)], dtype=np.uint16)
+
+
 def _cell_map(left: np.ndarray, right: np.ndarray, shifts, band: float) -> _CellMap:
     """The occupancy map of the sorted left sums for keys of half-width band,
     for scans of the sorted right sums at the given shifts; its shape is
-    _map_shape's."""
+    _map_shape's.
+
+    The left sums are sorted, so the byte of the lowest cell each marks
+    never falls: a block's sums fall into runs by that byte, and one
+    bitwise_or.reduceat per block joins each run's marks before they are
+    set, two bytes a run."""
     extreme = max(abs(left[0]), abs(left[-1]), abs(right[0]), abs(right[-1]),
                   *map(abs, shifts))
     scale, base, size = _map_shape(left[0], left[-1], extreme, band, len(left))
-    occupied = np.zeros(size, dtype=bool)
+    occupied = np.zeros(_map_bytes(size), dtype=np.uint8)
     cells = _CellMap(occupied, scale, base)
-    for s in range(0, len(left), _SCAN_BLOCK):
-        cell = cells.cell_of(left[s:s + _SCAN_BLOCK].copy())
-        cell -= base + 2
-        for _ in range(4):     # cells c - 2 ... c + 1
-            occupied[cell] = True
-            cell += 1
+    for s in range(0, len(left), _MAP_BLOCK):
+        at = cells.cell_of(left[s:s + _MAP_BLOCK].copy())
+        at -= base + 2         # a sum in cell c marks bits at ... at + 3
+        marks = _MARKS[at & 7]
+        at >>= 3               # the byte that holds bit at
+        run = np.flatnonzero(np.diff(at, prepend=-1))
+        marks = np.bitwise_or.reduceat(marks, run)
+        at = at[run]
+        occupied[at] |= marks.astype(np.uint8)
+        marks >>= 8
+        occupied[at + 1] |= marks.astype(np.uint8)
     return cells
 
 
@@ -358,10 +390,11 @@ def _scan(left: np.ndarray, right: np.ndarray, rcell: np.ndarray, shift: float,
 
 def _scan_block(left, right, rcell, s: int, e: int, shift: float, band: float,
                 occupied: np.ndarray, o: int):
-    """_scan's (j, m) for the j in [s, e), all in its run. Each j takes one
-    look at the cell map, the survivors one binary search, and a second one
-    if their band holds a left sum. A function of its own, so that a block's
-    temporaries are freed before the next block allocates its own."""
+    """_scan's (j, m) for the j in [s, e), all in its run. Each j looks up
+    one bit of the cell map, the survivors take one binary search, and a
+    second one if their band holds a left sum. A function of its own, so
+    that a block's temporaries are freed before the next block allocates
+    its own."""
     # the filter is exact. Scaling by the power of two 1/w and floor are
     # exact, so the lookup cell K = floor(-y/w) + floor(t/w) of right sum y,
     # with t = fl(-shift - band), is floor(u/w) or floor(u/w) - 1 for the
@@ -375,7 +408,14 @@ def _scan_block(left, right, rcell, s: int, e: int, shift: float, band: float,
     # without a binary search. Keys of the run have low <= top and up >=
     # bottom, so their K lies between the lowest and the highest marked
     # cell: the index is inside the map.
-    keep = np.flatnonzero(occupied[rcell[s:e] + o])
+    k = rcell[s:e] + o
+    bit = np.empty(len(k), dtype=np.uint8)
+    np.bitwise_and(k, 7, out=bit, casting="unsafe")
+    k >>= 3
+    marked = occupied[k]
+    marked >>= bit
+    marked &= 1
+    keep = np.flatnonzero(marked)
     keep += s
     r = right[keep] + shift
     low, up = -r - band, -r + band
@@ -496,26 +536,29 @@ def _search_bytes(inst, tables, radius: float, threads: int):
 
 def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
     """Peak memory of a search over the layout lay, as a function of the
-    candidates it finds: the largest of building the layout, scanning and
-    certifying, which runs after the scan has freed its arrays.
+    candidates it finds: the largest of building the layout, the pair
+    arrays, the cell map, scanning and certifying, which runs after the scan
+    has freed its arrays.
 
-    Scanning: 16 B a left pair (sum and index) and 24 B a stored right pair
-    (sum, index and cell index) throughout; the right half stores every
-    (p3, p4) pair, or one of each mirrored pair when positions 3 and 4 are
-    interchangeable. Beside them: the cell map, one byte a cell, sized by
-    _map_shape from the layout's extreme primes; 8 B a right sum of a scan
-    block per scanning thread (9 B at a block's peak, which the threads do
-    not all reach at once; building the map and the cell indices takes 16 B
-    a sum of a block, once); and the larger of 1.7 kB a queued outer task
-    (all queued at the start) and 80 B a candidate (its row of five indices
-    in its outer block and in the joined array; all found at the end). The
-    pair builds, before the map exists, hold less. Certifying: 226 B a
+    Pair arrays: 12 B a left pair and 12 B a stored right pair (sum and
+    4-byte index; 16 B in a half whose flat indices pass 2^31); the right
+    half stores every (p3, p4) pair, or one of each mirrored pair when
+    positions 3 and 4 are interchangeable. A build holds 24 B a pair
+    at its peak, 40 B for the mirrored right half, beside the left pairs
+    once they are built. Beside the pairs: the cell map, one bit a cell
+    (_map_bytes), sized by _map_shape from the layout's extreme primes,
+    whose build takes 26 B a left sum of one of its blocks, and then 8 B a
+    right pair for the cell indices (16 B a sum of a scan block while they
+    are taken). Scanning adds 10 B a right sum of a scan block per scanning
+    thread and the larger of 1.7 kB a queued outer task (all queued at the
+    start) and 80 B a candidate (its row of five indices in its outer block
+    and in the joined array; all found at the end). Certifying: 226 B a
     candidate in int64 limbs (its index row, the limbs of its value and of
     |value|, its float value, the sort keys, its kept index row and the
-    result's columns), or 263 B in Python integers (lay.limbs), both read off
-    measured peaks. Before either, _layout held lay.held, the kept primes and
-    weights among it; a layout with an empty position builds no pairs and
-    finds nothing, so that is all it needs."""
+    result's columns), or 263 B in Python integers (lay.limbs), both read
+    off measured peaks. Before all of these, _layout held lay.held, the kept
+    primes and weights among it; a layout with an empty position builds no
+    pairs and finds nothing, so that is all it needs."""
     if lay.empty:
         return lambda hits=0: lay.held
     n = [len(p) for p in lay.primes]
@@ -530,13 +573,19 @@ def _layout_bytes(lay: _Layout, eta: float, band: float, threads: int):
     cells = _map_shape(bottom, top, extreme, band, left)[2]
     mirror = _interchangeable(lay.lambdas, lay.primes)
     right = n[2] * (n[2] + 1) // 2 if mirror else n[2] * n[3]
-    hold = (16 * left + 24 * right + cells
-            + 8 * min(right, _SCAN_BLOCK) * min(threads, n[4]))
+    # a sum and its index, 4 bytes while the half's flat indices fit
+    lb, rb = (12 if m < 1 << 31 else 16 for m in (n[0] * n[1], n[2] * n[3]))
+    build = max(24 * left, lb * left + (40 if mirror else 24) * right)
+    pairs = lb * left + rb * right + _map_bytes(cells)
+    block = min(right, _SCAN_BLOCK)
+    hold = max(build, pairs + 26 * min(left, _MAP_BLOCK),
+               pairs + 8 * right + 16 * block)
+    scan = pairs + 8 * right + 10 * block * min(threads, n[4])
 
     certify = 226 if lay.limbs else 263
 
     def need(hits: int = 0) -> int:
-        return max(lay.held, hold + max(1700 * n[4], 80 * hits), certify * hits)
+        return max(lay.held, hold, scan + max(1700 * n[4], 80 * hits), certify * hits)
 
     return need
 
@@ -710,8 +759,9 @@ def _csv_rows(sols: QuintetSolutions) -> bytes:
 
 def export_solutions(path: str, sols: QuintetSolutions) -> int:
     """CSV p1..p5,value,max_p,meets_theorem_radius; row order preserved. The
-    text is csv.writer's of the ints and fmt17 values."""
-    text = [b"p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius\n"]
-    for s in range(0, len(sols), _CSV_ROWS):
-        text.append(_csv_rows(sols[s:s + _CSV_ROWS]))
-    return atomic_write_text(path, b"".join(text).decode("ascii"))
+    text is csv.writer's of the ints and fmt17 values, rendered and written
+    _CSV_ROWS rows at a time."""
+    blocks = (_csv_rows(sols[s:s + _CSV_ROWS]).decode("ascii")
+              for s in range(0, len(sols), _CSV_ROWS))
+    return atomic_write_text(path, itertools.chain(
+        ["p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius\n"], blocks))

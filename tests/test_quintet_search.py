@@ -1,5 +1,6 @@
 import csv
 import itertools
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -25,6 +26,7 @@ from psquintet import (
 )
 from psquintet import quintet_search
 from psquintet._io import csv_text, fmt17
+from psquintet.cli import effective_radius, parse_config
 from psquintet.dh_pipeline import derive_params, instance_tables
 from psquintet.ps_primes import prime_weights
 from psquintet.quintet_search import QuintetSolutions, _search_bytes, within_radius
@@ -89,6 +91,7 @@ class TestHalfSumArray:
         assert len(arr.sums) == len(tab) ** 2
         assert np.all(np.diff(arr.sums) >= 0)
         assert arr.n_b == len(tab)
+        assert arr.index.dtype == np.int32
         assert sorted(arr.index.tolist()) == list(range(len(arr.sums)))
         for i in range(len(arr.sums)):
             ia, ib = divmod(int(arr.index[i]), arr.n_b)
@@ -104,6 +107,7 @@ class TestHalfSumArray:
         i, j = np.divmod(full.index, full.n_b)
         keep = i <= j
         assert half.n_b == full.n_b == len(tab)
+        assert half.index.dtype == full.index.dtype == np.int32
         assert len(half.sums) == len(tab) * (len(tab) + 1) // 2
         assert np.all(np.diff(half.sums) >= 0)
         assert sorted(zip(half.sums.tolist(), half.index.tolist())) == \
@@ -228,6 +232,23 @@ class TestOracleEquivalenceHigherPowers:
             assert rows(search_mitm(inst, tables, radius)) == rows(want)
 
         check()
+
+    @pytest.mark.parametrize("k, gamma, q0_floor, count", [
+        # the cases of the certified census the 10^8-tuple cap admits: k = 2
+        # at q0 169 has five slots of 29 primes, k = 4 at q0 408 four of 69
+        # and a slot 5 of 3
+        (2, 0.99, 169, 201), (4, 0.997, 408, 105)])
+    def test_census_at_the_theorem_radius(self, k, gamma, q0_floor, count):
+        # the pinned instance as the CLI runs it with radius "theorem"
+        cfg = parse_config(json.dumps({
+            "lambdas": [SQRT2, 1.0, 1.0, 1.0, -3.0], "eta": 0.0, "k": k,
+            "gamma": gamma, "theta": 0.001, "q0_floor": q0_floor,
+            "radius": "theorem", "seed": 1}))
+        tables = instance_tables(cfg.instance, derive_params(cfg.instance, q0_floor))
+        radius = effective_radius(cfg, tables)
+        got = search_mitm(cfg.instance, tables, radius, threads=2)
+        assert len(got) == count
+        assert rows(got) == rows(brute_oracle(cfg.instance, tables, radius))
 
 
 @st.composite
@@ -558,8 +579,9 @@ def off_grid_scan_cases(draw):
 
 
 def check_cell_scan(left, right, shift, band):
-    """The scan through a cell map equals the two-pass oracle, and the map's
-    width and size follow _cell_map's rule."""
+    """The scan through a cell map equals the two-pass oracle, the map's
+    width and size follow _cell_map's rule, and its bits are the byte map
+    in which each left sum in cell c marks cells c - 2 ... c + 1."""
     cells = quintet_search._cell_map(left, right, [shift], band)
     # w: the smallest power of two at least 4*band, 8 spacings of the
     # largest magnitude the scan reaches and the span over _MAP_CELLS cells
@@ -570,7 +592,16 @@ def check_cell_scan(left, right, shift, band):
     fine = max(4 * band, 8 * float(np.spacing(reach)),
                (left[-1] - left[0]) / (quintet_search._MAP_CELLS * len(left)))
     assert math.frexp(w)[0] == 0.5 and w / 2 < fine <= w
-    assert len(cells.occupied) <= quintet_search._MAP_CELLS * len(left) + 6
+    bits = np.unpackbits(cells.occupied, bitorder="little")
+    want = np.zeros(len(bits), dtype=np.uint8)
+    at = cells.cell_of(left.copy()) - cells.base
+    for d in (-2, -1, 0, 1):
+        want[at + d] = 1
+    assert np.array_equal(bits, want)
+    # the top left sum marks the map's last cell, one above its own
+    size = int(at[-1]) + 2
+    assert size <= quintet_search._MAP_CELLS * len(left) + 6
+    assert len(cells.occupied) == -(-size // 8) + 1
     (run,) = quintet_search._runs(left, right, [shift], band)
     blocks = list(quintet_search._scan(left, right, cells.cell_of(-right), shift,
                                        band, cells, run))
@@ -1143,6 +1174,29 @@ class TestExport:
             assert n == len(csv_bytes(sols))
 
         check()
+
+    def test_export_holds_one_block_of_rows(self, tmp_path):
+        # the file is written _CSV_ROWS rows at a time, so 8 blocks of rows
+        # peak about as one does; the return value is the file's size
+        rng = np.random.default_rng(7)
+
+        def peak_of(n):
+            p = rng.integers(10 ** 6, 10 ** 9, size=(n, 5))
+            sols = QuintetSolutions(p=p, value=rng.uniform(-1.0, 1.0, n),
+                                    weight=np.ones(n), max_p=p.max(axis=1),
+                                    meets_theorem_radius=rng.random(n) < 0.5)
+            path = tmp_path / f"solutions-{n}.csv"
+            tracemalloc.start()
+            try:
+                size = export_solutions(str(path), sols)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert size == path.stat().st_size
+            return peak
+
+        one = peak_of(quintet_search._CSV_ROWS)
+        assert peak_of(8 * quintet_search._CSV_ROWS) <= 1.5 * one
 
     def test_empty_result_writes_the_header(self, tmp_path):
         sols = QuintetSolutions(p=np.empty((0, 5), dtype=np.int64),
