@@ -704,14 +704,21 @@ def brute_oracle(inst, tables, radius: float) -> QuintetSolutions:
                                "refused (cap 1e8)")
     l1, l2, l3, l4, l5 = inst.lambdas
     sq = [t.primes.astype(np.float64) ** 2 for t in tables[:4]]
-    v4 = (l1 * sq[0][:, None, None, None] + l2 * sq[1][None, :, None, None]
-          + l3 * sq[2][None, None, :, None] + l4 * sq[3][None, None, None, :])
+    a = l1 * sq[0]
+    b = l2 * sq[1][:, None, None]
+    c = l3 * sq[2][None, :, None]
+    d = l4 * sq[3][None, None, :]
     band = radius + _guard(inst, tables, radius)
     rows = []
-    for i5, p5 in enumerate(tables[4].primes):
-        vals = v4 + (l5 * float(p5) ** inst.k + inst.eta)
-        at = np.nonzero(np.abs(vals) < band)
-        rows.append(np.column_stack((*at, np.full(len(at[0]), i5))))
+    # one n2*n3*n4 grid per slot-1 prime, summed in the order of the full
+    # grid, ((a + b) + c) + d, so every value keeps its bits
+    for i1 in range(n[0]):
+        v4 = a[i1] + b + c + d
+        for i5, p5 in enumerate(tables[4].primes):
+            vals = v4 + (l5 * float(p5) ** inst.k + inst.eta)
+            at = np.nonzero(np.abs(vals) < band)
+            rows.append(np.column_stack((np.full(len(at[0]), i1), *at,
+                                         np.full(len(at[0]), i5))))
     return _finalize(inst, [(t.primes, t.weights) for t in tables],
                      np.concatenate(rows), radius)
 

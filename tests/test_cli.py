@@ -416,6 +416,42 @@ def test_unreducible_search_solutions_keep_their_bytes(tmp_path, capsys, threads
     assert digest == _SEARCH_SQRT3_SHA256
 
 
+# sha256 of report.json and diagnostics.csv from verify at q0 12, radius
+# "theorem", per seed: recorded while the diagnostics drew from
+# np.random.default_rng, which the in-tree stream must reproduce bit for bit
+_VERIFY_Q12_SHA256 = {
+    0: ("0896899cebecceca631fee77c844ee642d97561709c5c847299ef062c0307236",
+        "b671a0ad04d04f1b1169c40666ea1f2e06cbf4d9d04ebff92793bf68409472bc"),
+    2301: ("d07e5110bbaff891117d96f22b6ebba550a1876a96d0248b3ac0343bd969444a",
+           "9c111e4a1dfdd89c308f6903a8dbe890dac4d26549dbb9745f00f57fcf1990fe"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_VERIFY_Q12_SHA256))
+def test_verify_outputs_keep_their_bytes(tmp_path, seed):
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=12, radius="theorem", seed=seed)
+    out = tmp_path / "o"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("report.json", "diagnostics.csv"))
+    assert digests == _VERIFY_Q12_SHA256[seed]
+
+
+def test_default_stream_matches_numpy_default_rng():
+    # the diagnostics' two draws at q0 12, in their order, so that the
+    # stream must also carry on from the first draw to the second
+    inst = parse_config(make_doc()).instance
+    eps = cli._kernel_for(derive_params(inst, 12)).epsilon
+    draws = ((1e-2 / eps, 1e2 / eps, 1000), (0.0, 1.0, 17))
+    seeds = [*range(1000), 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64,
+             2 ** 128 + 1, 10 ** 40]
+    for seed in seeds:
+        want, got = np.random.default_rng(seed), cli._DefaultStream(seed)
+        for lo, hi, n in draws:
+            assert (got.uniform(lo, hi, n).tobytes()
+                    == want.uniform(lo, hi, size=n).tobytes()), seed
+
+
 def test_lattice_quadrature_report_identical_across_threads(tmp_path):
     # q0 12 integrates 219,648 lattice points in 7 chunks: 2 and 4 threads
     # split them differently, and A and B must keep every bit
@@ -788,6 +824,21 @@ def test_cli_import_leaves_mpmath_unloaded():
                          text=True, env=_src_env(), timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_verify_leaves_numpy_random_and_mpmath_unloaded(tmp_path):
+    # the diagnostics' seeded draws come from cli._DefaultStream, and no PS
+    # membership escalates at q0 12: neither import is paid for
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=12, radius="theorem")
+    code = ("import sys; from psquintet.cli import main; "
+            f"assert main(['verify', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'mpmath' or m.startswith('numpy.random')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_src_env(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("given,want", [(None, "1"), ("3", "3")])
