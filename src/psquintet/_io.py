@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
-import tempfile
 from collections.abc import Iterable
 
 from .errors import IoError
@@ -30,12 +30,6 @@ def csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _umask() -> int:
-    mask = os.umask(0o022)    # the only way to read it is to set it
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_text(path: str, text: str | Iterable[str]) -> int:
     """Write text to path via temp+rename; returns the byte count. text is a
     str or an iterable of str pieces, each encoded and written as it comes,
@@ -46,12 +40,11 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> int:
     d = os.path.dirname(os.path.abspath(path))
     try:
         os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+        # mode 0666 less the umask, as open() gives; O_EXCL never reuses a file
+        tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
-                # mkstemp creates mode 0600 and os.replace keeps it; give
-                # the file the mode open() would: 0666 less the umask
-                os.fchmod(fh.fileno(), 0o666 & ~_umask())
                 for piece in text:
                     size += fh.write(piece.encode("utf-8"))
             os.replace(tmp, path)
@@ -83,7 +76,7 @@ def _dump(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(fmt17(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):

@@ -428,14 +428,17 @@ def _load_config(args) -> RunConfig:
     except OSError as exc:
         raise SchemaError("$", f"cannot read config {args.config}: {exc}") from exc
     doc = _json_object(text)
-    try:
-        radius = float(args.radius)
-    except (TypeError, ValueError):
-        radius = args.radius    # None, "theorem" or a string the check rejects
-    flags = {"output_dir": args.out, "seed": args.seed,
-             "q0_floor": args.q0_floor, "radius": radius}
-    doc.update((key, v) for key, v in flags.items() if v is not None)
+    for key in ("output_dir", "seed", "q0_floor", "radius"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
     return _config_from_doc(doc)
+
+
+def _number_or_word(text: str) -> Union[float, str]:
+    try:
+        return float(text)
+    except ValueError:
+        return text    # "theorem", or a word the config check rejects
 
 
 def _cmd_primes(cfg: RunConfig, params: DhParams, threads: int) -> int:
@@ -526,7 +529,6 @@ _COMMANDS = {
     "gamma": _cmd_gamma,
     "search": _cmd_search,
     "verify": _cmd_verify,
-    # a lambda, not functools.partial: its __doc__ is None like the others'
     "report": lambda *args: _cmd_verify(*args, with_diagnostics=False),
 }
 
@@ -535,25 +537,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psquintet",
         description="Prime quintuples under Diophantine inequalities")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--q0-floor", dest="q0_floor", type=int, default=None)
-        p.add_argument("--radius", default=None,
-                       help='numeric radius or "theorem"')
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", dest="output_dir", help="output directory override")
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--q0-floor", type=int)
+    parser.add_argument("--radius", type=_number_or_word,
+                        help='numeric radius or "theorem"')
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise SchemaError("--threads", f"must be >= 1, got {args.threads}")
         cfg = _load_config(args)
         params = derive_params(cfg.instance, cfg.q0_floor)
-        return _COMMANDS[args.command](cfg, params, max(1, args.threads))
+        return _COMMANDS[args.command](cfg, params, args.threads)
     except PsQuintetError as exc:
         for classes, code, label in _EXIT_CODES:
             if isinstance(exc, classes):

@@ -256,8 +256,10 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
     integrand is bounded by (7 eps/4) * prod_j W_j on the real line (W_j the
     weight sum of slot j), and freq bounds its exponential type. Each region
     is taken as if it held at least 128 cycles, so a short or slowly turning
-    region still gets a fine rule; A's two panels of 64 cycles and B's
-    panels of just under 64 then share one Gauss-Legendre rule. deadline is
+    region still gets a fine rule. On the pinned lambdas A has two panels of
+    64 cycles (133 nodes) and B panels of at most 64 cycles; the two share
+    one Gauss-Legendre rule only when B's panel cycles round up to 64, as at
+    q0 12 and 29 but not at q0 5 (36 panels of 132 nodes). deadline is
     handed to oscillatory_integral, which calls it between chunks of
     integrand points.
     """

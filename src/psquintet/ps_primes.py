@@ -58,15 +58,15 @@ class GammaParam:
         return (a - b * self.gamma) / c
 
 
-def sieve_primes(lo: int, hi: int, max_span: int = _MAX_SPAN) -> np.ndarray:
+def sieve_primes(lo: int, hi: int) -> np.ndarray:
     """All primes in [lo, hi], ascending, by segmented Eratosthenes."""
     lo, hi = int(lo), int(hi)
     if lo < 2:
         lo = 2
     if hi < lo:
         return np.empty(0, dtype=np.int64)
-    if hi - lo + 1 > max_span:
-        raise CapacityExceeded(f"range [{lo},{hi}] exceeds span budget {max_span}")
+    if hi - lo + 1 > _MAX_SPAN:
+        raise CapacityExceeded(f"range [{lo},{hi}] exceeds span budget {_MAX_SPAN}")
 
     root = math.isqrt(hi)
     base = np.ones(root + 1, dtype=bool)

@@ -151,6 +151,12 @@ def test_round_trip_everything_set():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("output_dir", ["a\tb", "a\nb", "a\x00b", "é", '"', "\\"])
+def test_round_trip_string_needing_escapes(output_dir):
+    cfg = parse_config(make_doc(output_dir=output_dir))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_numeric_radius_passes_through():
     cfg = parse_config(make_doc(radius=3.5))
     assert effective_radius(cfg, []) == 3.5
@@ -284,6 +290,23 @@ def test_outputs_take_the_umask_mode(tmp_path):
     finally:
         os.umask(old)
     assert stat.filemode((out / "primes.csv").stat().st_mode) == "-rw-r--r--"
+
+
+def test_writes_take_a_stricter_umask_without_setting_it(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "c.json")
+    out = tmp_path / "o"
+
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    old = os.umask(0o027)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "umask", refuse)
+            assert main(["primes", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.filemode((out / "primes.csv").stat().st_mode) == "-rw-r-----"
 
 
 def test_kernel_subcommand(tmp_path):
@@ -532,6 +555,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     ({}, ["--q0-floor", "1"], "$.q0_floor"),
     ({"seed": -1}, [], "$.seed"),
     ({}, ["--seed", "-5"], "$.seed"),
+    ({}, ["--threads", "0"], "--threads"),
 ])
 @pytest.mark.parametrize("command", ["gamma", "search"])
 def test_rejected_field_writes_nothing(tmp_path, capsys, command, over, flags,
@@ -814,6 +838,7 @@ def test_module_entry_point_runs_without_warning():
     assert run.returncode == 0
     assert run.stderr == ""
     assert run.stdout.startswith("usage: psquintet")
+    assert "{" + ",".join(cli._COMMANDS) + "}" in run.stdout
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from psquintet import ps_primes
 from psquintet.errors import CapacityExceeded
 from psquintet.ps_primes import (
     GammaParam,
@@ -58,9 +59,10 @@ class TestSieve:
         lo, hi = 4194200, 4194400
         assert sieve_primes(lo, hi).tolist() == trial_division_primes(lo, hi)
 
-    def test_span_budget(self):
+    def test_span_budget(self, monkeypatch):
+        monkeypatch.setattr(ps_primes, "_MAX_SPAN", 10 ** 6)
         with pytest.raises(CapacityExceeded):
-            sieve_primes(2, 10 ** 7, max_span=10 ** 6)
+            sieve_primes(2, 10 ** 7)
 
 
 class TestPsMembership:
