@@ -19,7 +19,6 @@ from .errors import (
     DegenerateRatio,
     EmptyWindow,
     IoError,
-    NonConvergence,
     PsQuintetError,
     SchemaError,
     SpecMismatch,
@@ -88,7 +87,6 @@ __all__ = [
     "HalfSumArray",
     "IoError",
     "MomentResult",
-    "NonConvergence",
     "ProblemInstance",
     "PsPrimeTable",
     "PsQuintetError",

@@ -10,8 +10,8 @@ Subcommands:
     verify   full run plus the diagnostic suite
     report   full run, diagnostics omitted
 
-Exit codes: 0 success, 2 config/admissibility error, 3 budget or capacity
-exceeded, 4 quadrature non-convergence, 1 file IO failure. Diagnostics that
+Exit codes: 0 success, 2 config/admissibility error, 3 time budget or
+capacity exceeded, 1 file IO failure (4 is retired). Diagnostics that
 measure out of range are recorded as failed rows in the report, not exit
 failures.
 
@@ -50,20 +50,18 @@ from .errors import (
     DegenerateRatio,
     EmptyWindow,
     IoError,
-    NonConvergence,
     PsQuintetError,
     SchemaError,
 )
 from .exp_sums import (Family, GapKind, SumSpec, asym_gap, export_tscan,
                        growth_exponent, growth_ladder, moment_integral, tscan)
-from .numerics import (DEFAULT_MAX_NODES, SmoothingKernel, kernel_eval, kernel_fourier,
+from .numerics import (SmoothingKernel, kernel_eval, kernel_fourier,
                        kernel_fourier_bound)
 from .ps_primes import GammaParam, export_table
 from .quintet_search import (DEFAULT_MEMORY_MB, QuintetSolutions, export_solutions,
                              search_mitm, within_radius)
 
-_DEFAULT_BUDGETS = {"memory_mb": DEFAULT_MEMORY_MB, "max_nodes": DEFAULT_MAX_NODES,
-                    "time_s": 1200.0}
+_DEFAULT_BUDGETS = {"memory_mb": DEFAULT_MEMORY_MB, "time_s": 1200.0}
 # most quintuples solutions.csv lists
 _REPORT_LIMIT = 10 ** 6
 # exit code and stderr label per error class; any other error propagates
@@ -71,7 +69,6 @@ _EXIT_CODES = (
     ((SchemaError, AdmissibilityError, DegenerateRatio, EmptyWindow), 2,
      "config error"),
     ((BudgetExceeded, CapacityExceeded), 3, "budget exceeded"),
-    ((NonConvergence,), 4, "quadrature failed to converge"),
     ((IoError,), 1, "io error"),
 )
 
@@ -186,9 +183,7 @@ def _config_from_doc(doc: dict) -> RunConfig:
             raise SchemaError(f"$.budgets.{key}", "unknown budget")
         if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
             raise SchemaError(f"$.budgets.{key}", "must be a positive number")
-        if key == "max_nodes" and not isinstance(v, int):
-            raise SchemaError(f"$.budgets.{key}", f"must be an integer, got {v}")
-        budgets[key] = v if key == "max_nodes" else float(v)
+        budgets[key] = float(v)
     seed = _want(doc, "seed", int, "$.seed", default=0)
     if seed < 0:
         raise SchemaError("$.seed", f"must be >= 0, got {seed}")
@@ -390,8 +385,7 @@ def _diagnostics(cfg: RunConfig, params: DhParams, tables, kern: SmoothingKernel
 
 
 def _full_run(cfg: RunConfig, params: DhParams, threads: int,
-              with_diagnostics: bool) -> RunReport:
-    deadline = _Deadline(cfg.budgets["time_s"])
+              deadline: _Deadline, with_diagnostics: bool) -> RunReport:
     inst = cfg.instance
     tables = instance_tables(inst, params)
     kern = _kernel_for(params)
@@ -409,8 +403,7 @@ def _full_run(cfg: RunConfig, params: DhParams, threads: int,
     direct = gamma_direct(inst, kern, found)
     deadline.check("direct sum")
     dec = gamma_integral(inst, params, kern, tables, threads=threads,
-                         nodes_cap=cfg.budgets["max_nodes"], direct=direct,
-                         deadline=lambda: deadline.check("integral"))
+                         direct=direct, deadline=lambda: deadline.check("integral"))
     deadline.check("integral")
 
     ts, vals = _scan_grid(params, inst, tables)
@@ -441,9 +434,11 @@ def _number_or_word(text: str) -> Union[float, str]:
         return text    # "theorem", or a word the config check rejects
 
 
-def _cmd_primes(cfg: RunConfig, params: DhParams, threads: int) -> int:
+def _cmd_primes(cfg: RunConfig, params: DhParams, threads: int,
+                deadline: _Deadline) -> int:
     inst = cfg.instance
     tables = instance_tables(inst, params)
+    deadline.check("tables")
     path = os.path.join(cfg.output_dir, "primes.csv")
     export_table(tables[0], path)
     print(f"{len(tables[0])} PS primes in the square window "
@@ -455,7 +450,8 @@ def _cmd_primes(cfg: RunConfig, params: DhParams, threads: int) -> int:
     return 0
 
 
-def _cmd_kernel(cfg: RunConfig, params: DhParams, threads: int) -> int:
+def _cmd_kernel(cfg: RunConfig, params: DhParams, threads: int,
+                deadline: _Deadline) -> int:
     kern = _kernel_for(params)
     eps = kern.epsilon
     p1 = os.path.join(cfg.output_dir, "kernel_theta.csv")
@@ -471,8 +467,10 @@ def _cmd_kernel(cfg: RunConfig, params: DhParams, threads: int) -> int:
     return 0
 
 
-def _cmd_sums(cfg: RunConfig, params: DhParams, threads: int) -> int:
+def _cmd_sums(cfg: RunConfig, params: DhParams, threads: int,
+              deadline: _Deadline) -> int:
     tables = instance_tables(cfg.instance, params)
+    deadline.check("tables")
     ts, vals = _scan_grid(params, cfg.instance, tables)
     path = os.path.join(cfg.output_dir, "tscan.csv")
     export_tscan(path, ts, vals, {"Delta": params.Delta, "H": params.H})
@@ -480,8 +478,9 @@ def _cmd_sums(cfg: RunConfig, params: DhParams, threads: int) -> int:
     return 0
 
 
-def _cmd_gamma(cfg: RunConfig, params: DhParams, threads: int) -> int:
-    report = _full_run(cfg, params, threads, with_diagnostics=False)
+def _cmd_gamma(cfg: RunConfig, params: DhParams, threads: int,
+               deadline: _Deadline) -> int:
+    report = _full_run(cfg, params, threads, deadline, with_diagnostics=False)
     path = os.path.join(cfg.output_dir, "report.json")
     atomic_write_text(path, canonical_json(report_to_dict(report)))
     dec = report.decomposition
@@ -493,8 +492,8 @@ def _cmd_gamma(cfg: RunConfig, params: DhParams, threads: int) -> int:
     return 0
 
 
-def _cmd_search(cfg: RunConfig, params: DhParams, threads: int) -> int:
-    deadline = _Deadline(cfg.budgets["time_s"])
+def _cmd_search(cfg: RunConfig, params: DhParams, threads: int,
+                deadline: _Deadline) -> int:
     tables = instance_tables(cfg.instance, params)
     radius = effective_radius(cfg, tables)
     found = search_mitm(cfg.instance, tables, radius, threads=threads,
@@ -511,8 +510,8 @@ def _cmd_search(cfg: RunConfig, params: DhParams, threads: int) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, params: DhParams, threads: int,
-                with_diagnostics: bool = True) -> int:
-    report = _full_run(cfg, params, threads, with_diagnostics)
+                deadline: _Deadline, with_diagnostics: bool = True) -> int:
+    report = _full_run(cfg, params, threads, deadline, with_diagnostics)
     sizes = emit_report(report, cfg.output_dir)
     for d in report.diagnostics:
         print(f"{'PASS' if d.passed else 'FAIL'} {d.name}: "
@@ -555,7 +554,8 @@ def main(argv=None) -> int:
             raise SchemaError("--threads", f"must be >= 1, got {args.threads}")
         cfg = _load_config(args)
         params = derive_params(cfg.instance, cfg.q0_floor)
-        return _COMMANDS[args.command](cfg, params, args.threads)
+        deadline = _Deadline(cfg.budgets["time_s"])
+        return _COMMANDS[args.command](cfg, params, args.threads, deadline)
     except PsQuintetError as exc:
         for classes, code, label in _EXIT_CODES:
             if isinstance(exc, classes):

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, DegenerateRatio
 from .numerics import (
-    DEFAULT_MAX_NODES,
     QuadratureSpec,
     SmoothingKernel,
     _cf_walk,
@@ -109,8 +108,11 @@ class GammaDecomposition:
     A: complex
     B: complex
     C_bound: float
-    total: complex
     direct: Optional[float] = None
+
+    @property
+    def total(self) -> complex:
+        return self.A + self.B
 
     @property
     def rel_gap(self) -> Optional[float]:
@@ -244,8 +246,7 @@ def _integrand(inst: ProblemInstance, kern: SmoothingKernel, tables):
 
 def gamma_integral(inst: ProblemInstance, params: DhParams,
                    kern: SmoothingKernel, tables, *, threads: int = 1,
-                   nodes_cap: int = DEFAULT_MAX_NODES, direct: Optional[float] = None,
-                   deadline=None) -> GammaDecomposition:
+                   direct: Optional[float] = None, deadline=None) -> GammaDecomposition:
     """Main-range A, oscillatory-range B, and the tail bound C.
 
     A integrates over |t| < Delta and B over Delta <= |t| <= H; both use the
@@ -274,11 +275,10 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
 
     def region(lo: float, hi: float) -> complex:
         spec = QuadratureSpec(lo, hi, max(freq, 128.0 / (hi - lo)))
-        half = oscillatory_integral(f, spec, threads=threads,
-                                    nodes_cap=nodes_cap, deadline=deadline)
+        half = oscillatory_integral(f, spec, threads=threads, deadline=deadline)
         return complex(2.0 * half.real, 0.0)
 
     a = region(0.0, params.Delta)
     b = region(params.Delta, params.H)
     c = tail_bound(params, kern.l, _sum_caps(tables))
-    return GammaDecomposition(A=a, B=b, C_bound=c, total=a + b, direct=direct)
+    return GammaDecomposition(A=a, B=b, C_bound=c, direct=direct)

@@ -26,17 +26,14 @@ class DegenerateRatio(PsQuintetError):
     """lambda1/lambda2 has no usable convergent above the requested floor."""
 
 
-class NonConvergence(PsQuintetError):
-    """The quadrature's truncation bound needs more nodes per panel than the
-    cap allows; raised before any integrand evaluation."""
-
-
 class BudgetExceeded(PsQuintetError):
-    """A configured work budget (quintuple count, time) would be exceeded."""
+    """The run's time budget (budgets.time_s) ran out."""
 
 
 class CapacityExceeded(PsQuintetError):
-    """A configured memory budget (sieve segment, enumeration size) would be exceeded."""
+    """A size limit would be passed: the search's memory budget
+    (budgets.memory_mb), its ceiling of 10^7 candidate quintuples, the
+    sieve's span, or brute_oracle's tuple cap."""
 
 
 class EmptyWindow(PsQuintetError):

@@ -55,8 +55,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonConvergence
-
 _SNAP_TOL = 1e-9          # continued-fraction integer snap (see cf_convergents)
 _MAX_CF_DEN = 10 ** 15    # denominators beyond double resolution are noise
 
@@ -65,7 +63,6 @@ _PANEL_CYCLES = 64
 # Truncation-error bound of every quadrature relative to sup|f| * (hi - lo)
 # (see oscillatory_integral), at the level of double-precision rounding.
 TRUNCATION_TOL = 1e-15
-DEFAULT_MAX_NODES = 1024   # default nodes_cap, and the CLI's max_nodes default
 # Integrand points per quadrature chunk. Chunk boundaries depend on the node
 # count alone, so the reduction order, and with it every bit of the result,
 # is the same for any thread count; with lattice_phase_sum's blocks the
@@ -450,7 +447,7 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
 
 
 def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
-                         nodes_cap: int = DEFAULT_MAX_NODES, deadline=None) -> complex:
+                         deadline=None) -> complex:
     """Integrate a vectorized complex integrand f over [spec.lo, spec.hi].
 
     f is called as f(t, mid, off) on the panel lattice (see _panel_sums) and
@@ -465,18 +462,13 @@ def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
     TRUNCATION_TOL * sup|f| * (hi - lo) (see _log_truncation_bound). Other
     integrands get no such guarantee; one analytic near each panel, such as
     a polynomial times e(x t) between the kernel's knots, or e(t y^k),
-    typically comes out to a similar accuracy. Raises NonConvergence, before
-    any evaluation, when n exceeds nodes_cap. deadline, if given, is called
-    before each chunk of integrand evaluations (see _panel_sums).
+    typically comes out to a similar accuracy. Since n is monotone in the
+    cycles, no panel takes more than _nodes_for_cycles(_PANEL_CYCLES) = 133
+    nodes. deadline, if given, is called before each chunk of integrand
+    evaluations (see _panel_sums).
     """
     cycles = (spec.hi - spec.lo) * spec.max_frequency
     n_panels = max(1, math.ceil(cycles / _PANEL_CYCLES))
     nodes = _nodes_for_cycles(math.ceil(cycles / n_panels))
-    if nodes > nodes_cap:
-        raise NonConvergence(
-            f"the truncation bound needs {nodes} nodes/panel for "
-            f"{TRUNCATION_TOL:g} relative to sup|f| * length, above nodes_cap="
-            f"{nodes_cap} ({n_panels} panels of {cycles / n_panels:.4g} cycles "
-            f"on [{spec.lo}, {spec.hi}])")
     edges = np.linspace(spec.lo, spec.hi, n_panels + 1)
     return _panel_sums(f, edges, nodes, threads, deadline)

@@ -38,7 +38,6 @@ from psquintet.errors import (
     DegenerateRatio,
     EmptyWindow,
     IoError,
-    NonConvergence,
     SchemaError,
     SpecMismatch,
 )
@@ -82,8 +81,7 @@ def test_minimal_doc_fills_defaults():
     assert cfg.instance.lambda0 == 0.1
     assert cfg.q0_floor == 20
     assert cfg.radius == "theorem"
-    assert cfg.budgets == {"memory_mb": 2048.0, "max_nodes": 1024,
-                           "time_s": 1200.0}
+    assert cfg.budgets == {"memory_mb": 2048.0, "time_s": 1200.0}
     assert cfg.seed == 0
     assert cfg.output_dir == "out"
 
@@ -128,8 +126,7 @@ def test_top_level_must_be_object():
     (make_doc(seed="zero"), "$.seed"),
     (make_doc(q0_floor=1), "$.q0_floor"),
     (make_doc(seed=-1), "$.seed"),
-    (make_doc(budgets={"max_nodes": 0.5}), "$.budgets.max_nodes"),
-    (make_doc(budgets={"max_nodes": 300.7}), "$.budgets.max_nodes"),
+    (make_doc(budgets={"max_nodes": 1024}), "$.budgets.max_nodes"),
 ])
 def test_schema_error_carries_field_path(doc, path):
     with pytest.raises(SchemaError) as exc:
@@ -146,7 +143,7 @@ def test_round_trip_everything_set():
     cfg = parse_config(make_doc(
         lambdas=[2.5, -1.25, 0.75, 1.0, -3.5], eta=-4.75, k=3, gamma=0.995,
         theta=0.002, lambda0=0.2, q0_floor=7, radius=1.5,
-        budgets={"memory_mb": 512, "max_nodes": 256, "time_s": 60},
+        budgets={"memory_mb": 512, "time_s": 60},
         seed=11, output_dir="elsewhere"))
     assert parse_config(serialize_config(cfg)) == cfg
 
@@ -220,8 +217,7 @@ def tiny_report(solutions=(), diagnostics=()):
     params = DhParams(q0=5, X=31.731537849473135, Delta=0.13829244284618936,
                       eps=0.98685401709273135, H=12.112226971464933)
     dec = GammaDecomposition(A=complex(9.32, 0.0), B=complex(-7.32, 0.0),
-                             C_bound=5.27, total=complex(2.0, 0.0),
-                             direct=2.0028)
+                             C_bound=5.27, direct=2.0028)
     return RunReport(params=params, decomposition=dec,
                      diagnostics=tuple(diagnostics),
                      solutions=solution_columns(solutions),
@@ -568,8 +564,8 @@ def test_rejected_field_writes_nothing(tmp_path, capsys, command, over, flags,
 
 
 @pytest.mark.parametrize("over,command,needle", [
-    ({"budgets": {"max_nodes": 0.5}}, "gamma", "$.budgets.max_nodes"),
-    ({"budgets": {"max_nodes": 300.7}}, "gamma", "$.budgets.max_nodes"),
+    # the quadrature's node cap is gone: the key is an unknown budget
+    ({"budgets": {"max_nodes": 1024}}, "gamma", "$.budgets.max_nodes"),
     # H = log^2 X / eps falls below Delta: no oscillatory range is left
     ({"theta": 1.5, "q0_floor": 12}, "gamma", "theta=1.5"),
     ({"theta": 1.5, "q0_floor": 12}, "report", "theta=1.5"),
@@ -619,7 +615,6 @@ def test_exit_code_degenerate_ratio(tmp_path, capsys):
     (EmptyWindow("m"), 2, "config error"),
     (BudgetExceeded("m"), 3, "budget exceeded"),
     (CapacityExceeded("m"), 3, "budget exceeded"),
-    (NonConvergence("m"), 4, "quadrature failed to converge"),
     (IoError("m"), 1, "io error"),
 ])
 def test_exit_code_per_error_class(tmp_path, monkeypatch, capsys, exc, code,
@@ -653,16 +648,21 @@ def test_exit_code_budget(tmp_path, capsys):
 
 
 def test_exit_code_nonconvergence(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "c.json", q0_floor=10,
-                    budgets={"max_nodes": 8})
-    assert main(["gamma", "--config", cfg, "--out", str(tmp_path)]) == 4
-    assert "converge" in capsys.readouterr().err
+    # exit 4 is retired with the node cap; its budget key is now unknown
+    cfg = write_cfg(tmp_path / "c.json", budgets={"max_nodes": 1024})
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", cfg, "--out", str(out)]) == 2
+    assert "$.budgets.max_nodes: unknown budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_exit_code_time_budget(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["primes", "sums", "search", "verify"])
+def test_exit_code_time_budget(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path / "c.json", budgets={"time_s": 1e-9})
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
     assert "time budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_time_budget_bounds_the_quadrature(tmp_path, capsys):
@@ -773,10 +773,11 @@ def test_one_search_serves_solutions_and_direct(monkeypatch, radius):
 
     monkeypatch.setattr(cli, "search_mitm", counted)
     monkeypatch.setattr(cli, "gamma_integral", lambda *a, direct, **k:
-                        GammaDecomposition(0j, 0j, 0.0, 0j, direct))
+                        GammaDecomposition(0j, 0j, 0.0, direct))
     inst = conf.instance
     params = derive_params(inst, conf.q0_floor)
-    run = cli._full_run(conf, params, 1, with_diagnostics=False)
+    run = cli._full_run(conf, params, 1, cli._Deadline(math.inf),
+                        with_diagnostics=False)
     tables = instance_tables(inst, params)
     kern = cli._kernel_for(params)
     assert calls == [max(radius, kern.epsilon)]
