@@ -127,6 +127,8 @@ def test_top_level_must_be_object():
     (make_doc(q0_floor=1), "$.q0_floor"),
     (make_doc(seed=-1), "$.seed"),
     (make_doc(budgets={"max_nodes": 1024}), "$.budgets.max_nodes"),
+    (make_doc(budgets={"time_s": 0}), "$.budgets.time_s"),
+    (make_doc(budgets={"memory_mb": True}), "$.budgets.memory_mb"),
 ])
 def test_schema_error_carries_field_path(doc, path):
     with pytest.raises(SchemaError) as exc:
@@ -656,7 +658,8 @@ def test_exit_code_nonconvergence(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["primes", "sums", "search", "verify"])
+@pytest.mark.parametrize("command", [
+    "primes", "sums", "search", "gamma", "report", "verify"])
 def test_exit_code_time_budget(tmp_path, capsys, command):
     cfg = write_cfg(tmp_path / "c.json", budgets={"time_s": 1e-9})
     out = tmp_path / "o"
