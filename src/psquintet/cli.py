@@ -495,10 +495,12 @@ def _cmd_gamma(cfg: RunConfig, params: DhParams, threads: int,
 def _cmd_search(cfg: RunConfig, params: DhParams, threads: int,
                 deadline: _Deadline) -> int:
     tables = instance_tables(cfg.instance, params)
+    deadline.check("tables")
     radius = effective_radius(cfg, tables)
     found = search_mitm(cfg.instance, tables, radius, threads=threads,
                         memory_mb=cfg.budgets["memory_mb"],
                         deadline=lambda: deadline.check("search"))
+    deadline.check("search")
     path = os.path.join(cfg.output_dir, "solutions.csv")
     sols = found[:_REPORT_LIMIT]
     export_solutions(path, sols)

@@ -602,8 +602,9 @@ def search_mitm(inst, tables, radius: float, *, threads: int = 1,
     past _MAX_HITS candidates it raises CapacityExceeded instead of a
     partial result. The memory budget is checked before the pair build and
     again, with the candidates found so far, as each outer block of them
-    arrives. deadline, if given, is called before each outer block and may
-    raise to abandon the search.
+    arrives. deadline, if given, is called before each outer block and once
+    more after the scan, before certification, and may raise to abandon the
+    search.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -624,6 +625,8 @@ def search_mitm(inst, tables, radius: float, *, threads: int = 1,
 
     check_memory(0)
     rows = _candidates(lay, inst.eta, band, threads, check_memory, deadline)
+    if deadline is not None:
+        deadline()
     return _finalize(inst, slots, rows, radius)
 
 

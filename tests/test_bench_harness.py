@@ -36,6 +36,26 @@ def test_traced_verify_runs(tmp_path, k, gamma):
     assert doc["counts"]["quintet_search.search_mitm_calls"] == 1
 
 
+def test_traced_search_runs(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "lambdas": [1.4142135623730951, 1.0, 1.0, 1.0, -3.0], "eta": 0.0,
+        "k": 2, "gamma": 0.99, "theta": 0.001, "q0_floor": 12,
+        "radius": 2.0, "seed": 1}))
+    trace, out = tmp_path / "trace.json", tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, "psqbench/traced_cli.py", "src", str(trace), "time",
+         "search", "--config", str(cfg), "--out", str(out), "--threads", "2"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(trace.read_text())
+    names = {span[2] for span in doc["spans"]}
+    assert {"quintet_search.search_mitm", "quintet_search.pair_build",
+            "quintet_search.export_solutions"} <= names
+    listed = len((out / "solutions.csv").read_text().splitlines()) - 1
+    assert doc["counts"]["quintet_search.solutions"] == listed > 0
+
+
 def test_traced_integrand_points_count_the_lattice(tmp_path, monkeypatch):
     # the integrand gets the panel lattice as (t, mid, off); the traced
     # count reads len(t), which must stay panels x nodes per quadrature pass

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psquintet import cli, numerics, ps_primes
+from psquintet import cli, numerics, ps_primes, quintet_search
 from psquintet.cli import (
     RunConfig,
     RunReport,
@@ -716,6 +716,26 @@ def test_time_budget_bounds_the_search_scan(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "time budget 0.1s exhausted" in err and "(at search)" in err
     assert elapsed < budget + 0.5
+    assert not (out / "solutions.csv").exists()
+
+
+def test_time_budget_bounds_the_search_certification(tmp_path, monkeypatch,
+                                                     capsys):
+    # certification outlasts the budget after the scan's last check; the
+    # check after the search returns stops the run before the listing
+    budget = 0.5
+    finalize = quintet_search._finalize
+
+    def slow(*args):
+        time.sleep(budget)
+        return finalize(*args)
+
+    monkeypatch.setattr(quintet_search, "_finalize", slow)
+    cfg = write_cfg(tmp_path / "c.json", budgets={"time_s": budget})
+    out = tmp_path / "o"
+    assert main(["search", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "time budget 0.5s exhausted" in err and "(at search)" in err
     assert not (out / "solutions.csv").exists()
 
 

@@ -1098,6 +1098,28 @@ class TestErrors:
             search_mitm(inst, [tab] * 5, 0.05, deadline=deadline)
         assert 6 <= len(ticks) <= len(tab)
 
+    def test_deadline_checked_after_the_scan(self, monkeypatch):
+        # a budget that runs out once the scan is done stops the search
+        # before certification
+        inst, tab = make_inst(), build_table(GP, 3e4, 0.1, 2)
+        scanned = []
+        candidates = quintet_search._candidates
+
+        def spy(*args):
+            rows = candidates(*args)
+            scanned.append(len(rows))
+            return rows
+
+        def deadline():
+            if scanned:
+                raise BudgetExceeded("time budget exhausted")
+
+        monkeypatch.setattr(quintet_search, "_candidates", spy)
+        monkeypatch.setattr(quintet_search, "_finalize", None)
+        with pytest.raises(BudgetExceeded):
+            search_mitm(inst, [tab] * 5, 5.0, deadline=deadline)
+        assert scanned and scanned[0] > 0
+
     @pytest.mark.parametrize("lambdas", [(SQRT2, 1, 1, 1, -3), UNREDUCIBLE],
                              ids=["pinned", "unreducible"])
     def test_hit_ceiling_stops_the_scan(self, monkeypatch, lambdas):
