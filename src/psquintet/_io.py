@@ -3,31 +3,78 @@
 Every float that reaches disk goes through fmt17 (17 significant digits, the
 shortest width that round-trips any double), and every file is written to a
 temp path then renamed, so partially written outputs can never be observed and
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files. csv_blocks renders every CSV
+file from its columns, _CSV_ROWS rows at a time, so none is ever held whole.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+
+import numpy as np
 
 from .errors import IoError
+
+# CSV rows rendered at a time: bounds the renderer's byte matrices and text
+_CSV_ROWS = 1 << 12
 
 
 def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def csv_text(header: list[str], rows) -> str:
-    """CSV document with "\n" line ends: the header line, then one line per row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def csv_blocks(header: str, columns) -> Iterator[str]:
+    """CSV text of equal-length columns, "\n" line ends: the header line(s),
+    then the rows, _CSV_ROWS at a time. Non-negative ints render in decimal,
+    floats through fmt17, bools as true/false and str as it is (nothing needs
+    quoting): the text csv.writer gives of those fields."""
+    yield header + "\n"
+    columns = [np.asarray(c) for c in columns]
+    for s in range(0, len(columns[0]), _CSV_ROWS):
+        yield _block([c[s:s + _CSV_ROWS] for c in columns])
+
+
+def _block(columns: list[np.ndarray]) -> str:
+    """The CSV lines of columns: their NUL-padded byte matrices joined, NULs
+    dropped; a function of its own, so its temporaries die with the block."""
+    comma = np.full((len(columns[0]), 1), ord(","), dtype=np.uint8)
+    text = np.hstack([m for col in columns for m in (_cells(col), comma)])
+    text[:, -1] = ord("\n")
+    return text[text != 0].tobytes().decode("ascii")
+
+
+def _cells(col: np.ndarray) -> np.ndarray:
+    """Row i holds the text of col[i] as ASCII codes, padded with NULs; each
+    distinct float is formatted once, keyed on its bits (-0.0 keeps "-0")."""
+    if col.dtype.kind in "iu":
+        return _digits(col)
+    if col.dtype.kind == "b":
+        strings, at = ["false", "true"], col.astype(np.intp)
+    elif col.dtype.kind == "f":
+        bits, at = np.unique(col.astype(float).view(np.int64), return_inverse=True)
+        strings = [fmt17(v) for v in bits.view(np.float64).tolist()]
+    else:
+        strings, at = col.tolist(), slice(None)
+    table = np.array(strings, dtype=np.bytes_)
+    return table.view(np.uint8).reshape(len(strings), -1)[at]
+
+
+def _digits(x: np.ndarray) -> np.ndarray:
+    """The decimal text of the non-negative ints x as ASCII codes, one row
+    per value, right-aligned and padded on the left with NULs."""
+    width = len(str(int(x.max())))
+    out = np.empty((len(x), width), dtype=np.uint8)
+    q = x
+    for c in range(width - 1, -1, -1):
+        rest = q // 10
+        out[:, c] = q - 10 * rest + 48
+        if c < width - 1:
+            # a leading zero becomes NUL; the units digit always shows
+            out[:, c] *= q > 0
+        q = rest
+    return out
 
 
 def atomic_write_text(path: str, text: str | Iterable[str]) -> int:

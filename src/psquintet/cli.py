@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from ._io import atomic_write_text, canonical_json, csv_text, fmt17
+from ._io import atomic_write_text, canonical_json, csv_blocks, fmt17
 from .dh_pipeline import (
     DhParams,
     GammaDecomposition,
@@ -181,7 +181,7 @@ def _config_from_doc(doc: dict) -> RunConfig:
     for key, v in raw.items():
         if key not in _DEFAULT_BUDGETS:
             raise SchemaError(f"$.budgets.{key}", "unknown budget")
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
             raise SchemaError(f"$.budgets.{key}", "must be a positive number")
         budgets[key] = float(v)
     seed = _want(doc, "seed", int, "$.seed", default=0)
@@ -253,11 +253,10 @@ def emit_report(report: RunReport, out_dir: str) -> dict:
     sizes["tscan.csv"] = export_tscan(
         os.path.join(out_dir, "tscan.csv"), report.scan_ts, report.scan_values,
         {"Delta": report.params.Delta, "H": report.params.H})
-    rows = ([d.name, fmt17(d.value), fmt17(d.bound),
-             "true" if d.passed else "false"] for d in report.diagnostics)
     sizes["diagnostics.csv"] = atomic_write_text(
-        os.path.join(out_dir, "diagnostics.csv"),
-        csv_text(["name", "value", "bound", "pass"], rows))
+        os.path.join(out_dir, "diagnostics.csv"), csv_blocks(
+            "name,value,bound,pass", [[getattr(d, f) for d in report.diagnostics]
+                                      for f in ("name", "value", "bound", "passed")]))
     return sizes
 
 
@@ -418,7 +417,7 @@ def _load_config(args) -> RunConfig:
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError("$", f"cannot read config {args.config}: {exc}") from exc
     doc = _json_object(text)
     for key in ("output_dir", "seed", "q0_floor", "radius"):
@@ -454,15 +453,16 @@ def _cmd_kernel(cfg: RunConfig, params: DhParams, threads: int,
                 deadline: _Deadline) -> int:
     kern = _kernel_for(params)
     eps = kern.epsilon
+    ys = np.linspace(-eps, eps, 257)
+    xs = np.geomspace(1e-2 / eps, 1e2 / eps, 257)
     p1 = os.path.join(cfg.output_dir, "kernel_theta.csv")
-    atomic_write_text(p1, csv_text(["y", "theta"], (
-        [fmt17(y), fmt17(kernel_eval(kern, float(y)))]
-        for y in np.linspace(-eps, eps, 257))))
+    atomic_write_text(p1, csv_blocks("y,theta", [
+        ys, [kernel_eval(kern, y) for y in ys]]))
     p2 = os.path.join(cfg.output_dir, "kernel_fourier.csv")
-    atomic_write_text(p2, csv_text(["x", "fourier", "bound"], (
-        [fmt17(x), fmt17(float(kernel_fourier(kern, x))),
-         fmt17(float(kernel_fourier_bound(kern, x)))]
-        for x in np.geomspace(1e-2 / eps, 1e2 / eps, 257))))
+    # one scalar call per x: the bound's array form differs in a few last digits
+    atomic_write_text(p2, csv_blocks("x,fourier,bound", [
+        xs, [kernel_fourier(kern, x) for x in xs],
+        [kernel_fourier_bound(kern, x) for x in xs]]))
     print(f"kernel (eps={eps:.6g}, l={kern.l}) -> {p1}, {p2}")
     return 0
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, csv_text, fmt17
+from ._io import atomic_write_text, csv_blocks, fmt17
 from .dh_pipeline import main_range_cutoff
 from .errors import AdmissibilityError, SpecMismatch
 from .numerics import QuadratureSpec, e2pi, oscillatory_integral, phase_sum
@@ -205,6 +205,7 @@ def asym_gap(kind: GapKind, rungs, t_grid) -> tuple[float, float]:
 def export_tscan(path: str, ts, values, marks: dict[str, float] | None = None) -> int:
     """CSV t,re,im,abs; optional '# name = value' marker lines up front."""
     head = "".join(f"# {name} = {fmt17(marks[name])}\n" for name in sorted(marks or {}))
-    rows = ([fmt17(t), fmt17(v.real), fmt17(v.imag), fmt17(abs(v))]
-            for t, v in zip(ts, map(complex, values)))
-    return atomic_write_text(path, head + csv_text(["t", "re", "im", "abs"], rows))
+    v = np.asarray(values, dtype=complex)
+    # Python's abs, not np.abs: the two differ in the last digit of some rows
+    return atomic_write_text(path, csv_blocks(head + "t,re,im,abs", [
+        np.asarray(ts, dtype=float), v.real, v.imag, [abs(z) for z in v.tolist()]]))

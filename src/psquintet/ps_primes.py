@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._io import atomic_write_text, csv_text, fmt17
+from ._io import atomic_write_text, csv_blocks
 from .errors import CapacityExceeded
 
 MP_DPS = 50              # escalation precision for membership decisions
@@ -205,5 +205,4 @@ def ps_prime_count(limit: int, gamma) -> int:
 
 def export_table(table: PsPrimeTable, path: str) -> int:
     """CSV dump, header p,weight, 17-significant-digit weights; returns bytes."""
-    rows = ([int(p), fmt17(w)] for p, w in zip(table.primes, table.weights))
-    return atomic_write_text(path, csv_text(["p", "weight"], rows))
+    return atomic_write_text(path, csv_blocks("p,weight", [table.primes, table.weights]))

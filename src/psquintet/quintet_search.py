@@ -38,14 +38,13 @@ lexicographically, and the float value is one rounding of the limbs' sum. A
 search whose terms could carry the sum past 2^52 in its high limb keeps the
 Python-integer columns instead. The order is total over distinct rows, so
 the result depends only on the set of candidates, bit for bit across thread
-counts. solutions.csv is rendered in columns and written in blocks of rows,
-so the whole text is never held at once.
+counts. solutions.csv is written from the result's columns by _io's CSV
+renderer, in blocks of rows, so the whole text is never held at once.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, fmt17
+from ._io import atomic_write_text, csv_blocks
 from .errors import CapacityExceeded, EmptyWindow, SpecMismatch
 from .ps_primes import PsPrimeTable
 
@@ -73,9 +72,6 @@ _MAP_BLOCK = 1 << 14
 # certification splits each exact scaled value into limbs hi * 2^_LIMB + lo,
 # 0 <= lo < 2^_LIMB, summed in int64
 _LIMB = 40
-# solutions.csv rows rendered and written at a time: bounds the export's
-# byte matrices and text
-_CSV_ROWS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -726,52 +722,8 @@ def brute_oracle(inst, tables, radius: float) -> QuintetSolutions:
                      np.concatenate(rows), radius)
 
 
-def _digits(x: np.ndarray) -> np.ndarray:
-    """The decimal text of the non-negative int64s x as ASCII codes, one row
-    per value, right-aligned and padded on the left with NULs."""
-    width = len(str(int(x.max()))) if len(x) else 1
-    out = np.empty((len(x), width), dtype=np.uint8)
-    q = x
-    for c in range(width - 1, -1, -1):
-        rest = q // 10
-        out[:, c] = q - 10 * rest + 48
-        if c < width - 1:
-            # a leading zero becomes NUL; the units digit always shows
-            out[:, c] *= q > 0
-        q = rest
-    return out
-
-
-def _tokens(strings: list[str], at: np.ndarray) -> np.ndarray:
-    """Row i holds strings[at[i]] as ASCII codes, padded with NULs."""
-    table = np.array(strings, dtype=np.bytes_)
-    return table.view(np.uint8).reshape(len(strings), -1)[at]
-
-
-def _csv_rows(sols: QuintetSolutions) -> bytes:
-    """The solutions.csv lines of sols: every column rendered into a byte
-    matrix padded with NULs, the matrices joined and the NULs dropped. Each
-    distinct value is formatted once, keyed on its bit pattern, so that -0.0
-    and 0.0 keep their own text."""
-    n = len(sols)
-    comma = np.full((n, 1), ord(","), dtype=np.uint8)
-    bits, at = np.unique(sols.value.view(np.int64), return_inverse=True)
-    value = _tokens([fmt17(v) for v in bits.view(np.float64).tolist()], at)
-    flag = _tokens(["false", "true"], sols.meets_theorem_radius.astype(np.intp))
-    parts = []
-    for col in sols.p.T:
-        parts += [_digits(col), comma]
-    parts += [value, comma, _digits(sols.max_p), comma, flag,
-              np.full((n, 1), ord("\n"), dtype=np.uint8)]
-    text = np.hstack(parts).ravel()
-    return text[text != 0].tobytes()
-
-
 def export_solutions(path: str, sols: QuintetSolutions) -> int:
-    """CSV p1..p5,value,max_p,meets_theorem_radius; row order preserved. The
-    text is csv.writer's of the ints and fmt17 values, rendered and written
-    _CSV_ROWS rows at a time."""
-    blocks = (_csv_rows(sols[s:s + _CSV_ROWS]).decode("ascii")
-              for s in range(0, len(sols), _CSV_ROWS))
-    return atomic_write_text(path, itertools.chain(
-        ["p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius\n"], blocks))
+    """CSV p1..p5,value,max_p,meets_theorem_radius; row order preserved."""
+    return atomic_write_text(path, csv_blocks(
+        "p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius",
+        [*sols.p.T, sols.value, sols.max_p, sols.meets_theorem_radius]))

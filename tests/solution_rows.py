@@ -1,4 +1,8 @@
-"""Row view of a search result, so that tests compare results exactly."""
+"""Row views of results and csv.writer's text of rows, so that tests compare
+results and output files exactly."""
+
+import csv
+import io
 
 
 def rows(sols) -> list[tuple]:
@@ -8,3 +12,13 @@ def rows(sols) -> list[tuple]:
     return list(zip(map(tuple, sols.p.tolist()), sols.value.tolist(),
                     sols.weight.tolist(), sols.max_p.tolist(),
                     sols.meets_theorem_radius.tolist()))
+
+
+def csv_writer_text(header: list[str], rows) -> str:
+    """csv.writer's document with "\n" line ends: the oracle of the CSV
+    renderer in psquintet._io."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -129,6 +129,9 @@ def test_top_level_must_be_object():
     (make_doc(budgets={"max_nodes": 1024}), "$.budgets.max_nodes"),
     (make_doc(budgets={"time_s": 0}), "$.budgets.time_s"),
     (make_doc(budgets={"memory_mb": True}), "$.budgets.memory_mb"),
+    # json reads NaN, and a NaN budget never trips: every comparison is false
+    (make_doc(budgets={"time_s": math.nan}), "$.budgets.time_s"),
+    (make_doc(budgets={"memory_mb": math.nan}), "$.budgets.memory_mb"),
 ])
 def test_schema_error_carries_field_path(doc, path):
     with pytest.raises(SchemaError) as exc:
@@ -437,15 +440,24 @@ def test_unreducible_search_solutions_keep_their_bytes(tmp_path, capsys, threads
     assert digest == _SEARCH_SQRT3_SHA256
 
 
-# sha256 of report.json and diagnostics.csv from verify at q0 12, radius
-# "theorem", per seed: recorded while the diagnostics drew from
-# np.random.default_rng, which the in-tree stream must reproduce bit for bit
+# sha256 of report.json, diagnostics.csv and tscan.csv from verify at q0 12,
+# radius "theorem", per seed: the first two recorded while the diagnostics
+# drew from np.random.default_rng, which the in-tree stream must reproduce
+# bit for bit; tscan.csv recorded while it was rendered by csv.writer
+_TSCAN_Q12_SHA256 = "bc841ca204be7b67fd9b5ddcf2950bac448cac37e6f4ed146a5398eb8346fc3b"
 _VERIFY_Q12_SHA256 = {
     0: ("0896899cebecceca631fee77c844ee642d97561709c5c847299ef062c0307236",
-        "b671a0ad04d04f1b1169c40666ea1f2e06cbf4d9d04ebff92793bf68409472bc"),
+        "b671a0ad04d04f1b1169c40666ea1f2e06cbf4d9d04ebff92793bf68409472bc",
+        _TSCAN_Q12_SHA256),
     2301: ("d07e5110bbaff891117d96f22b6ebba550a1876a96d0248b3ac0343bd969444a",
-           "9c111e4a1dfdd89c308f6903a8dbe890dac4d26549dbb9745f00f57fcf1990fe"),
+           "9c111e4a1dfdd89c308f6903a8dbe890dac4d26549dbb9745f00f57fcf1990fe",
+           _TSCAN_Q12_SHA256),
 }
+
+
+def _digests(out, names):
+    return tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in names)
 
 
 @pytest.mark.parametrize("seed", sorted(_VERIFY_Q12_SHA256))
@@ -453,9 +465,32 @@ def test_verify_outputs_keep_their_bytes(tmp_path, seed):
     cfg = write_cfg(tmp_path / "c.json", q0_floor=12, radius="theorem", seed=seed)
     out = tmp_path / "o"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
-                    for name in ("report.json", "diagnostics.csv"))
+    digests = _digests(out, ("report.json", "diagnostics.csv", "tscan.csv"))
     assert digests == _VERIFY_Q12_SHA256[seed]
+
+
+def test_kernel_outputs_keep_their_bytes(tmp_path):
+    # sha256 of kernel_theta.csv and kernel_fourier.csv at q0 12, recorded
+    # while they were rendered by csv.writer
+    cfg = write_cfg(tmp_path / "c.json", q0_floor=12)
+    out = tmp_path / "o"
+    assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+    assert _digests(out, ("kernel_theta.csv", "kernel_fourier.csv")) == (
+        "b0fc4f633916cf0898b6951259ce7f88f8141066927dec2a56723345c9502269",
+        "44b9f87ed1a4b07b448fee986c6163f20cd6eb4624c790a118bddb3508957266")
+
+
+def test_k3_tables_keep_their_bytes(tmp_path, capsys):
+    # sha256 of primes.csv (4,348 rows, more than one block of the CSV
+    # renderer) and primes_k3.csv for k = 3, gamma 0.995 at q0 20000,
+    # recorded while they were rendered by csv.writer
+    cfg = write_cfg(tmp_path / "c.json", k=3, gamma=0.995, q0_floor=20000)
+    out = tmp_path / "o"
+    assert main(["primes", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("4348 PS primes in the square window")
+    assert _digests(out, ("primes.csv", "primes_k3.csv")) == (
+        "490c5d7dbfafaf34b4ba71cdce02e4065c091bbd31eeedb2389d2b3f37c9c1b8",
+        "598125127bf551544000f1d1835cb3bafa7f018da39f95eec626b0eb3f023ce3")
 
 
 def test_default_stream_matches_numpy_default_rng():
@@ -634,6 +669,16 @@ def test_unmapped_error_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_load_config", fail)
     with pytest.raises(SpecMismatch):
         main(["primes", "--config", write_cfg(tmp_path / "c.json")])
+
+
+def test_undecodable_config_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_bytes(make_doc().encode() + b"\xff")
+    out = tmp_path / "o"
+    assert main(["primes", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $: cannot read config")
+    assert not out.exists()
 
 
 def test_exit_code_missing_config(tmp_path, capsys):
@@ -876,14 +921,16 @@ def test_cli_import_leaves_mpmath_unloaded():
 
 
 def test_verify_leaves_numpy_random_and_mpmath_unloaded(tmp_path):
-    # the diagnostics' seeded draws come from cli._DefaultStream, and no PS
-    # membership escalates at q0 12: neither import is paid for
+    # the diagnostics' seeded draws come from cli._DefaultStream, no PS
+    # membership escalates at q0 12, and every CSV is rendered by _io
+    # without the csv module: none of the three imports is paid for
     cfg = write_cfg(tmp_path / "c.json", q0_floor=12, radius="theorem")
     code = ("import sys; from psquintet.cli import main; "
             f"assert main(['verify', '--config', {cfg!r}, '--out', "
             f"{str(tmp_path / 'o')!r}]) == 0; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'mpmath' or m.startswith('numpy.random')))")
+            "if m.split('.')[0] in ('mpmath', 'csv') "
+            "or m.startswith('numpy.random')))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_src_env(), timeout=120)
     assert run.returncode == 0, run.stderr

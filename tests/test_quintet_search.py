@@ -25,12 +25,13 @@ from psquintet import (
     search_mitm,
 )
 from psquintet import quintet_search
-from psquintet._io import csv_text, fmt17
+from psquintet import _io
+from psquintet._io import fmt17
 from psquintet.cli import effective_radius, parse_config
 from psquintet.dh_pipeline import derive_params, instance_tables
-from psquintet.ps_primes import prime_weights
+from psquintet.ps_primes import PsPrimeTable, export_table, prime_weights
 from psquintet.quintet_search import QuintetSolutions, _search_bytes, within_radius
-from solution_rows import rows
+from solution_rows import csv_writer_text, rows
 
 GP = GammaParam(0.99)
 SQRT2 = math.sqrt(2)
@@ -1161,9 +1162,11 @@ class TestExport:
         assert float(first[5]) == sols.value[0]
         assert first[7] in ("true", "false")
 
-    def test_text_matches_csv_writer_rendering(self, tmp_path):
+    def test_text_matches_csv_writer_rendering(self, tmp_path, monkeypatch):
         # the row format gives the bytes csv.writer gives of fmt17 text,
-        # also for signed zeros, subnormals and values near the float range
+        # also for signed zeros, subnormals and values near the float range;
+        # blocks of 7 rows split the 10 rows in two
+        monkeypatch.setattr(_io, "_CSV_ROWS", 7)
         values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1,
                   -1.2345678901234567, 2.2250738585072014e-308, 123456789.01234567]
         n = len(values)
@@ -1172,53 +1175,44 @@ class TestExport:
                                 weight=np.ones(n), max_p=p.max(axis=1),
                                 meets_theorem_radius=np.arange(n) % 2 == 0)
         path = tmp_path / "solutions.csv"
-        export_solutions(str(path), sols)
-        want = csv_text(
-            ["p1", "p2", "p3", "p4", "p5", "value", "max_p", "meets_theorem_radius"],
-            ([*r[:5], fmt17(v), mp, "true" if meets else "false"]
-             for r, v, mp, meets in zip(p.tolist(), values, sols.max_p.tolist(),
-                                        sols.meets_theorem_radius.tolist())))
-        assert path.read_bytes() == want.encode()
-        assert "-0," in want and "4.9406564584124654e-324" in want
+        assert export_solutions(str(path), sols) == len(csv_bytes(sols))
+        assert path.read_bytes() == csv_bytes(sols)
+        assert b"-0," in csv_bytes(sols)
+        assert b"4.9406564584124654e-324" in csv_bytes(sols)
 
-    def test_columns_match_csv_writer_rendering(self, tmp_path, monkeypatch):
-        # property: the columnar writer gives csv.writer's bytes of the ints
-        # and fmt17 values; blocks of 7 rows put results of up to 7 rows in
-        # one block and longer ones in several
-        monkeypatch.setattr(quintet_search, "_CSV_ROWS", 7)
-        path = tmp_path / "solutions.csv"
-
-        @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-        @given(solution_columns())
-        def check(sols):
-            n = export_solutions(str(path), sols)
-            assert path.read_bytes() == csv_bytes(sols)
-            assert n == len(csv_bytes(sols))
-
-        check()
-
-    def test_export_holds_one_block_of_rows(self, tmp_path):
-        # the file is written _CSV_ROWS rows at a time, so 8 blocks of rows
-        # peak about as one does; the return value is the file's size
+    @pytest.mark.parametrize("name", ["solutions", "table"])
+    def test_export_holds_one_block_of_rows(self, tmp_path, name):
+        # solutions.csv and primes.csv are written _io._CSV_ROWS rows at a
+        # time, so 8 blocks of rows peak about as one does; the return value
+        # is the file's size
         rng = np.random.default_rng(7)
 
-        def peak_of(n):
+        def solutions(n):
             p = rng.integers(10 ** 6, 10 ** 9, size=(n, 5))
             sols = QuintetSolutions(p=p, value=rng.uniform(-1.0, 1.0, n),
                                     weight=np.ones(n), max_p=p.max(axis=1),
                                     meets_theorem_radius=rng.random(n) < 0.5)
-            path = tmp_path / f"solutions-{n}.csv"
+            return lambda path: export_solutions(path, sols)
+
+        def table(n):
+            tab = PsPrimeTable(GP, 1e18, 0.1, 2, primes=np.sort(
+                rng.integers(10 ** 8, 10 ** 9, n)), weights=rng.uniform(1.0, 30.0, n))
+            return lambda path: export_table(tab, path)
+
+        def peak_of(n):
+            export = {"solutions": solutions, "table": table}[name](n)
+            path = tmp_path / f"{name}-{n}.csv"
             tracemalloc.start()
             try:
-                size = export_solutions(str(path), sols)
+                size = export(str(path))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert size == path.stat().st_size
             return peak
 
-        one = peak_of(quintet_search._CSV_ROWS)
-        assert peak_of(8 * quintet_search._CSV_ROWS) <= 1.5 * one
+        one = peak_of(_io._CSV_ROWS)
+        assert peak_of(8 * _io._CSV_ROWS) <= 1.5 * one
 
     def test_empty_result_writes_the_header(self, tmp_path):
         sols = QuintetSolutions(p=np.empty((0, 5), dtype=np.int64),
@@ -1231,33 +1225,9 @@ class TestExport:
             b"p1,p2,p3,p4,p5,value,max_p,meets_theorem_radius\n")
 
 
-_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                   -2.2250738585072009e-308, 1e300, -1e300, 1.7976931348623157e308]
-
-
-@st.composite
-def solution_columns(draw):
-    """Result columns of 1 to 30 rows: positive int64s of 1 to 19 digits,
-    values from a small pool (so they repeat) of finite floats, signed
-    zeros, subnormals and values near the float range, and mixed flags."""
-    n = draw(st.integers(1, 30))
-    # each int of a random digit count d: uniform over [10^(d-1), 10^d)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    digits = rng.integers(1, 20, size=(n, 6))
-    cols = np.array([[int(rng.integers(10 ** (d - 1), min(10 ** d, 2 ** 63)))
-                      for d in row] for row in digits.tolist()], dtype=np.int64)
-    pool = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_VALUES),
-                                   st.floats(allow_nan=False, allow_infinity=False)),
-                         min_size=1, max_size=8))
-    at = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
-    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return QuintetSolutions(p=cols[:, :5], value=np.array(pool)[at], weight=np.ones(n),
-                            max_p=cols[:, 5], meets_theorem_radius=np.array(flags))
-
-
 def csv_bytes(sols) -> bytes:
     """csv.writer's document of the result columns, values through fmt17."""
-    return csv_text(
+    return csv_writer_text(
         ["p1", "p2", "p3", "p4", "p5", "value", "max_p", "meets_theorem_radius"],
         ([*r, fmt17(v), mp, "true" if meets else "false"]
          for r, v, mp, meets in zip(sols.p.tolist(), sols.value.tolist(),
