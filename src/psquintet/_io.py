@@ -1,17 +1,22 @@
-"""Small shared IO helpers: canonical float text, CSV text and atomic file writes.
+"""Small shared helpers: canonical float text, CSV text, atomic file writes,
+the base class of the package's records and an ordered thread map.
 
 Every float that reaches disk goes through fmt17 (17 significant digits, the
 shortest width that round-trips any double), and every file is written to a
 temp path then renamed, so partially written outputs can never be observed and
 identical inputs produce byte-identical files. csv_blocks renders every CSV
 file from its columns, _CSV_ROWS rows at a time, so none is ever held whole.
+
+Both of the last keep every CLI child's start-up cheap: a Record subclass
+is a plain class, for which no method is generated and compiled at import,
+and ordered_map imports concurrent.futures only to run more than one thread.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -19,6 +24,56 @@ from .errors import IoError
 
 # CSV rows rendered at a time: bounds the renderer's byte matrices and text
 _CSV_ROWS = 1 << 12
+
+
+class Record:
+    """An immutable record. A subclass names its fields in __slots__, in
+    constructor order, and its __init__ validates its arguments and hands
+    the field values to _set once. Equality, hash and repr follow the
+    fields in order; assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def ordered_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """fn(item) for each item, yielded in item order; an exception fn raises
+    surfaces at its item's position. At threads == 1 fn runs in the calling
+    thread; otherwise on a pool of that many threads. A consumer that stops
+    early, by break or by an exception, closes the generator: the items
+    still queued are cancelled and the workers joined before it returns."""
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    # the pool's import pulls in logging, traceback and queue: only pay it here
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, items)
 
 
 def fmt17(x: float) -> str:

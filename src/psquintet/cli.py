@@ -28,12 +28,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from ._io import atomic_write_text, canonical_json, csv_blocks, fmt17
+from ._io import Record, atomic_write_text, canonical_json, csv_blocks, fmt17
 from .dh_pipeline import (
     DhParams,
     GammaDecomposition,
@@ -73,32 +72,31 @@ _EXIT_CODES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    instance: ProblemInstance
-    q0_floor: int
-    radius: Union[float, str]
-    budgets: dict
-    output_dir: str
-    seed: int
+class RunConfig(Record):
+    __slots__ = ("instance", "q0_floor", "radius", "budgets", "output_dir", "seed")
+
+    def __init__(self, instance: ProblemInstance, q0_floor: int,
+                 radius: Union[float, str], budgets: dict, output_dir: str,
+                 seed: int):
+        self._set(instance, q0_floor, radius, budgets, output_dir, seed)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    name: str
-    value: float
-    bound: float
-    passed: bool
+class Diagnostic(Record):
+    __slots__ = ("name", "value", "bound", "passed")
+
+    def __init__(self, name: str, value: float, bound: float, passed: bool):
+        self._set(name, value, bound, passed)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    params: DhParams
-    decomposition: GammaDecomposition
-    diagnostics: tuple
-    solutions: QuintetSolutions
-    scan_ts: np.ndarray
-    scan_values: np.ndarray
+class RunReport(Record):
+    __slots__ = ("params", "decomposition", "diagnostics", "solutions",
+                 "scan_ts", "scan_values")
+
+    def __init__(self, params: DhParams, decomposition: GammaDecomposition,
+                 diagnostics: tuple, solutions: QuintetSolutions,
+                 scan_ts: np.ndarray, scan_values: np.ndarray):
+        self._set(params, decomposition, diagnostics, solutions, scan_ts,
+                  scan_values)
 
 
 def _want(doc: dict, key: str, kinds, path: str, default=None, required=False):

@@ -21,11 +21,11 @@ Theta(t) * prod_j S_j(lambda_j t) * e(eta t). The integral splits at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._io import Record
 from .errors import AdmissibilityError, DegenerateRatio
 from .numerics import (
     QuadratureSpec,
@@ -41,39 +41,35 @@ from .ps_primes import THEOREM_TRIPLES, GammaParam, PsPrimeTable, build_table
 from .quintet_search import search_mitm, within_radius
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    lambdas: tuple[float, float, float, float, float]
-    eta: float
-    k: int
-    gamma: GammaParam
-    theta_exp: float
-    lambda0: float = 0.1
+class ProblemInstance(Record):
+    __slots__ = ("lambdas", "eta", "k", "gamma", "theta_exp", "lambda0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
-        if len(self.lambdas) != 5:
-            raise ValueError(f"need 5 coefficients, got {len(self.lambdas)}")
-        if not all(math.isfinite(l) and l != 0 for l in self.lambdas):
+    def __init__(self, lambdas: tuple[float, float, float, float, float],
+                 eta: float, k: int, gamma: GammaParam, theta_exp: float,
+                 lambda0: float = 0.1):
+        lambdas = tuple(float(l) for l in lambdas)
+        if len(lambdas) != 5:
+            raise ValueError(f"need 5 coefficients, got {len(lambdas)}")
+        if not all(math.isfinite(l) and l != 0 for l in lambdas):
             raise ValueError("coefficients must be finite and nonzero")
-        if not (min(self.lambdas) < 0 < max(self.lambdas)):
+        if not (min(lambdas) < 0 < max(lambdas)):
             raise AdmissibilityError(
                 "coefficients must be not all of the same sign; "
                 "all five share one sign here")
-        if not math.isfinite(self.eta):
+        if not math.isfinite(eta):
             raise ValueError("eta must be finite")
-        if self.k not in (2, 3, 4):
-            raise ValueError(f"k must be 2, 3 or 4, got {self.k}")
-        if not isinstance(self.gamma, GammaParam):
+        if k not in (2, 3, 4):
+            raise ValueError(f"k must be 2, 3 or 4, got {k}")
+        if not isinstance(gamma, GammaParam):
             raise TypeError("gamma must be a GammaParam")
-        if not self.gamma.theorem_admissible(self.k):
-            a, b, _ = THEOREM_TRIPLES[self.k]
-            raise AdmissibilityError(
-                f"gamma={self.gamma.gamma} < {a}/{b} for k={self.k}")
-        if not (self.theta_exp > 0 and math.isfinite(self.theta_exp)):
-            raise ValueError(f"theta_exp must be positive, got {self.theta_exp}")
-        if not (0.0 < self.lambda0 < 1.0):
-            raise ValueError(f"lambda0 must be in (0,1), got {self.lambda0}")
+        if not gamma.theorem_admissible(k):
+            a, b, _ = THEOREM_TRIPLES[k]
+            raise AdmissibilityError(f"gamma={gamma.gamma} < {a}/{b} for k={k}")
+        if not (theta_exp > 0 and math.isfinite(theta_exp)):
+            raise ValueError(f"theta_exp must be positive, got {theta_exp}")
+        if not (0.0 < lambda0 < 1.0):
+            raise ValueError(f"lambda0 must be in (0,1), got {lambda0}")
+        self._set(lambdas, eta, k, gamma, theta_exp, lambda0)
 
     @property
     def powers(self) -> tuple[int, int, int, int, int]:
@@ -86,29 +82,24 @@ class ProblemInstance:
         return self.gamma.theorem_exponent(self.k) + self.theta_exp
 
 
-@dataclass(frozen=True)
-class DhParams:
-    q0: int
-    X: float
-    Delta: float
-    eps: float
-    H: float
+class DhParams(Record):
+    __slots__ = ("q0", "X", "Delta", "eps", "H")
 
-    def __post_init__(self):
-        if self.q0 < 1:
+    def __init__(self, q0: int, X: float, Delta: float, eps: float, H: float):
+        if q0 < 1:
             raise ValueError("q0 must be a positive integer")
-        for name in ("X", "Delta", "eps", "H"):
-            v = getattr(self, name)
+        for name, v in (("X", X), ("Delta", Delta), ("eps", eps), ("H", H)):
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite")
+        self._set(q0, X, Delta, eps, H)
 
 
-@dataclass(frozen=True)
-class GammaDecomposition:
-    A: complex
-    B: complex
-    C_bound: float
-    direct: Optional[float] = None
+class GammaDecomposition(Record):
+    __slots__ = ("A", "B", "C_bound", "direct")
+
+    def __init__(self, A: complex, B: complex, C_bound: float,
+                 direct: Optional[float] = None):
+        self._set(A, B, C_bound, direct)
 
     @property
     def total(self) -> complex:

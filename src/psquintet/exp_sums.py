@@ -16,11 +16,10 @@ numerics.phase_sum; eval_sum is tscan at a single t.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, csv_blocks, fmt17
+from ._io import Record, atomic_write_text, csv_blocks, fmt17
 from .dh_pipeline import main_range_cutoff
 from .errors import AdmissibilityError, SpecMismatch
 from .numerics import QuadratureSpec, e2pi, oscillatory_integral, phase_sum
@@ -40,36 +39,32 @@ class GapKind(enum.Enum):
     Sigma_vs_U = "Sigma_vs_U"
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(Record):
     """Which family to evaluate and over which window."""
 
-    family: Family
-    k: int
-    x_max: float
-    lambda0: float
-    gamma: GammaParam | None = None
+    __slots__ = ("family", "k", "x_max", "lambda0", "gamma")
 
-    def __post_init__(self):
-        if self.k not in (2, 3, 4):
-            raise ValueError(f"k must be 2, 3 or 4, got {self.k}")
-        if not (0.0 < self.lambda0 < 1.0):
-            raise ValueError(f"lambda0 must be in (0,1), got {self.lambda0}")
-        if self.family is Family.S:
-            if self.gamma is None:
+    def __init__(self, family: Family, k: int, x_max: float, lambda0: float,
+                 gamma: GammaParam | None = None):
+        if k not in (2, 3, 4):
+            raise ValueError(f"k must be 2, 3 or 4, got {k}")
+        if not (0.0 < lambda0 < 1.0):
+            raise ValueError(f"lambda0 must be in (0,1), got {lambda0}")
+        if family is Family.S:
+            if gamma is None:
                 raise ValueError("family S needs gamma")
-            if not self.gamma.density_admissible:
+            if not gamma.density_admissible:
                 raise AdmissibilityError(
-                    f"gamma={self.gamma.gamma} <= 2426/2817; the PS prime count "
+                    f"gamma={gamma.gamma} <= 2426/2817; the PS prime count "
                     f"has no usable density there")
+        self._set(family, k, x_max, lambda0, gamma)
 
 
-@dataclass(frozen=True)
-class MomentResult:
-    m: int
-    value: float
-    grid_points: int
-    x_max: float
+class MomentResult(Record):
+    __slots__ = ("m", "value", "grid_points", "x_max")
+
+    def __init__(self, m: int, value: float, grid_points: int, x_max: float):
+        self._set(m, value, grid_points, x_max)
 
 
 def _base_weights(spec: SumSpec, table) -> tuple[np.ndarray, np.ndarray]:

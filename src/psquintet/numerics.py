@@ -49,11 +49,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
+
+from ._io import Record, ordered_map
 
 _SNAP_TOL = 1e-9          # continued-fraction integer snap (see cf_convergents)
 _MAX_CF_DEN = 10 ** 15    # denominators beyond double resolution are noise
@@ -112,18 +112,17 @@ def lattice_phase_sum(mid, off, base, w) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SmoothingKernel:
+class SmoothingKernel(Record):
     """Compactly supported bump of half-width epsilon and smoothness order l."""
 
-    epsilon: float
-    l: int
+    __slots__ = ("epsilon", "l")
 
-    def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+    def __init__(self, epsilon: float, l: int):
+        if not (epsilon > 0 and math.isfinite(epsilon)):
             raise ValueError("epsilon must be positive and finite")
-        if self.l < 1:
+        if l < 1:
             raise ValueError("l must be >= 1")
+        self._set(epsilon, l)
 
 
 def _irwin_hall_cdf(s: Fraction, l: int) -> Fraction:
@@ -263,8 +262,7 @@ def dirichlet_approx(alpha: float, Q: int) -> Fraction:
     return best
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Panelized quadrature request for a possibly oscillatory integrand.
 
     max_frequency bounds |d/dt of the phase in cycles| over [lo, hi]; the
@@ -272,15 +270,14 @@ class QuadratureSpec:
     request is integrated to TRUNCATION_TOL (see oscillatory_integral).
     """
 
-    lo: float
-    hi: float
-    max_frequency: float
+    __slots__ = ("lo", "hi", "max_frequency")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+    def __init__(self, lo: float, hi: float, max_frequency: float):
+        if not lo < hi:
             raise ValueError("need lo < hi")
-        if self.max_frequency < 0 or not math.isfinite(self.max_frequency):
+        if max_frequency < 0 or not math.isfinite(max_frequency):
             raise ValueError("max_frequency must be finite and >= 0")
+        self._set(lo, hi, max_frequency)
 
 
 def _legendre_pair(n: int, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray]:
@@ -439,10 +436,9 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
         return complex(np.sum(panel))
 
     total = complex(0)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # map yields in chunk order, whatever thread ran each chunk
-        for part in pool.map(one_chunk, range(0, n_panels, per_chunk)):
-            total += part
+    # parts arrive in chunk order, whatever thread ran each chunk
+    for part in ordered_map(one_chunk, range(0, n_panels, per_chunk), threads):
+        total += part
     return total
 
 

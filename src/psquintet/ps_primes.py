@@ -15,11 +15,9 @@ is decisive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ._io import atomic_write_text, csv_blocks
+from ._io import Record, atomic_write_text, csv_blocks
 from .errors import CapacityExceeded
 
 MP_DPS = 50              # escalation precision for membership decisions
@@ -34,15 +32,15 @@ _DENSITY_GAMMA_MIN = 2426 / 2817
 THEOREM_TRIPLES = {2: (71, 72, 29), 3: (129, 130, 58), 4: (245, 246, 116)}
 
 
-@dataclass(frozen=True)
-class GammaParam:
+class GammaParam(Record):
     """Exponent gamma in (0,1) with per-use admissibility flags."""
 
-    gamma: float
+    __slots__ = ("gamma",)
 
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
+    def __init__(self, gamma: float):
+        if not (0.0 < gamma < 1.0):
+            raise ValueError(f"gamma must be in (0,1), got {gamma}")
+        self._set(gamma)
 
     @property
     def density_admissible(self) -> bool:
@@ -120,17 +118,16 @@ def is_ps_prime(p: int, gamma) -> tuple[bool, str]:
     return member, "guarded"
 
 
-@dataclass(frozen=True)
-class PsPrimeTable:
+class PsPrimeTable(Record):
     """PS primes p with lambda0*x_max < p^k <= x_max and weights p^(1-gamma)*log p."""
 
-    gamma: GammaParam
-    x_max: float
-    lambda0: float
-    k: int
-    primes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    density_ratio: float = 0.0
+    __slots__ = ("gamma", "x_max", "lambda0", "k", "primes", "weights",
+                 "density_ratio")
+
+    def __init__(self, gamma: GammaParam, x_max: float, lambda0: float, k: int,
+                 primes: np.ndarray, weights: np.ndarray,
+                 density_ratio: float = 0.0):
+        self._set(gamma, x_max, lambda0, k, primes, weights, density_ratio)
 
     def __len__(self) -> int:
         return len(self.primes)

@@ -47,12 +47,10 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import atomic_write_text, csv_blocks
+from ._io import Record, atomic_write_text, csv_blocks, ordered_map
 from .errors import CapacityExceeded, EmptyWindow, SpecMismatch
 from .ps_primes import PsPrimeTable
 
@@ -74,17 +72,19 @@ _MAP_BLOCK = 1 << 14
 _LIMB = 40
 
 
-@dataclass(frozen=True, eq=False)
-class QuintetSolutions:
+class QuintetSolutions(Record):
     """Certified quintuples as columns, row i being one quintuple: p (n x 5
     primes), value, weight, max_p and meets_theorem_radius. len() counts the
-    rows; a slice of rows is again a QuintetSolutions."""
+    rows; a slice of rows is again a QuintetSolutions. Two results are equal
+    only when they are the same object."""
 
-    p: np.ndarray
-    value: np.ndarray
-    weight: np.ndarray
-    max_p: np.ndarray
-    meets_theorem_radius: np.ndarray
+    __slots__ = ("p", "value", "weight", "max_p", "meets_theorem_radius")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, p: np.ndarray, value: np.ndarray, weight: np.ndarray,
+                 max_p: np.ndarray, meets_theorem_radius: np.ndarray):
+        self._set(p, value, weight, max_p, meets_theorem_radius)
 
     def __len__(self) -> int:
         return len(self.value)
@@ -94,18 +94,16 @@ class QuintetSolutions:
                                 self.max_p[rows], self.meets_theorem_radius[rows])
 
 
-@dataclass(frozen=True)
-class HalfSumArray:
+class HalfSumArray(Record):
     """Sorted pair sums a_i + b_j, each with its flat index i*n_b + j: int32
     when every i*n_b + j is below 2^31, intp otherwise."""
 
-    sums: np.ndarray
-    index: np.ndarray
-    n_b: int
+    __slots__ = ("sums", "index", "n_b")
 
-    def __post_init__(self):
-        if len(self.sums) != len(self.index):
+    def __init__(self, sums: np.ndarray, index: np.ndarray, n_b: int):
+        if len(sums) != len(index):
             raise ValueError("sums and index length mismatch")
+        self._set(sums, index, n_b)
 
     @classmethod
     def build(cls, a: np.ndarray, b: np.ndarray,
@@ -161,18 +159,18 @@ def _scaled(inst, radius: float):
     return lams, eta, bound, scale
 
 
-@dataclass(frozen=True)
-class _Exact:
+class _Exact(Record):
     """S times the form value of each row of some candidates, with S as in
     _scaled. inside says whether |value| < S * radius; magnitude holds the
     exact |value| as np.lexsort keys, least significant first; value is the
     form value rounded once to a float. limbs tells the path: int64 limbs,
     or Python integers when a sum could reach 2^52 in its high limb."""
 
-    inside: np.ndarray
-    magnitude: tuple[np.ndarray, ...]
-    value: np.ndarray
-    limbs: bool
+    __slots__ = ("inside", "magnitude", "value", "limbs")
+
+    def __init__(self, inside: np.ndarray, magnitude: tuple[np.ndarray, ...],
+                 value: np.ndarray, limbs: bool):
+        self._set(inside, magnitude, value, limbs)
 
 
 def _limbs_fit(inst, primes, radius: float) -> bool:
@@ -259,15 +257,15 @@ def _finalize(inst, slots, rows: np.ndarray, radius: float) -> QuintetSolutions:
                             meets_theorem_radius=np.abs(value) < limit[at])
 
 
-@dataclass(frozen=True)
-class _CellMap:
+class _CellMap(Record):
     """Which cells [c*w, (c+1)*w), w = 1/scale a power of two, lie from two
     cells below a left sum's cell to one above it, one bit a cell: cell c
     is bit i & 7 of occupied[i >> 3], i = c - base."""
 
-    occupied: np.ndarray
-    scale: float
-    base: int
+    __slots__ = ("occupied", "scale", "base")
+
+    def __init__(self, occupied: np.ndarray, scale: float, base: int):
+        self._set(occupied, scale, base)
 
     def cell_of(self, x: np.ndarray) -> np.ndarray:
         """The cell floor(x * scale) of each x, exact; x is overwritten."""
@@ -425,8 +423,7 @@ def _scan_block(left, right, rcell, s: int, e: int, shift: float, band: float,
             np.arange(int(count.sum())) + np.repeat(lo - start, count))
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Record):
     """The slots as the scan takes them. Position i holds slot slots[i],
     with its lambda, power, the primes its residue filter keeps and their
     table weights; the slot with the fewest primes is swapped into position
@@ -436,14 +433,14 @@ class _Layout:
     certification of its candidates takes int64 limbs (_limbs_fit over its
     primes), and held is the bytes _layout held at its peak."""
 
-    slots: tuple[int, ...]
-    lambdas: tuple[float, ...]
-    powers: tuple[int, ...]
-    primes: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
-    moduli: tuple[int, ...]
-    limbs: bool
-    held: int
+    __slots__ = ("slots", "lambdas", "powers", "primes", "weights", "moduli",
+                 "limbs", "held")
+
+    def __init__(self, slots: tuple[int, ...], lambdas: tuple[float, ...],
+                 powers: tuple[int, ...], primes: tuple[np.ndarray, ...],
+                 weights: tuple[np.ndarray, ...], moduli: tuple[int, ...],
+                 limbs: bool, held: int):
+        self._set(slots, lambdas, powers, primes, weights, moduli, limbs, held)
 
     @property
     def empty(self) -> bool:
@@ -667,16 +664,15 @@ def _candidates(lay: _Layout, eta: float, band: float, threads: int,
         return np.column_stack([cols[s] for s in lay.slots])
 
     blocks, found = [], 0
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        # blocks arrive in outer order; leaving the loop early closes the
-        # map, which cancels the outer blocks still queued
-        for block in ex.map(scan_one, range(len(t5))):
-            blocks.append(block)
-            found += len(block)
-            if found > _MAX_HITS:
-                raise CapacityExceeded(f"{found} candidates exceed the "
-                                       f"{_MAX_HITS} certification ceiling")
-            check_memory(found)
+    # blocks arrive in outer order; leaving the loop early closes the map,
+    # which cancels the outer blocks still queued and joins the workers
+    for block in ordered_map(scan_one, range(len(t5)), threads):
+        blocks.append(block)
+        found += len(block)
+        if found > _MAX_HITS:
+            raise CapacityExceeded(f"{found} candidates exceed the "
+                                   f"{_MAX_HITS} certification ceiling")
+        check_memory(found)
     return np.concatenate(blocks)
 
 

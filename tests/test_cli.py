@@ -910,26 +910,31 @@ def test_module_entry_point_runs_without_warning():
     assert "{" + ",".join(cli._COMMANDS) + "}" in run.stdout
 
 
+# imports a CLI child never needs at one thread: mpmath (only a PS membership
+# escalation needs it), dataclasses (the records are plain classes) and
+# concurrent.futures (only a pool of more than one thread needs it)
+_UNNEEDED = "m.split('.')[0] in ('mpmath', 'dataclasses', 'concurrent')"
+
+
 def test_cli_import_leaves_mpmath_unloaded():
-    # only a PS membership escalation needs mpmath, so importing the CLI
-    # must not pay for it
-    code = "import sys, psquintet.cli; print('mpmath' in sys.modules)"
+    code = f"import sys, psquintet.cli; print(sorted(m for m in sys.modules if {_UNNEEDED}))"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_src_env(), timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[]"
 
 
 def test_verify_leaves_numpy_random_and_mpmath_unloaded(tmp_path):
     # the diagnostics' seeded draws come from cli._DefaultStream, no PS
-    # membership escalates at q0 12, and every CSV is rendered by _io
-    # without the csv module: none of the three imports is paid for
+    # membership escalates at q0 12, every CSV is rendered by _io without
+    # the csv module, and one thread runs without a pool: none of these
+    # imports is paid for
     cfg = write_cfg(tmp_path / "c.json", q0_floor=12, radius="theorem")
     code = ("import sys; from psquintet.cli import main; "
             f"assert main(['verify', '--config', {cfg!r}, '--out', "
-            f"{str(tmp_path / 'o')!r}]) == 0; "
+            f"{str(tmp_path / 'o')!r}, '--threads', '1']) == 0; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('mpmath', 'csv') "
+            f"if {_UNNEEDED} or m.split('.')[0] == 'csv' "
             "or m.startswith('numpy.random')))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=_src_env(), timeout=120)

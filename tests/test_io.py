@@ -1,11 +1,16 @@
-"""The CSV renderer every output file goes through, against csv.writer."""
+"""The CSV renderer every output file goes through, against csv.writer; the
+record base class; the ordered thread map."""
+
+import threading
+import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psquintet import _io
-from psquintet._io import csv_blocks, fmt17
+from psquintet._io import Record, csv_blocks, fmt17, ordered_map
 from solution_rows import csv_writer_text
 
 _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -78,3 +83,73 @@ def test_blocks_of_csv_rows(monkeypatch):
     assert blocks == ["n\n", "0\n1\n2\n3\n4\n5\n6\n", "7\n8\n9\n10\n11\n12\n13\n",
                       "14\n15\n"]
 
+
+
+def test_record_compares_by_fields_and_refuses_assignment():
+    class Pair(Record):
+        __slots__ = ("a", "b")
+
+        def __init__(self, a, b):
+            self._set(a, b)
+
+    pair = Pair(1, "x")
+    assert pair == Pair(1, "x") and hash(pair) == hash(Pair(1, "x"))
+    assert pair != Pair(2, "x") and pair != (1, "x")
+    assert repr(pair) == "Pair(a=1, b='x')"
+    for change in (lambda: setattr(pair, "a", 2), lambda: setattr(pair, "c", 3),
+                   lambda: delattr(pair, "b")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (pair.a, pair.b) == (1, "x")
+
+
+def _late_square(i: int) -> int:
+    # later items sleep less, so on a pool they finish first
+    time.sleep(0.002 * (8 - i))
+    return i * i
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_ordered_map_yields_in_item_order(threads):
+    assert list(ordered_map(_late_square, range(8), threads)) == [
+        i * i for i in range(8)]
+
+
+def test_ordered_map_on_one_thread_runs_in_the_caller():
+    me = threading.get_ident()
+    assert list(ordered_map(lambda _: threading.get_ident(), range(4), 1)) == [me] * 4
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_ordered_map_raises_at_the_failing_item(threads):
+    def fn(i):
+        if i == 2:
+            raise ValueError("item 2")
+        return i
+
+    got = []
+    with pytest.raises(ValueError, match="item 2"):
+        for x in ordered_map(fn, range(6), threads):
+            got.append(x)
+    assert got == [0, 1]
+
+
+def test_ordered_map_consumer_that_raises_joins_the_workers():
+    # the consumer stops after the first result: the map is closed, so the
+    # queued items never start and every worker has ended when it returns
+    before = threading.active_count()
+    started = []
+
+    def fn(i):
+        started.append(i)
+        time.sleep(0.01)
+        return i
+
+    def consume():
+        for _ in ordered_map(fn, range(60), 3):
+            raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        consume()
+    assert threading.active_count() == before
+    assert len(started) < 60

@@ -1,11 +1,14 @@
 """The package root: its public names, resolved from their modules on first use."""
 
+import enum
+import inspect
 import subprocess
 import sys
 
 import pytest
 
 import psquintet
+from psquintet import cli
 from test_cli import _src_env
 
 PUBLIC = set("""
@@ -22,6 +25,26 @@ PUBLIC = set("""
 """.split())
 
 
+# every record class's constructor: its parameter names in order, with their
+# defaults; spelled out, so that a reordered or renamed field fails here
+CONSTRUCTORS = {
+    "DhParams": "q0, X, Delta, eps, H",
+    "GammaDecomposition": "A, B, C_bound, direct=None",
+    "GammaParam": "gamma",
+    "HalfSumArray": "sums, index, n_b",
+    "MomentResult": "m, value, grid_points, x_max",
+    "ProblemInstance": "lambdas, eta, k, gamma, theta_exp, lambda0=0.1",
+    "PsPrimeTable": "gamma, x_max, lambda0, k, primes, weights, density_ratio=0.0",
+    "QuadratureSpec": "lo, hi, max_frequency",
+    "QuintetSolutions": "p, value, weight, max_p, meets_theorem_radius",
+    "SmoothingKernel": "epsilon, l",
+    "SumSpec": "family, k, x_max, lambda0, gamma=None",
+    "cli.RunConfig": "instance, q0_floor, radius, budgets, output_dir, seed",
+    "cli.Diagnostic": "name, value, bound, passed",
+    "cli.RunReport": "params, decomposition, diagnostics, solutions, scan_ts, scan_values",
+}
+
+
 def _fresh(code: str) -> str:
     """Standard output of code run in a new interpreter on this source tree."""
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -34,6 +57,22 @@ def test_public_names():
     assert len(psquintet.__all__) == len(PUBLIC) == 49
     assert set(psquintet.__all__) == PUBLIC
     assert PUBLIC <= set(dir(psquintet))
+
+
+def test_constructors_cover_every_record_class():
+    records = {name for name in psquintet.__all__
+               if isinstance(obj := getattr(psquintet, name), type)
+               and not issubclass(obj, (BaseException, enum.Enum))}
+    assert records == {name for name in CONSTRUCTORS if "." not in name}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_record_constructor_keeps_its_parameters(name):
+    cls = getattr(cli, name[4:]) if name.startswith("cli.") else getattr(psquintet, name)
+    params = inspect.signature(cls).parameters.values()
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                     for p in params) == CONSTRUCTORS[name]
 
 
 def test_import_loads_no_submodule_and_no_numpy():
