@@ -56,7 +56,7 @@ from .exp_sums import (Family, GapKind, SumSpec, asym_gap, export_tscan,
                        growth_exponent, growth_ladder, moment_integral, tscan)
 from .numerics import (SmoothingKernel, kernel_eval, kernel_fourier,
                        kernel_fourier_bound)
-from .ps_primes import GammaParam, export_table
+from .ps_primes import DEFAULT_LAMBDA0, THEOREM_TRIPLES, GammaParam, export_table
 from .quintet_search import (DEFAULT_MEMORY_MB, QuintetSolutions, export_solutions,
                              search_mitm, within_radius)
 
@@ -149,7 +149,7 @@ def _config_from_doc(doc: dict) -> RunConfig:
     if not math.isfinite(eta):
         raise SchemaError("$.eta", "must be finite")
     k = _want(doc, "k", int, "$.k", required=True)
-    if k not in (2, 3, 4):
+    if k not in THEOREM_TRIPLES:
         raise SchemaError("$.k", f"must be 2, 3 or 4, got {k}")
     gamma = _want(doc, "gamma", (int, float), "$.gamma", required=True)
     if not (0.0 < gamma < 1.0):
@@ -157,7 +157,7 @@ def _config_from_doc(doc: dict) -> RunConfig:
     theta = _want(doc, "theta", (int, float), "$.theta", required=True)
     if not (theta > 0 and math.isfinite(theta)):
         raise SchemaError("$.theta", f"must be positive, got {theta}")
-    lambda0 = _want(doc, "lambda0", (int, float), "$.lambda0", default=0.1)
+    lambda0 = _want(doc, "lambda0", (int, float), "$.lambda0", default=DEFAULT_LAMBDA0)
     if not (0.0 < lambda0 < 1.0):
         raise SchemaError("$.lambda0", f"must be in (0,1), got {lambda0}")
     q0_floor = _want(doc, "q0_floor", int, "$.q0_floor", default=20)
@@ -457,10 +457,8 @@ def _cmd_kernel(cfg: RunConfig, params: DhParams, threads: int,
     atomic_write_text(p1, csv_blocks("y,theta", [
         ys, [kernel_eval(kern, y) for y in ys]]))
     p2 = os.path.join(cfg.output_dir, "kernel_fourier.csv")
-    # one scalar call per x: the bound's array form differs in a few last digits
     atomic_write_text(p2, csv_blocks("x,fourier,bound", [
-        xs, [kernel_fourier(kern, x) for x in xs],
-        [kernel_fourier_bound(kern, x) for x in xs]]))
+        xs, kernel_fourier(kern, xs), kernel_fourier_bound(kern, xs)]))
     print(f"kernel (eps={eps:.6g}, l={kern.l}) -> {p1}, {p2}")
     return 0
 

@@ -36,7 +36,8 @@ from .numerics import (
     lattice_phase_sum,
     oscillatory_integral,
 )
-from .ps_primes import THEOREM_TRIPLES, GammaParam, PsPrimeTable, build_table
+from .ps_primes import (DEFAULT_LAMBDA0, THEOREM_TRIPLES, GammaParam, PsPrimeTable,
+                        build_table, check_power_window)
 # unused here, but psqbench/traced_cli.py patches search_mitm in this module
 from .quintet_search import search_mitm, within_radius
 
@@ -46,7 +47,7 @@ class ProblemInstance(Record):
 
     def __init__(self, lambdas: tuple[float, float, float, float, float],
                  eta: float, k: int, gamma: GammaParam, theta_exp: float,
-                 lambda0: float = 0.1):
+                 lambda0: float = DEFAULT_LAMBDA0):
         lambdas = tuple(float(l) for l in lambdas)
         if len(lambdas) != 5:
             raise ValueError(f"need 5 coefficients, got {len(lambdas)}")
@@ -58,8 +59,7 @@ class ProblemInstance(Record):
                 "all five share one sign here")
         if not math.isfinite(eta):
             raise ValueError("eta must be finite")
-        if k not in (2, 3, 4):
-            raise ValueError(f"k must be 2, 3 or 4, got {k}")
+        check_power_window(k, lambda0)
         if not isinstance(gamma, GammaParam):
             raise TypeError("gamma must be a GammaParam")
         if not gamma.theorem_admissible(k):
@@ -67,8 +67,6 @@ class ProblemInstance(Record):
             raise AdmissibilityError(f"gamma={gamma.gamma} < {a}/{b} for k={k}")
         if not (theta_exp > 0 and math.isfinite(theta_exp)):
             raise ValueError(f"theta_exp must be positive, got {theta_exp}")
-        if not (0.0 < lambda0 < 1.0):
-            raise ValueError(f"lambda0 must be in (0,1), got {lambda0}")
         self._set(lambdas, eta, k, gamma, theta_exp, lambda0)
 
     @property

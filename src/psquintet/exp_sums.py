@@ -23,8 +23,8 @@ from ._io import Record, atomic_write_text, csv_blocks, fmt17
 from .dh_pipeline import main_range_cutoff
 from .errors import AdmissibilityError, SpecMismatch
 from .numerics import QuadratureSpec, e2pi, oscillatory_integral, phase_sum
-from .ps_primes import (GammaParam, PsPrimeTable, check_window, sieve_primes,
-                        window_bounds, window_table)
+from .ps_primes import (GammaParam, PsPrimeTable, check_power_window,
+                        check_window, sieve_primes, window_bounds, window_table)
 
 
 class Family(enum.Enum):
@@ -46,10 +46,7 @@ class SumSpec(Record):
 
     def __init__(self, family: Family, k: int, x_max: float, lambda0: float,
                  gamma: GammaParam | None = None):
-        if k not in (2, 3, 4):
-            raise ValueError(f"k must be 2, 3 or 4, got {k}")
-        if not (0.0 < lambda0 < 1.0):
-            raise ValueError(f"lambda0 must be in (0,1), got {lambda0}")
+        check_power_window(k, lambda0)
         if family is Family.S:
             if gamma is None:
                 raise ValueError("family S needs gamma")

@@ -30,6 +30,7 @@ _DENSITY_GAMMA_MIN = 2426 / 2817
 # the paper's theorem for each power k, as (a, b, c): it holds for
 # gamma > a/b with the radius exponent (a - b*gamma)/c + theta
 THEOREM_TRIPLES = {2: (71, 72, 29), 3: (129, 130, 58), 4: (245, 246, 116)}
+DEFAULT_LAMBDA0 = 0.1    # the window is lambda0*X < p^k <= X
 
 
 class GammaParam(Record):
@@ -121,16 +122,21 @@ def is_ps_prime(p: int, gamma) -> tuple[bool, str]:
 class PsPrimeTable(Record):
     """PS primes p with lambda0*x_max < p^k <= x_max and weights p^(1-gamma)*log p."""
 
-    __slots__ = ("gamma", "x_max", "lambda0", "k", "primes", "weights",
-                 "density_ratio")
+    __slots__ = ("gamma", "x_max", "lambda0", "k", "primes", "weights")
 
     def __init__(self, gamma: GammaParam, x_max: float, lambda0: float, k: int,
-                 primes: np.ndarray, weights: np.ndarray,
-                 density_ratio: float = 0.0):
-        self._set(gamma, x_max, lambda0, k, primes, weights, density_ratio)
+                 primes: np.ndarray, weights: np.ndarray):
+        self._set(gamma, x_max, lambda0, k, primes, weights)
 
     def __len__(self) -> int:
         return len(self.primes)
+
+    @property
+    def density_ratio(self) -> float:
+        """count / (T^gamma / log T) at T = x_max^(1/k), the plain counting
+        normalizer; a diagnostic, not an asserted asymptotic."""
+        top = self.x_max ** (1.0 / self.k)
+        return len(self) / (top ** self.gamma.gamma / math.log(top)) if top > 1 else 0.0
 
 
 def window_bounds(x_max: float, lambda0: float, k: int) -> tuple[int, int]:
@@ -149,13 +155,18 @@ def window_bounds(x_max: float, lambda0: float, k: int) -> tuple[int, int]:
     return lo + 1, hi
 
 
-def check_window(gamma, x_max: float, lambda0: float, k: int) -> GammaParam:
-    """gamma as a GammaParam, once x_max, lambda0 and k pass a table's checks."""
-    gp = gamma if isinstance(gamma, GammaParam) else GammaParam(float(gamma))
-    if k not in (2, 3, 4):
+def check_power_window(k: int, lambda0: float) -> None:
+    """The one check of a window's power k and fraction lambda0."""
+    if k not in THEOREM_TRIPLES:
         raise ValueError(f"k must be 2, 3 or 4, got {k}")
     if not (0.0 < lambda0 < 1.0):
         raise ValueError(f"lambda0 must be in (0,1), got {lambda0}")
+
+
+def check_window(gamma, x_max: float, lambda0: float, k: int) -> GammaParam:
+    """gamma as a GammaParam, once x_max, lambda0 and k pass a table's checks."""
+    gp = gamma if isinstance(gamma, GammaParam) else GammaParam(float(gamma))
+    check_power_window(k, lambda0)
     if x_max < 4:
         raise ValueError(f"x_max must be >= 4, got {x_max}")
     return gp
@@ -170,19 +181,12 @@ def build_table(gamma, x_max: float, lambda0: float, k: int) -> PsPrimeTable:
 
 def window_table(gp: GammaParam, x_max: float, lambda0: float, k: int,
                  candidates: np.ndarray) -> PsPrimeTable:
-    """build_table's table from the primes of its window, already sieved.
-
-    density_ratio reports count / (T^gamma / log T) at T = x_max^(1/k), the
-    plain counting normalizer; it is a diagnostic, not an asserted asymptotic.
-    """
+    """build_table's table from the primes of its window, already sieved."""
     keep = [int(p) for p in candidates if is_ps_prime(int(p), gp.gamma)[0]]
     primes = np.asarray(keep, dtype=np.int64)
-    weights = prime_weights(primes, gp.gamma)
-    t_top = x_max ** (1.0 / k)
-    ratio = len(primes) / (t_top ** gp.gamma / math.log(t_top)) if t_top > 1 else 0.0
     return PsPrimeTable(gamma=gp, x_max=float(x_max), lambda0=float(lambda0),
-                        k=int(k), primes=primes, weights=weights,
-                        density_ratio=float(ratio))
+                        k=int(k), primes=primes,
+                        weights=prime_weights(primes, gp.gamma))
 
 
 def prime_weights(primes: np.ndarray, gamma: float) -> np.ndarray:

@@ -112,6 +112,7 @@ def test_top_level_must_be_object():
     (make_doc(lambdas=[1.0, 1.0, 1.0, -3.0]), "$.lambdas"),
     (make_doc(lambdas=[1.0, 1.0, "x", 1.0, -3.0]), r"$.lambdas[2]"),
     (make_doc(lambdas=[1.0, 1.0, 0.0, 1.0, -3.0]), r"$.lambdas[2]"),
+    (make_doc(eta=math.inf), "$.eta"),
     (make_doc(k=5), "$.k"),
     (make_doc(k=True), "$.k"),
     (make_doc(gamma=1.5), "$.gamma"),
@@ -120,6 +121,8 @@ def test_top_level_must_be_object():
     (make_doc(q0_floor=0), "$.q0_floor"),
     (make_doc(radius="huge"), "$.radius"),
     (make_doc(radius=-2.0), "$.radius"),
+    (make_doc(radius=[1]), "$.radius"),
+    (make_doc(radius=True), "$.radius"),
     (make_doc(frobnicate=1), "$.frobnicate"),
     (make_doc(budgets={"fuel": 3}), "$.budgets.fuel"),
     (make_doc(budgets={"memory_mb": -1}), "$.budgets.memory_mb"),
@@ -470,14 +473,21 @@ def test_verify_outputs_keep_their_bytes(tmp_path, seed):
 
 
 def test_kernel_outputs_keep_their_bytes(tmp_path):
-    # sha256 of kernel_theta.csv and kernel_fourier.csv at q0 12, recorded
-    # while they were rendered by csv.writer
+    # sha256 of kernel_theta.csv at q0 12, recorded while it was rendered by
+    # csv.writer, and of kernel_fourier.csv, recorded once its two transform
+    # columns came from one array call each
     cfg = write_cfg(tmp_path / "c.json", q0_floor=12)
     out = tmp_path / "o"
     assert main(["kernel", "--config", cfg, "--out", str(out)]) == 0
     assert _digests(out, ("kernel_theta.csv", "kernel_fourier.csv")) == (
         "b0fc4f633916cf0898b6951259ce7f88f8141066927dec2a56723345c9502269",
-        "44b9f87ed1a4b07b448fee986c6163f20cd6eb4624c790a118bddb3508957266")
+        "c77ab674b9c2a209d0dbefdc1a1583b313b6da9f9060b7f9ccee2dd170b2a88c")
+    # the bound column is the envelope the kernel_bound diagnostic divides by
+    x, fourier, bound = np.loadtxt(out / "kernel_fourier.csv", delimiter=",",
+                                   skiprows=1, unpack=True)
+    kern = cli._kernel_for(derive_params(parse_config(make_doc()).instance, 12))
+    assert fourier.tobytes() == numerics.kernel_fourier(kern, x).tobytes()
+    assert bound.tobytes() == numerics.kernel_fourier_bound(kern, x).tobytes()
 
 
 def test_k3_tables_keep_their_bytes(tmp_path, capsys):
@@ -550,6 +560,20 @@ def test_radius_flag_overrides_config(tmp_path):
     assert len(lines) == 1  # header only: nothing that close to zero
 
 
+def test_radius_theorem_flag_over_numeric_config(tmp_path, capsys):
+    # the flag's word replaces the config's number: the run is the one a
+    # config with radius "theorem" makes
+    runs = []
+    for radius, flags in ((2.0, ["--radius", "theorem"]), ("theorem", [])):
+        cfg = write_cfg(tmp_path / "c.json", radius=radius)
+        out = tmp_path / str(len(runs))
+        assert main(["search", "--config", cfg, "--out", str(out), *flags]) == 0
+        runs.append((capsys.readouterr().out.rsplit(" -> ", 1)[0],
+                     (out / "solutions.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert "within radius 2 " not in runs[0][0]
+
+
 def test_q0_floor_flag_changes_scale(tmp_path):
     cfg = write_cfg(tmp_path / "c.json")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -589,6 +613,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     ({"seed": -1}, [], "$.seed"),
     ({}, ["--seed", "-5"], "$.seed"),
     ({}, ["--threads", "0"], "--threads"),
+    ({}, ["--radius", "wide"], "$.radius"),
 ])
 @pytest.mark.parametrize("command", ["gamma", "search"])
 def test_rejected_field_writes_nothing(tmp_path, capsys, command, over, flags,

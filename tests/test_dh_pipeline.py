@@ -8,9 +8,11 @@ from psquintet import (
     AdmissibilityError,
     DegenerateRatio,
     DhParams,
+    Family,
     GammaParam,
     ProblemInstance,
     SmoothingKernel,
+    SumSpec,
     brute_oracle,
     build_table,
     derive_params,
@@ -21,6 +23,7 @@ from psquintet import (
     search_mitm,
     tail_bound,
 )
+from psquintet.ps_primes import check_window
 from solution_rows import rows
 
 GP = GammaParam(0.99)
@@ -102,6 +105,27 @@ class TestProblemInstance:
             make_inst(lambda0=1.0)
         with pytest.raises(TypeError):
             make_inst(gamma=0.99)
+
+    @pytest.mark.parametrize("over", [
+        {"lambdas": (SQRT2, 1, 1, -3)},
+        {"eta": math.nan},
+    ], ids=["four-lambdas", "nan-eta"])
+    def test_value_error(self, over):
+        with pytest.raises(ValueError):
+            make_inst(**over)
+
+    @pytest.mark.parametrize("k,lambda0,text", [
+        (5, 0.1, "k must be 2, 3 or 4, got 5"),
+        (2, 1.0, "lambda0 must be in (0,1), got 1.0"),
+    ])
+    def test_window_checks_share_one_text(self, k, lambda0, text):
+        # a table's window, a sum's window and an instance's: one check
+        for make in (lambda: check_window(GP, 1e4, lambda0, k),
+                     lambda: SumSpec(Family.U, k, 1e4, lambda0),
+                     lambda: make_inst(k=k, lambda0=lambda0)):
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert str(exc.value) == text
 
 
 class TestDeriveParams:

@@ -1,5 +1,6 @@
 """The CSV renderer every output file goes through, against csv.writer; the
-record base class; the ordered thread map."""
+atomic writer and canonical JSON; the record base class; the ordered thread
+map."""
 
 import threading
 import time
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psquintet import _io
-from psquintet._io import Record, csv_blocks, fmt17, ordered_map
+from psquintet._io import (Record, atomic_write_text, canonical_json, csv_blocks,
+                           fmt17, ordered_map)
 from solution_rows import csv_writer_text
 
 _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -83,6 +85,27 @@ def test_blocks_of_csv_rows(monkeypatch):
     assert blocks == ["n\n", "0\n1\n2\n3\n4\n5\n6\n", "7\n8\n9\n10\n11\n12\n13\n",
                       "14\n15\n"]
 
+
+def test_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
+    # the pieces fail after one is written: the error reaches the caller,
+    # the temp file is removed and the file already there keeps its bytes
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old\n")
+
+    def pieces():
+        yield "new,"
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        atomic_write_text(str(target), pieces())
+    assert target.read_bytes() == b"old\n"
+    assert list(tmp_path.glob(".tmp-*~")) == []
+
+
+def test_canonical_json_null_and_unserializable():
+    assert canonical_json({"direct": None}) == '{"direct":null}\n'
+    with pytest.raises(TypeError, match="cannot serialize"):
+        canonical_json({"s": {1, 2}})
 
 
 def test_record_compares_by_fields_and_refuses_assignment():

@@ -34,7 +34,7 @@ CONSTRUCTORS = {
     "HalfSumArray": "sums, index, n_b",
     "MomentResult": "m, value, grid_points, x_max",
     "ProblemInstance": "lambdas, eta, k, gamma, theta_exp, lambda0=0.1",
-    "PsPrimeTable": "gamma, x_max, lambda0, k, primes, weights, density_ratio=0.0",
+    "PsPrimeTable": "gamma, x_max, lambda0, k, primes, weights",
     "QuadratureSpec": "lo, hi, max_frequency",
     "QuintetSolutions": "p, value, weight, max_p, meets_theorem_radius",
     "SmoothingKernel": "epsilon, l",

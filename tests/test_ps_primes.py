@@ -15,6 +15,7 @@ from psquintet import ps_primes
 from psquintet.errors import CapacityExceeded
 from psquintet.ps_primes import (
     GammaParam,
+    PsPrimeTable,
     build_table,
     export_table,
     is_ps_prime,
@@ -84,6 +85,37 @@ class TestPsMembership:
     def test_accepts_gamma_param(self):
         assert is_ps_prime(7, GammaParam(0.9)) == is_ps_prime(7, 0.9)
 
+    @pytest.mark.parametrize("p,member", [(1013, True), (1009, False)])
+    def test_power_near_an_integer_escalates(self, p, member):
+        # gamma = log 1000 / log p puts p^gamma within 1e-9 of 1000, inside
+        # the guard band, so the 50-digit path decides, either way
+        gamma = math.log(1000) / math.log(p)
+        assert abs(float(p) ** gamma - 1000) < 1e-9
+        assert is_ps_prime(p, gamma) == (ps_oracle(p, gamma), "escalated")
+        assert ps_oracle(p, gamma) is member
+        assert_table_matches_oracle(gamma, float(p * p), 0.99, p)
+
+    def test_floor_cross_check_escalates(self):
+        # the one such prime in [1e9, 1.001e9] at gamma 0.99 or 0.995: both
+        # endpoint powers stand clear of the guard band and n = ceil(p^gamma)
+        # lies below (p+1)^gamma, but n^(1/gamma) rounds below p in double
+        # precision, so the floor cross-check hands the decision to 50 digits
+        p, gamma = 1000067591, 0.995
+        lo, hi = float(p) ** gamma, float(p + 1) ** gamma
+        assert min(abs(lo - round(lo)), abs(hi - round(hi))) >= 1e-9
+        n = math.ceil(lo)
+        assert n < hi and math.floor(n ** (1.0 / gamma)) != p
+        assert is_ps_prime(p, gamma) == (ps_oracle(p, gamma), "escalated")
+        assert_table_matches_oracle(gamma, float((p + 1) ** 2), 1 - 1e-8, p)
+
+
+def assert_table_matches_oracle(gamma, x_max, lambda0, p):
+    """build_table's primes over a square window holding p are the oracle's."""
+    lo, hi = window_bounds(x_max, lambda0, 2)
+    assert lo <= p <= hi
+    want = [int(q) for q in sieve_primes(lo, hi) if ps_oracle(int(q), gamma)]
+    assert build_table(gamma, x_max, lambda0, 2).primes.tolist() == want
+
 
 class TestGammaParam:
     def test_range_validation(self):
@@ -133,6 +165,14 @@ class TestBuildTable:
     def test_density_ratio_reported(self):
         table = build_table(0.9, 10 ** 6, 0.1, 2)
         assert 0.5 < table.density_ratio < 1.5
+
+    def test_density_ratio_of_a_table_built_by_hand(self):
+        # derived from the fields, so a table not made by build_table has it
+        table = build_table(0.9, 10 ** 6, 0.1, 2)
+        by_hand = PsPrimeTable(table.gamma, table.x_max, table.lambda0, table.k,
+                               table.primes, table.weights)
+        want = len(table) / (1000.0 ** 0.9 / math.log(1000.0))
+        assert by_hand.density_ratio == table.density_ratio == want
 
 
 class TestDensityDiagnostic:
