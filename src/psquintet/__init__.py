@@ -27,11 +27,10 @@ _EXPORTS = {
         export_tscan growth_ladder moment_integral tscan""",
     "quintet_search": """HalfSumArray QuintetSolutions brute_oracle
         export_solutions search_mitm""",
-    "numerics": """QuadratureSpec SmoothingKernel cf_convergents
-        dirichlet_approx kernel_eval kernel_fourier kernel_fourier_bound
-        oscillatory_integral""",
-    "ps_primes": """GammaParam PsPrimeTable build_table export_table
-        is_ps_prime ps_prime_count sieve_primes window_bounds""",
+    "numerics": """SmoothingKernel cf_convergents dirichlet_approx
+        kernel_eval kernel_fourier kernel_fourier_bound oscillatory_integral""",
+    "ps_primes": """PsPrimeTable build_table export_table is_ps_prime
+        ps_prime_count sieve_primes window_bounds""",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

@@ -56,7 +56,7 @@ from .exp_sums import (Family, GapKind, SumSpec, asym_gap, export_tscan,
                        growth_exponent, growth_ladder, moment_integral, tscan)
 from .numerics import (SmoothingKernel, kernel_eval, kernel_fourier,
                        kernel_fourier_bound)
-from .ps_primes import DEFAULT_LAMBDA0, THEOREM_TRIPLES, GammaParam, export_table
+from .ps_primes import DEFAULT_LAMBDA0, THEOREM_TRIPLES, export_table
 from .quintet_search import (DEFAULT_MEMORY_MB, QuintetSolutions, export_solutions,
                              search_mitm, within_radius)
 
@@ -110,6 +110,14 @@ def _want(doc: dict, key: str, kinds, path: str, default=None, required=False):
     return v
 
 
+def _double(v, path: str) -> float:
+    """A JSON number as a float; an integer too large for a double fails at path."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(path, "too large for a double") from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Validated RunConfig from a JSON document; see the module docstring.
 
@@ -143,9 +151,9 @@ def _config_from_doc(doc: dict) -> RunConfig:
     for i, l in enumerate(lambdas):
         if isinstance(l, bool) or not isinstance(l, (int, float)):
             raise SchemaError(f"$.lambdas[{i}]", "must be a number")
-        if not math.isfinite(l) or l == 0:
+        if not math.isfinite(_double(l, f"$.lambdas[{i}]")) or l == 0:
             raise SchemaError(f"$.lambdas[{i}]", "must be finite and nonzero")
-    eta = float(_want(doc, "eta", (int, float), "$.eta", required=True))
+    eta = _double(_want(doc, "eta", (int, float), "$.eta", required=True), "$.eta")
     if not math.isfinite(eta):
         raise SchemaError("$.eta", "must be finite")
     k = _want(doc, "k", int, "$.k", required=True)
@@ -154,7 +162,8 @@ def _config_from_doc(doc: dict) -> RunConfig:
     gamma = _want(doc, "gamma", (int, float), "$.gamma", required=True)
     if not (0.0 < gamma < 1.0):
         raise SchemaError("$.gamma", f"must be in (0,1), got {gamma}")
-    theta = _want(doc, "theta", (int, float), "$.theta", required=True)
+    theta = _double(_want(doc, "theta", (int, float), "$.theta", required=True),
+                    "$.theta")
     if not (theta > 0 and math.isfinite(theta)):
         raise SchemaError("$.theta", f"must be positive, got {theta}")
     lambda0 = _want(doc, "lambda0", (int, float), "$.lambda0", default=DEFAULT_LAMBDA0)
@@ -170,7 +179,7 @@ def _config_from_doc(doc: dict) -> RunConfig:
                                           f'got "{radius}"')
     elif isinstance(radius, bool) or not isinstance(radius, (int, float)):
         raise SchemaError("$.radius", 'must be a number or "theorem"')
-    elif not (radius > 0 and math.isfinite(radius)):
+    elif not (radius > 0 and math.isfinite(_double(radius, "$.radius"))):
         raise SchemaError("$.radius", f"must be positive, got {radius}")
     else:
         radius = float(radius)
@@ -181,15 +190,13 @@ def _config_from_doc(doc: dict) -> RunConfig:
             raise SchemaError(f"$.budgets.{key}", "unknown budget")
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
             raise SchemaError(f"$.budgets.{key}", "must be a positive number")
-        budgets[key] = float(v)
+        budgets[key] = _double(v, f"$.budgets.{key}")
     seed = _want(doc, "seed", int, "$.seed", default=0)
     if seed < 0:
         raise SchemaError("$.seed", f"must be >= 0, got {seed}")
     output_dir = _want(doc, "output_dir", str, "$.output_dir", default="out")
 
-    inst = ProblemInstance(tuple(float(l) for l in lambdas), eta, k,
-                           GammaParam(float(gamma)), float(theta),
-                           float(lambda0))
+    inst = ProblemInstance(lambdas, eta, k, gamma, theta, float(lambda0))
     return RunConfig(instance=inst, q0_floor=q0_floor, radius=radius,
                      budgets=budgets, output_dir=output_dir, seed=seed)
 
@@ -198,7 +205,7 @@ def serialize_config(cfg: RunConfig) -> str:
     inst = cfg.instance
     return canonical_json({
         "lambdas": list(inst.lambdas), "eta": inst.eta, "k": inst.k,
-        "gamma": inst.gamma.gamma, "theta": inst.theta_exp,
+        "gamma": inst.gamma, "theta": inst.theta_exp,
         "lambda0": inst.lambda0, "q0_floor": cfg.q0_floor,
         "radius": cfg.radius, "budgets": cfg.budgets,
         "seed": cfg.seed, "output_dir": cfg.output_dir,
@@ -365,12 +372,12 @@ def _diagnostics(cfg: RunConfig, params: DhParams, tables, kern: SmoothingKernel
         spec = SumSpec(Family.S, 2, table.x_max, inst.lambda0, inst.gamma)
         vals.append(moment_integral(spec, 4, (0.0, 1.0), grid, table).value)
     slope = growth_exponent(rungs, vals)
-    m_bound = 2.0 - inst.gamma.gamma + 0.2
+    m_bound = 2.0 - inst.gamma + 0.2
     out.append(Diagnostic("moment_slope", slope, m_bound, slope <= m_bound))
 
     t_grid = np.sort(rng.uniform(0.0, 1.0, size=17))
     _, g_slope = asym_gap(GapKind.S_vs_Sigma, rungs, t_grid)
-    g_bound = (21.0 - 7.0 * inst.gamma.gamma) / 29.0 + 0.25
+    g_bound = (21.0 - 7.0 * inst.gamma) / 29.0 + 0.25
     out.append(Diagnostic("gap_slope", g_slope, g_bound, g_slope <= g_bound))
 
     abs_a, abs_b = abs(dec.A), abs(dec.B)

@@ -28,7 +28,6 @@ import numpy as np
 from ._io import Record
 from .errors import AdmissibilityError, DegenerateRatio
 from .numerics import (
-    QuadratureSpec,
     SmoothingKernel,
     _cf_walk,
     kernel_eval,
@@ -36,8 +35,8 @@ from .numerics import (
     lattice_phase_sum,
     oscillatory_integral,
 )
-from .ps_primes import (DEFAULT_LAMBDA0, THEOREM_TRIPLES, GammaParam, PsPrimeTable,
-                        build_table, check_power_window)
+from .ps_primes import (DEFAULT_LAMBDA0, THEOREM_TRIPLES, PsPrimeTable, build_table,
+                        check_gamma, check_power_window, theorem_exponent)
 # unused here, but psqbench/traced_cli.py patches search_mitm in this module
 from .quintet_search import search_mitm, within_radius
 
@@ -46,7 +45,7 @@ class ProblemInstance(Record):
     __slots__ = ("lambdas", "eta", "k", "gamma", "theta_exp", "lambda0")
 
     def __init__(self, lambdas: tuple[float, float, float, float, float],
-                 eta: float, k: int, gamma: GammaParam, theta_exp: float,
+                 eta: float, k: int, gamma: float, theta_exp: float,
                  lambda0: float = DEFAULT_LAMBDA0):
         lambdas = tuple(float(l) for l in lambdas)
         if len(lambdas) != 5:
@@ -59,12 +58,11 @@ class ProblemInstance(Record):
                 "all five share one sign here")
         if not math.isfinite(eta):
             raise ValueError("eta must be finite")
-        check_power_window(k, lambda0)
-        if not isinstance(gamma, GammaParam):
-            raise TypeError("gamma must be a GammaParam")
-        if not gamma.theorem_admissible(k):
-            a, b, _ = THEOREM_TRIPLES[k]
-            raise AdmissibilityError(f"gamma={gamma.gamma} < {a}/{b} for k={k}")
+        k = check_power_window(k, lambda0)
+        gamma = check_gamma(gamma)
+        a, b, _ = THEOREM_TRIPLES[k]
+        if not gamma > a / b:
+            raise AdmissibilityError(f"gamma={gamma} < {a}/{b} for k={k}")
         if not (theta_exp > 0 and math.isfinite(theta_exp)):
             raise ValueError(f"theta_exp must be positive, got {theta_exp}")
         self._set(lambdas, eta, k, gamma, theta_exp, lambda0)
@@ -77,7 +75,7 @@ class ProblemInstance(Record):
     @property
     def radius_exponent(self) -> float:
         """e_k(gamma) + theta: the theorem radius is max_p to this power."""
-        return self.gamma.theorem_exponent(self.k) + self.theta_exp
+        return theorem_exponent(self.gamma, self.k) + self.theta_exp
 
 
 class DhParams(Record):
@@ -132,6 +130,8 @@ def derive_params(inst: ProblemInstance, q0_floor: int = 2) -> DhParams:
     if floor < 2:
         raise ValueError(f"q0 floor must be >= 2, got {q0_floor}")
     ratio = inst.lambdas[0] / inst.lambdas[1]
+    if not math.isfinite(ratio):
+        raise DegenerateRatio(f"lambda1/lambda2 = {ratio}: the ratio overflows")
     convs, ended = _cf_walk(ratio, 64)
     q0 = next((c.denominator for c in convs if c.denominator >= floor), None)
     if q0 is None:
@@ -143,7 +143,7 @@ def derive_params(inst: ProblemInstance, q0_floor: int = 2) -> DhParams:
             f"{floor}; {why}")
     x = float(q0) ** (58.0 / 27.0)
     try:
-        eps = x ** (inst.gamma.theorem_exponent(inst.k) / 2 + inst.theta_exp)
+        eps = x ** (theorem_exponent(inst.gamma, inst.k) / 2 + inst.theta_exp)
     except OverflowError:
         raise AdmissibilityError(f"theta={inst.theta_exp}: eps = X^(e/2 + theta) "
                                  f"overflows at X={x}") from None
@@ -263,8 +263,8 @@ def gamma_integral(inst: ProblemInstance, params: DhParams,
     f = _integrand(inst, kern, tables)
 
     def region(lo: float, hi: float) -> complex:
-        spec = QuadratureSpec(lo, hi, max(freq, 128.0 / (hi - lo)))
-        half = oscillatory_integral(f, spec, threads=threads, deadline=deadline)
+        half = oscillatory_integral(f, lo, hi, max(freq, 128.0 / (hi - lo)),
+                                    threads=threads, deadline=deadline)
         return complex(2.0 * half.real, 0.0)
 
     a = region(0.0, params.Delta)

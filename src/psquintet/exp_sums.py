@@ -22,9 +22,10 @@ import numpy as np
 from ._io import Record, atomic_write_text, csv_blocks, fmt17
 from .dh_pipeline import main_range_cutoff
 from .errors import AdmissibilityError, SpecMismatch
-from .numerics import QuadratureSpec, e2pi, oscillatory_integral, phase_sum
-from .ps_primes import (GammaParam, PsPrimeTable, check_power_window,
-                        check_window, sieve_primes, window_bounds, window_table)
+from .numerics import e2pi, oscillatory_integral, phase_sum
+from .ps_primes import (DENSITY_GAMMA_MIN, PsPrimeTable, check_gamma,
+                        check_power_window, check_window, sieve_primes,
+                        window_bounds, window_table)
 
 
 class Family(enum.Enum):
@@ -45,14 +46,16 @@ class SumSpec(Record):
     __slots__ = ("family", "k", "x_max", "lambda0", "gamma")
 
     def __init__(self, family: Family, k: int, x_max: float, lambda0: float,
-                 gamma: GammaParam | None = None):
-        check_power_window(k, lambda0)
+                 gamma: float | None = None):
+        k = check_power_window(k, lambda0)
+        if gamma is not None:
+            gamma = check_gamma(gamma)
         if family is Family.S:
             if gamma is None:
                 raise ValueError("family S needs gamma")
-            if not gamma.density_admissible:
+            if not gamma > DENSITY_GAMMA_MIN:
                 raise AdmissibilityError(
-                    f"gamma={gamma.gamma} <= 2426/2817; the PS prime count "
+                    f"gamma={gamma} <= 2426/2817; the PS prime count "
                     f"has no usable density there")
         self._set(family, k, x_max, lambda0, gamma)
 
@@ -75,11 +78,11 @@ def _base_weights(spec: SumSpec, table) -> tuple[np.ndarray, np.ndarray]:
             raise SpecMismatch("family S needs a PS prime table")
         if (table.k != spec.k or table.x_max != spec.x_max
                 or table.lambda0 != spec.lambda0
-                or table.gamma.gamma != spec.gamma.gamma):
+                or table.gamma != spec.gamma):
             raise SpecMismatch(
-                f"table built for (gamma={table.gamma.gamma}, X={table.x_max}, "
+                f"table built for (gamma={table.gamma}, X={table.x_max}, "
                 f"lambda0={table.lambda0}, k={table.k}), spec wants "
-                f"(gamma={spec.gamma.gamma}, X={spec.x_max}, "
+                f"(gamma={spec.gamma}, X={spec.x_max}, "
                 f"lambda0={spec.lambda0}, k={spec.k})")
         pk = table.primes.astype(np.float64) ** spec.k
         return pk, table.weights
@@ -104,8 +107,7 @@ def _integral_value(spec: SumSpec, t: float) -> complex:
         return complex(0)
     freq = abs(t) * spec.k * y_hi ** (spec.k - 1)
     k = spec.k
-    return oscillatory_integral(lambda y, *_: e2pi(t * y ** k),
-                                QuadratureSpec(y_lo, y_hi, freq))
+    return oscillatory_integral(lambda y, *_: e2pi(t * y ** k), y_lo, y_hi, freq)
 
 
 def tscan(spec: SumSpec, ts, table=None) -> np.ndarray:
@@ -144,14 +146,14 @@ def moment_integral(spec: SumSpec, m: int, interval: tuple[float, float],
                         x_max=spec.x_max)
 
 
-def growth_ladder(gamma, x_max: float, lambda0: float, k: int) -> list:
+def growth_ladder(gamma: float, x_max: float, lambda0: float, k: int) -> list:
     """The rungs x = x_max/16, x_max/4, x_max of the diagnostics' growth fits:
     (primes of the window lambda0*x < p^k <= x, its PS prime table) each."""
     rungs = []
     for x in (x_max / 16.0, x_max / 4.0, x_max):
-        gp = check_window(gamma, x, lambda0, k)
+        gamma, k = check_window(gamma, x, lambda0, k)
         primes = sieve_primes(*window_bounds(x, lambda0, k))
-        rungs.append((primes, window_table(gp, x, lambda0, k, primes)))
+        rungs.append((primes, window_table(gamma, x, lambda0, k, primes)))
     return rungs
 
 
@@ -183,7 +185,7 @@ def asym_gap(kind: GapKind, rungs, t_grid) -> tuple[float, float]:
             ts = u * delta
             sv = tscan(s_spec, ts, table)
             gv = tscan(sig_spec, ts, primes)
-            gaps.append(float(np.max(np.abs(sv - table.gamma.gamma * gv))))
+            gaps.append(float(np.max(np.abs(sv - table.gamma * gv))))
         else:
             n = max(len(u), 9)
             ts = np.linspace(-delta, delta, n)

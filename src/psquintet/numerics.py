@@ -262,24 +262,6 @@ def dirichlet_approx(alpha: float, Q: int) -> Fraction:
     return best
 
 
-class QuadratureSpec(Record):
-    """Panelized quadrature request for a possibly oscillatory integrand.
-
-    max_frequency bounds |d/dt of the phase in cycles| over [lo, hi]; the
-    panels and their node count follow the cycles it implies, and every
-    request is integrated to TRUNCATION_TOL (see oscillatory_integral).
-    """
-
-    __slots__ = ("lo", "hi", "max_frequency")
-
-    def __init__(self, lo: float, hi: float, max_frequency: float):
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        if max_frequency < 0 or not math.isfinite(max_frequency):
-            raise ValueError("max_frequency must be finite and >= 0")
-        self._set(lo, hi, max_frequency)
-
-
 def _legendre_pair(n: int, x: np.ndarray, y=None) -> tuple[np.ndarray, np.ndarray]:
     """P_{n-1} and P_n at x, elementwise, for n >= 1.
 
@@ -442,11 +424,12 @@ def _panel_sums(f, edges: np.ndarray, nodes: int, threads: int,
     return total
 
 
-def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
-                         deadline=None) -> complex:
-    """Integrate a vectorized complex integrand f over [spec.lo, spec.hi].
+def oscillatory_integral(f, lo: float, hi: float, max_frequency: float, *,
+                         threads: int = 1, deadline=None) -> complex:
+    """Integrate a vectorized complex integrand f over [lo, hi].
 
-    f is called as f(t, mid, off) on the panel lattice (see _panel_sums) and
+    max_frequency bounds |d/dt of the phase in cycles| over [lo, hi]. f is
+    called as f(t, mid, off) on the panel lattice (see _panel_sums) and
     returns the values at the flat points t, or a scalar broadcast to them.
 
     The range is cut into equal panels of c <= _PANEL_CYCLES cycles of
@@ -463,8 +446,12 @@ def oscillatory_integral(f, spec: QuadratureSpec, *, threads: int = 1,
     nodes. deadline, if given, is called before each chunk of integrand
     evaluations (see _panel_sums).
     """
-    cycles = (spec.hi - spec.lo) * spec.max_frequency
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    if max_frequency < 0 or not math.isfinite(max_frequency):
+        raise ValueError("max_frequency must be finite and >= 0")
+    cycles = (hi - lo) * max_frequency
     n_panels = max(1, math.ceil(cycles / _PANEL_CYCLES))
     nodes = _nodes_for_cycles(math.ceil(cycles / n_panels))
-    edges = np.linspace(spec.lo, spec.hi, n_panels + 1)
+    edges = np.linspace(lo, hi, n_panels + 1)
     return _panel_sums(f, edges, nodes, threads, deadline)

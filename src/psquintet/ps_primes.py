@@ -26,35 +26,25 @@ _GUARD = 1e-9            # distance-to-integer below which floats are not truste
 _SEGMENT = 1 << 22       # sieve segment length (bools)
 _MAX_SPAN = 1 << 34      # refuse absurd single-call ranges
 
-_DENSITY_GAMMA_MIN = 2426 / 2817
+DENSITY_GAMMA_MIN = 2426 / 2817  # PS primes have a usable density above it
 # the paper's theorem for each power k, as (a, b, c): it holds for
 # gamma > a/b with the radius exponent (a - b*gamma)/c + theta
 THEOREM_TRIPLES = {2: (71, 72, 29), 3: (129, 130, 58), 4: (245, 246, 116)}
 DEFAULT_LAMBDA0 = 0.1    # the window is lambda0*X < p^k <= X
 
 
-class GammaParam(Record):
-    """Exponent gamma in (0,1) with per-use admissibility flags."""
+def theorem_exponent(gamma: float, k: int) -> float:
+    """(a - b*gamma)/c of the power-k theorem; the radius adds theta."""
+    a, b, c = THEOREM_TRIPLES[k]
+    return (a - b * gamma) / c
 
-    __slots__ = ("gamma",)
 
-    def __init__(self, gamma: float):
-        if not (0.0 < gamma < 1.0):
-            raise ValueError(f"gamma must be in (0,1), got {gamma}")
-        self._set(gamma)
-
-    @property
-    def density_admissible(self) -> bool:
-        return self.gamma > _DENSITY_GAMMA_MIN
-
-    def theorem_admissible(self, k: int) -> bool:
-        a, b, _ = THEOREM_TRIPLES[k]
-        return self.gamma > a / b
-
-    def theorem_exponent(self, k: int) -> float:
-        """(a - b*gamma)/c of the power-k theorem; the radius adds theta."""
-        a, b, c = THEOREM_TRIPLES[k]
-        return (a - b * self.gamma) / c
+def check_gamma(gamma) -> float:
+    """The one check of an exponent gamma: a float in (0,1)."""
+    g = float(gamma)
+    if not (0.0 < g < 1.0):
+        raise ValueError(f"gamma must be in (0,1), got {g}")
+    return g
 
 
 def sieve_primes(lo: int, hi: int) -> np.ndarray:
@@ -99,13 +89,15 @@ def _is_ps_mp(p: int, gamma: float) -> bool:
         return mpmath.ceil(lo) < hi
 
 
-def is_ps_prime(p: int, gamma) -> tuple[bool, str]:
+def is_ps_prime(p: int, gamma: float) -> tuple[bool, str]:
     """(membership, certainty) where certainty is "guarded" or "escalated".
 
     "guarded": the double-precision decision stood clear of integer boundaries
     and the floor cross-check agreed. "escalated": the 50-digit path decided.
+    gamma is taken as checked (check_gamma): a table filter calls this once
+    per candidate.
     """
-    g = gamma.gamma if isinstance(gamma, GammaParam) else float(gamma)
+    g = float(gamma)
     lo = float(p) ** g
     hi = float(p + 1) ** g
     near = min(abs(lo - round(lo)), abs(hi - round(hi)))
@@ -124,7 +116,7 @@ class PsPrimeTable(Record):
 
     __slots__ = ("gamma", "x_max", "lambda0", "k", "primes", "weights")
 
-    def __init__(self, gamma: GammaParam, x_max: float, lambda0: float, k: int,
+    def __init__(self, gamma: float, x_max: float, lambda0: float, k: int,
                  primes: np.ndarray, weights: np.ndarray):
         self._set(gamma, x_max, lambda0, k, primes, weights)
 
@@ -136,7 +128,7 @@ class PsPrimeTable(Record):
         """count / (T^gamma / log T) at T = x_max^(1/k), the plain counting
         normalizer; a diagnostic, not an asserted asymptotic."""
         top = self.x_max ** (1.0 / self.k)
-        return len(self) / (top ** self.gamma.gamma / math.log(top)) if top > 1 else 0.0
+        return len(self) / (top ** self.gamma / math.log(top)) if top > 1 else 0.0
 
 
 def window_bounds(x_max: float, lambda0: float, k: int) -> tuple[int, int]:
@@ -155,38 +147,43 @@ def window_bounds(x_max: float, lambda0: float, k: int) -> tuple[int, int]:
     return lo + 1, hi
 
 
-def check_power_window(k: int, lambda0: float) -> None:
-    """The one check of a window's power k and fraction lambda0."""
-    if k not in THEOREM_TRIPLES:
+def check_power_window(k: int, lambda0: float) -> int:
+    """The one check of a window's power k, an integer key of
+    THEOREM_TRIPLES, and fraction lambda0; returns k as an int."""
+    # 2.0 == 2 would pass the key test alone
+    if not isinstance(k, (int, np.integer)) or k not in THEOREM_TRIPLES:
         raise ValueError(f"k must be 2, 3 or 4, got {k}")
     if not (0.0 < lambda0 < 1.0):
         raise ValueError(f"lambda0 must be in (0,1), got {lambda0}")
+    return int(k)
 
 
-def check_window(gamma, x_max: float, lambda0: float, k: int) -> GammaParam:
-    """gamma as a GammaParam, once x_max, lambda0 and k pass a table's checks."""
-    gp = gamma if isinstance(gamma, GammaParam) else GammaParam(float(gamma))
-    check_power_window(k, lambda0)
+def check_window(gamma: float, x_max: float, lambda0: float,
+                 k: int) -> tuple[float, int]:
+    """(gamma, k) as a float and an int, once they, x_max and lambda0 pass a
+    table's checks."""
+    gamma = check_gamma(gamma)
+    k = check_power_window(k, lambda0)
     if x_max < 4:
         raise ValueError(f"x_max must be >= 4, got {x_max}")
-    return gp
+    return gamma, k
 
 
-def build_table(gamma, x_max: float, lambda0: float, k: int) -> PsPrimeTable:
+def build_table(gamma: float, x_max: float, lambda0: float, k: int) -> PsPrimeTable:
     """Sieve the window, filter PS membership, attach weights."""
-    gp = check_window(gamma, x_max, lambda0, k)
+    gamma, k = check_window(gamma, x_max, lambda0, k)
     candidates = sieve_primes(*window_bounds(x_max, lambda0, k))
-    return window_table(gp, x_max, lambda0, k, candidates)
+    return window_table(gamma, x_max, lambda0, k, candidates)
 
 
-def window_table(gp: GammaParam, x_max: float, lambda0: float, k: int,
+def window_table(gamma: float, x_max: float, lambda0: float, k: int,
                  candidates: np.ndarray) -> PsPrimeTable:
-    """build_table's table from the primes of its window, already sieved."""
-    keep = [int(p) for p in candidates if is_ps_prime(int(p), gp.gamma)[0]]
+    """build_table's table from the primes of its window, already sieved;
+    gamma and k as check_window returns them."""
+    keep = [int(p) for p in candidates if is_ps_prime(int(p), gamma)[0]]
     primes = np.asarray(keep, dtype=np.int64)
-    return PsPrimeTable(gamma=gp, x_max=float(x_max), lambda0=float(lambda0),
-                        k=int(k), primes=primes,
-                        weights=prime_weights(primes, gp.gamma))
+    return PsPrimeTable(gamma=gamma, x_max=float(x_max), lambda0=float(lambda0),
+                        k=k, primes=primes, weights=prime_weights(primes, gamma))
 
 
 def prime_weights(primes: np.ndarray, gamma: float) -> np.ndarray:
@@ -197,11 +194,11 @@ def prime_weights(primes: np.ndarray, gamma: float) -> np.ndarray:
     return pf ** (1.0 - gamma) * np.log(pf)
 
 
-def ps_prime_count(limit: int, gamma) -> int:
+def ps_prime_count(limit: int, gamma: float) -> int:
     """#{PS primes <= limit}; the density diagnostic's left side."""
-    gp = gamma if isinstance(gamma, GammaParam) else GammaParam(float(gamma))
+    gamma = check_gamma(gamma)
     primes = sieve_primes(2, limit)
-    return sum(1 for p in primes if is_ps_prime(int(p), gp.gamma)[0])
+    return sum(1 for p in primes if is_ps_prime(int(p), gamma)[0])
 
 
 def export_table(table: PsPrimeTable, path: str) -> int:

@@ -137,9 +137,9 @@ def _check_tables(inst, tables) -> list[PsPrimeTable]:
         if tab.k != want_k:
             raise SpecMismatch(f"slot {j + 1} table built for exponent "
                                f"{tab.k}, instance needs {want_k}")
-        if tab.gamma.gamma != inst.gamma.gamma:
-            raise SpecMismatch(f"slot {j + 1} table gamma {tab.gamma.gamma} "
-                               f"!= instance gamma {inst.gamma.gamma}")
+        if tab.gamma != inst.gamma:
+            raise SpecMismatch(f"slot {j + 1} table gamma {tab.gamma} "
+                               f"!= instance gamma {inst.gamma}")
         if len(tab) == 0:
             raise EmptyWindow(f"slot {j + 1} prime window is empty")
     return tables

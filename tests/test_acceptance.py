@@ -40,7 +40,6 @@ from psquintet.dh_pipeline import (
 from psquintet.exp_sums import (Family, GapKind, SumSpec, asym_gap, growth_ladder,
                                 moment_integral)
 from psquintet.numerics import (
-    QuadratureSpec,
     SmoothingKernel,
     dirichlet_approx,
     kernel_eval,
@@ -48,7 +47,6 @@ from psquintet.numerics import (
     oscillatory_integral,
 )
 from psquintet.ps_primes import (
-    GammaParam,
     build_table,
     is_ps_prime,
     ps_prime_count,
@@ -58,7 +56,7 @@ from psquintet.quintet_search import brute_oracle, search_mitm
 from solution_rows import rows
 
 SQRT2 = math.sqrt(2.0)
-GP99 = GammaParam(0.99)
+GP99 = 0.99
 PINNED_LAMBDAS = (SQRT2, 1.0, 1.0, 1.0, -3.0)
 
 
@@ -131,8 +129,7 @@ def test_criterion_02_kernel_transform_consistency():
 
         got = 0j
         for a, b in zip(knots[:-1], knots[1:]):
-            spec = QuadratureSpec(a, b, max(abs(float(x)), 1.0 / eps))
-            got += oscillatory_integral(f, spec)
+            got += oscillatory_integral(f, a, b, max(abs(float(x)), 1.0 / eps))
         worst = max(worst, abs(got - want) / abs(want))
     _line(2, "kernel transform consistency", worst <= 1e-8,
           f"worst relative gap {worst:.3e} over {len(xs)} points (eps={eps}, l={l})",
@@ -162,10 +159,10 @@ def test_criterion_03_ps_membership_exactness():
 
 def test_criterion_04_density_bracket():
     t0 = time.monotonic()
-    gp = GammaParam(0.9)
+    gamma = 0.9
     ratios = []
     for T in (10 ** 5, 10 ** 6):
-        count = ps_prime_count(T, gp)
+        count = ps_prime_count(T, gamma)
         ratios.append(count / (T ** 0.9 / math.log(T)))
     ok = all(0.7 <= r <= 1.3 for r in ratios)
     _line(4, "density bracket", ok,
@@ -175,12 +172,12 @@ def test_criterion_04_density_bracket():
 
 def test_criterion_05_moment_exponent_fit():
     t0 = time.monotonic()
-    gp = GammaParam(0.95)
+    gamma = 0.95
     ladder = [1e4, 4e4, 1.6e5]
     vals = []
     for X in ladder:
-        table = build_table(gp, X, 0.1, 2)
-        spec = SumSpec(Family.S, 2, X, 0.1, gp)
+        table = build_table(gamma, X, 0.1, 2)
+        spec = SumSpec(Family.S, 2, X, 0.1, gamma)
         # full-period trapezoid is exact once the grid beats the largest
         # frequency 2*X present in |S|^4
         grid = 1 << math.ceil(math.log2(2.2 * X))

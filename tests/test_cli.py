@@ -41,7 +41,7 @@ from psquintet.errors import (
     SchemaError,
     SpecMismatch,
 )
-from psquintet.ps_primes import GammaParam, build_table
+from psquintet.ps_primes import build_table
 from psquintet.quintet_search import QuintetSolutions
 from solution_rows import rows
 
@@ -135,6 +135,13 @@ def test_top_level_must_be_object():
     # json reads NaN, and a NaN budget never trips: every comparison is false
     (make_doc(budgets={"time_s": math.nan}), "$.budgets.time_s"),
     (make_doc(budgets={"memory_mb": math.nan}), "$.budgets.memory_mb"),
+    # integers that json reads exactly but a double cannot hold
+    (make_doc(lambdas=[SQRT2, 10 ** 400, 1.0, 1.0, -3.0]), r"$.lambdas[1]"),
+    (make_doc(eta=10 ** 400), "$.eta"),
+    (make_doc(theta=10 ** 400), "$.theta"),
+    (make_doc(radius=10 ** 400), "$.radius"),
+    (make_doc(budgets={"time_s": 10 ** 400}), "$.budgets.time_s"),
+    (make_doc(budgets={"memory_mb": 10 ** 400}), "$.budgets.memory_mb"),
 ])
 def test_schema_error_carries_field_path(doc, path):
     with pytest.raises(SchemaError) as exc:
@@ -169,7 +176,7 @@ def test_numeric_radius_passes_through():
 
 def test_theorem_radius_covers_window_extremes():
     cfg = parse_config(make_doc())
-    table = build_table(GammaParam(0.99), 961.0, 0.02, 2)
+    table = build_table(0.99, 961.0, 0.02, 2)
     assert len(table) >= 2
     exp = (71.0 - 72.0 * 0.99) / 29.0 + 0.001
     want = max(float(table.primes[0]) ** exp, float(table.primes[-1]) ** exp)
@@ -192,11 +199,11 @@ OLD_THEOREMS = {
 def test_theorem_exponents_match_old_literals(k):
     radius_exp, eps_exp, g_min, text = OLD_THEOREMS[k]
     below, above = math.nextafter(g_min, 0.0), math.nextafter(g_min, 1.0)
-    assert [GammaParam(g).theorem_admissible(k) for g in (below, g_min, above)] \
-        == [False, False, True]
-    with pytest.raises(AdmissibilityError, match=text):
-        parse_config(make_doc(k=k, gamma=g_min))
-    table = build_table(GammaParam(0.99), 961.0, 0.02, 2)
+    # inadmissible up to g_min itself; above it the loop below parses
+    for g in (below, g_min):
+        with pytest.raises(AdmissibilityError, match=text):
+            parse_config(make_doc(k=k, gamma=g))
+    table = build_table(0.99, 961.0, 0.02, 2)
     rng = np.random.default_rng(k)
     for g in [above, *rng.uniform(g_min, 1.0, size=50)]:
         g = float(g)
@@ -614,6 +621,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     ({}, ["--seed", "-5"], "$.seed"),
     ({}, ["--threads", "0"], "--threads"),
     ({}, ["--radius", "wide"], "$.radius"),
+    ({"eta": 10 ** 400}, [], "$.eta: too large for a double"),
 ])
 @pytest.mark.parametrize("command", ["gamma", "search"])
 def test_rejected_field_writes_nothing(tmp_path, capsys, command, over, flags,
@@ -663,11 +671,19 @@ def test_exit_code_io_error(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
-def test_exit_code_degenerate_ratio(tmp_path, capsys):
+@pytest.mark.parametrize("lambdas,needle", [
     # lambda1/lambda2 = 2 has the single convergent 2/1, below any floor
-    cfg = write_cfg(tmp_path / "c.json", lambdas=[2.0, 1.0, 1.0, 1.0, -3.0])
-    assert main(["gamma", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "no convergent denominator" in capsys.readouterr().err
+    ([2.0, 1.0, 1.0, 1.0, -3.0], "no convergent denominator"),
+    # 1e308 / 1e-308 overflows a double
+    ([1e308, 1e-308, 1.0, 1.0, -3.0], "lambda1/lambda2 = inf"),
+])
+def test_exit_code_degenerate_ratio(tmp_path, capsys, lambdas, needle):
+    cfg = write_cfg(tmp_path / "c.json", lambdas=lambdas)
+    out = tmp_path / "o"
+    assert main(["gamma", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and needle in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("exc,code,label", [
@@ -833,8 +849,9 @@ def test_time_budget_bounds_the_diagnostics(tmp_path, monkeypatch, capsys):
 
 def test_verify_sieves_and_filters_each_window_once(tmp_path, monkeypatch):
     # the run's square table and the three rungs of the diagnostics' growth
-    # ladder, which the moment fit and the gap fit share: four windows, each
-    # sieved once and filtered for PS membership once
+    # ladder, which the moment fit and the gap fit share: four sieves and
+    # four PS filters over three windows, for at X >= 64 the ladder's top
+    # rung is the run's own square window, sieved and filtered a second time
     calls = dict.fromkeys(("sieve_primes", "window_table"), 0)
     modules = [m for name, m in sys.modules.items()
                if name.startswith("psquintet.")]

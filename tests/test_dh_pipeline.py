@@ -9,8 +9,8 @@ from psquintet import (
     DegenerateRatio,
     DhParams,
     Family,
-    GammaParam,
     ProblemInstance,
+    PsPrimeTable,
     SmoothingKernel,
     SumSpec,
     brute_oracle,
@@ -18,16 +18,35 @@ from psquintet import (
     derive_params,
     gamma_direct,
     gamma_integral,
+    growth_ladder,
     instance_tables,
     kernel_eval,
+    ps_prime_count,
     search_mitm,
     tail_bound,
 )
-from psquintet.ps_primes import check_window
+from psquintet.ps_primes import check_gamma, check_window
 from solution_rows import rows
 
-GP = GammaParam(0.99)
+GP = 0.99
 SQRT2 = math.sqrt(2)
+
+
+def table_view(table):
+    return table.gamma, table.primes.tolist()
+
+
+# each place a gamma enters the library, as a function of gamma
+GAMMA_ENTRY_POINTS = {
+    "ProblemInstance": lambda g: make_inst(gamma=g).gamma,
+    "SumSpec": lambda g: SumSpec(Family.S, 2, 1e4, 0.1, g).gamma,
+    "build_table": lambda g: table_view(build_table(g, 1e4, 0.1, 2)),
+    "check_gamma": check_gamma,
+    "check_window": lambda g: check_window(g, 1e4, 0.1, 2),
+    "growth_ladder": lambda g: [table_view(t)
+                                for _, t in growth_ladder(g, 1e4, 0.1, 2)],
+    "ps_prime_count": lambda g: ps_prime_count(1000, g),
+}
 
 
 def make_inst(lambdas=(SQRT2, 1, 1, 1, -3), eta=0.0, k=2, gamma=GP,
@@ -86,25 +105,25 @@ class TestProblemInstance:
         (2, 0.99, (71, 72, 29)), (3, 0.995, (129, 130, 58)),
         (4, 0.997, (245, 246, 116))])
     def test_powers_and_radius_exponent(self, k, gamma, triple):
-        inst = make_inst(k=k, gamma=GammaParam(gamma), theta=0.003)
+        inst = make_inst(k=k, gamma=gamma, theta=0.003)
         assert inst.powers == (2, 2, 2, 2, k)
         a, b, c = triple
         assert inst.radius_exponent == (a - b * gamma) / c + 0.003
 
     def test_theorem_admissibility(self):
         with pytest.raises(AdmissibilityError, match="71/72"):
-            make_inst(gamma=GammaParam(0.97))
+            make_inst(gamma=0.97)
         with pytest.raises(AdmissibilityError, match="129/130"):
             make_inst(gamma=GP, k=3)  # 0.99 < 129/130
-        make_inst(gamma=GammaParam(0.995), k=3)  # fine
+        make_inst(gamma=0.995, k=3)  # fine
 
-    def test_bad_theta_lambda0_gamma_type(self):
+    def test_bad_theta_lambda0_gamma(self):
         with pytest.raises(ValueError):
             make_inst(theta=0.0)
         with pytest.raises(ValueError):
             make_inst(lambda0=1.0)
-        with pytest.raises(TypeError):
-            make_inst(gamma=0.99)
+        with pytest.raises(ValueError, match=r"gamma must be in \(0,1\)"):
+            make_inst(gamma=1.0)
 
     @pytest.mark.parametrize("over", [
         {"lambdas": (SQRT2, 1, 1, -3)},
@@ -116,16 +135,53 @@ class TestProblemInstance:
 
     @pytest.mark.parametrize("k,lambda0,text", [
         (5, 0.1, "k must be 2, 3 or 4, got 5"),
+        (2.0, 0.1, "k must be 2, 3 or 4, got 2.0"),
+        (True, 0.1, "k must be 2, 3 or 4, got True"),
         (2, 1.0, "lambda0 must be in (0,1), got 1.0"),
     ])
     def test_window_checks_share_one_text(self, k, lambda0, text):
         # a table's window, a sum's window and an instance's: one check
         for make in (lambda: check_window(GP, 1e4, lambda0, k),
+                     lambda: build_table(GP, 1e4, lambda0, k),
                      lambda: SumSpec(Family.U, k, 1e4, lambda0),
                      lambda: make_inst(k=k, lambda0=lambda0)):
             with pytest.raises(ValueError) as exc:
                 make()
             assert str(exc.value) == text
+
+    @pytest.mark.parametrize("entry", sorted(GAMMA_ENTRY_POINTS))
+    def test_gamma_entry_points_share_one_check(self, entry):
+        # a NumPy float is taken as the float it equals; a gamma outside
+        # (0,1) is refused by check_gamma, with its one text
+        make = GAMMA_ENTRY_POINTS[entry]
+        got, same = make(0.99), make(np.float64(0.99))
+        assert same == got and type(same) is type(got)
+        for bad in (0.0, 1.0, math.nan):
+            with pytest.raises(ValueError) as exc:
+                make(bad)
+            assert str(exc.value) == f"gamma must be in (0,1), got {bad}"
+
+    def test_table_built_by_hand_with_a_float_gamma(self):
+        built = build_table(GP, 961.0, 0.02, 2)
+        table = PsPrimeTable(0.99, built.x_max, built.lambda0, 2, built.primes,
+                             built.weights)
+        assert table.density_ratio == built.density_ratio > 0
+        inst = make_inst()
+        assert rows(search_mitm(inst, [table] * 5, 2.0)) \
+            == rows(search_mitm(inst, [built] * 5, 2.0))
+
+    def test_numpy_int_k_is_stored_as_an_int(self):
+        # as an int64, k = 2 would wrap p^k in certification at q0 2378
+        plain, numpy_k = make_inst(k=2), make_inst(k=np.int64(2))
+        assert type(numpy_k.k) is int
+        assert type(SumSpec(Family.U, np.int64(2), 1e4, 0.1).k) is int
+        params = derive_params(numpy_k, 2378)
+        assert params == derive_params(plain, 2378) and params.q0 == 2378
+        tables = instance_tables(numpy_k, params)
+        assert all(type(t.k) is int for t in tables)
+        want = rows(search_mitm(plain, instance_tables(plain, params), 0.05))
+        assert len(want) == 20325
+        assert rows(search_mitm(numpy_k, tables, 0.05)) == want
 
 
 class TestDeriveParams:
@@ -143,7 +199,7 @@ class TestDeriveParams:
         assert p.X == pytest.approx(x, rel=1e-12)
         assert p.Delta == pytest.approx(x ** (-27.0 / 29.0) * math.log(x),
                                         rel=1e-12)
-        g = GP.gamma
+        g = GP
         assert p.eps == pytest.approx(
             x ** ((71.0 - 72.0 * g) / 58.0 + 0.001), rel=1e-12)
         assert p.H == pytest.approx(math.log(x) ** 2 / p.eps, rel=1e-12)
@@ -154,7 +210,7 @@ class TestDeriveParams:
         assert p.q0 == 2  # convergent 3/2 of sqrt2
 
     def test_k3_exponent(self):
-        inst = make_inst(gamma=GammaParam(0.995), k=3)
+        inst = make_inst(gamma=0.995, k=3)
         p = derive_params(inst, 20)
         g = 0.995
         assert p.eps == pytest.approx(
@@ -173,6 +229,9 @@ class TestDeriveParams:
             derive_params(make_inst(), 10 ** 16)
         assert "the next is over 10^15" in str(exc.value)
         assert "rational" not in str(exc.value)
+        # 1e308 / 1e-308 overflows a double: no walk is taken
+        with pytest.raises(DegenerateRatio, match="lambda1/lambda2 = inf"):
+            derive_params(make_inst((1e308, 1e-308, 1.0, 1.0, -3.0)), 20)
 
     def test_bad_floor(self):
         with pytest.raises(ValueError):
@@ -232,7 +291,7 @@ class TestInstanceTables:
         assert tables[0].k == 2 and tables[0].x_max == params.X
 
     def test_cube_slot_distinct(self):
-        inst = make_inst(gamma=GammaParam(0.995), k=3)
+        inst = make_inst(gamma=0.995, k=3)
         tables = instance_tables(inst, derive_params(inst, 20))
         assert tables[4].k == 3
         assert tables[0].k == 2
@@ -354,21 +413,21 @@ class TestTruncationBound:
         inst, params, tables, kern = run_setup(12)
         seen = []
 
-        def spy(f, spec, **kw):
-            seen.append((f, spec))
-            return numerics.oscillatory_integral(f, spec, **kw)
+        def spy(f, lo, hi, freq, **kw):
+            seen.append((f, lo, hi, freq))
+            return numerics.oscillatory_integral(f, lo, hi, freq, **kw)
 
         monkeypatch.setattr(dh_pipeline, "oscillatory_integral", spy)
         gamma_integral(inst, params, kern, tables)
         assert len(seen) == 2
         sup = 7 * kern.epsilon / 4 * math.prod(math.fsum(t.weights) for t in tables)
-        for f, spec in seen:
-            length = spec.hi - spec.lo
-            panels = max(1, math.ceil(length * spec.max_frequency / 64))
-            cycles = math.ceil(length * spec.max_frequency / panels)
+        for f, lo, hi, freq in seen:
+            length = hi - lo
+            panels = max(1, math.ceil(length * freq / 64))
+            cycles = math.ceil(length * freq / panels)
             n = numerics._nodes_for_cycles(cycles)
             assert n == 133
-            edges = np.linspace(spec.lo, spec.hi, panels + 1)
+            edges = np.linspace(lo, hi, panels + 1)
             one = numerics._panel_sums(f, edges, n, 1)
             two = numerics._panel_sums(f, edges, 2 * n, 1)
             bound = sup * length * sum(
@@ -404,7 +463,7 @@ def flat_integrand(inst, kern, tables, t):
 def lattice_cases():
     sq = build_table(GP, 3000.0, 0.1, 2)
     sq_b = build_table(GP, 800.0, 0.2, 2)
-    g3, g4 = GammaParam(0.995), GammaParam(0.997)
+    g3, g4 = 0.995, 0.997
     return {
         "k2-pinned": (make_inst(eta=0.25), [sq] * 5),
         "k2-mixed-repeated": (make_inst(lambdas=(SQRT2, 1, 1, SQRT2, -3)),

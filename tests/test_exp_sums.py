@@ -7,7 +7,6 @@ import pytest
 from psquintet import (
     AdmissibilityError,
     Family,
-    GammaParam,
     GapKind,
     SpecMismatch,
     SumSpec,
@@ -81,10 +80,10 @@ class TestEvalSum:
         assert got == pytest.approx(9.6167, abs=2e-4)
 
     def test_s_single_entry_value(self):
-        gp = GammaParam(0.9)
-        table = build_table(gp, 100.0, 0.25, 2)
+        gamma = 0.9
+        table = build_table(gamma, 100.0, 0.25, 2)
         assert list(table.primes) == [7]
-        spec = SumSpec(Family.S, 2, 100.0, 0.25, gp)
+        spec = SumSpec(Family.S, 2, 100.0, 0.25, gamma)
         want = 7 ** 0.1 * math.log(7)
         assert eval_sum(spec, 0.0, table) == pytest.approx(want, rel=1e-14)
         assert abs(eval_sum(spec, 0.0, table)) == pytest.approx(2.3640, abs=2e-4)
@@ -109,9 +108,9 @@ class TestEvalSum:
             assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
     def test_conjugate_symmetry(self):
-        gp = GammaParam(0.95)
-        table = build_table(gp, 2000.0, 0.1, 2)
-        spec = SumSpec(Family.S, 2, 2000.0, 0.1, gp)
+        gamma = 0.95
+        table = build_table(gamma, 2000.0, 0.1, 2)
+        spec = SumSpec(Family.S, 2, 2000.0, 0.1, gamma)
         rng = np.random.default_rng(11)
         for t in rng.uniform(-50, 50, size=25):
             a = eval_sum(spec, float(t), table)
@@ -124,9 +123,9 @@ class TestEvalSum:
             assert b == pytest.approx(a.conjugate(), rel=1e-9, abs=1e-9)
 
     def test_triangle_bound(self):
-        gp = GammaParam(0.92)
-        table = build_table(gp, 3000.0, 0.2, 2)
-        spec = SumSpec(Family.S, 2, 3000.0, 0.2, gp)
+        gamma = 0.92
+        table = build_table(gamma, 3000.0, 0.2, 2)
+        spec = SumSpec(Family.S, 2, 3000.0, 0.2, gamma)
         peak = abs(eval_sum(spec, 0.0, table))
         rng = np.random.default_rng(3)
         for t in rng.uniform(-100, 100, size=50):
@@ -154,21 +153,21 @@ class TestEvalSum:
 
 class TestSpecValidation:
     def test_s_requires_table(self):
-        gp = GammaParam(0.9)
-        spec = SumSpec(Family.S, 2, 100.0, 0.25, gp)
+        gamma = 0.9
+        spec = SumSpec(Family.S, 2, 100.0, 0.25, gamma)
         with pytest.raises(SpecMismatch):
             eval_sum(spec, 0.0, None)
 
     def test_s_rejects_mismatched_table(self):
-        gp = GammaParam(0.9)
-        table = build_table(gp, 100.0, 0.25, 2)
-        spec = SumSpec(Family.S, 2, 200.0, 0.25, gp)
+        gamma = 0.9
+        table = build_table(gamma, 100.0, 0.25, 2)
+        spec = SumSpec(Family.S, 2, 200.0, 0.25, gamma)
         with pytest.raises(SpecMismatch):
             eval_sum(spec, 0.0, table)
 
     def test_sigma_rejects_ps_table(self):
-        gp = GammaParam(0.9)
-        table = build_table(gp, 100.0, 0.25, 2)
+        gamma = 0.9
+        table = build_table(gamma, 100.0, 0.25, 2)
         spec = SumSpec(Family.Sigma, 2, 100.0, 0.25)
         with pytest.raises(SpecMismatch):
             eval_sum(spec, 0.0, table)
@@ -180,7 +179,7 @@ class TestSpecValidation:
 
     def test_s_needs_admissible_gamma(self):
         with pytest.raises(AdmissibilityError):
-            SumSpec(Family.S, 2, 100.0, 0.25, GammaParam(0.85))
+            SumSpec(Family.S, 2, 100.0, 0.25, 0.85)
 
     def test_s_needs_gamma(self):
         with pytest.raises(ValueError):
@@ -211,17 +210,17 @@ class TestMoments:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_full_period_quartic_weighted(self):
-        gp = GammaParam(0.9)
-        table = build_table(gp, 400.0, 0.05, 2)
-        spec = SumSpec(Family.S, 2, 400.0, 0.05, gp)
+        gamma = 0.9
+        table = build_table(gamma, 400.0, 0.05, 2)
+        spec = SumSpec(Family.S, 2, 400.0, 0.05, gamma)
         want = quartic_moment_oracle(table.primes ** 2, table.weights)
         got = moment_integral(spec, 4, (0.0, 1.0), 1024, table).value
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_full_period_mean_square(self):
-        gp = GammaParam(0.9)
-        table = build_table(gp, 400.0, 0.05, 2)
-        spec = SumSpec(Family.S, 2, 400.0, 0.05, gp)
+        gamma = 0.9
+        table = build_table(gamma, 400.0, 0.05, 2)
+        spec = SumSpec(Family.S, 2, 400.0, 0.05, gamma)
         want = float(np.sum(table.weights ** 2))
         got = moment_integral(spec, 2, (0.0, 1.0), 1024, table).value
         assert got == pytest.approx(want, rel=1e-10)
@@ -229,9 +228,9 @@ class TestMoments:
     def test_grid_refinement_stable(self):
         # grids must outrun the top frequency 2*x_max before refinement
         # stabilizes; beyond that doubling moves the value < 1%
-        gp = GammaParam(0.95)
-        table = build_table(gp, 10000.0, 0.1, 2)
-        spec = SumSpec(Family.S, 2, 10000.0, 0.1, gp)
+        gamma = 0.95
+        table = build_table(gamma, 10000.0, 0.1, 2)
+        spec = SumSpec(Family.S, 2, 10000.0, 0.1, gamma)
         iv = (0.0, 1.0)
         coarse = moment_integral(spec, 4, iv, 1 << 16, table).value
         fine = moment_integral(spec, 4, iv, 1 << 17, table).value
@@ -251,12 +250,12 @@ class TestMoments:
 
 class TestAsymGap:
     def test_s_vs_sigma_matches_manual(self):
-        gp = GammaParam(0.9)
+        gamma = 0.9
         gap, slope = asym_gap(GapKind.S_vs_Sigma,
-                              growth_ladder(gp, 1600.0, 0.1, 2), [0.0])
-        table = build_table(gp, 1600.0, 0.1, 2)
+                              growth_ladder(gamma, 1600.0, 0.1, 2), [0.0])
+        table = build_table(gamma, 1600.0, 0.1, 2)
         primes = sieve_primes(*window_bounds(1600.0, 0.1, 2))
-        s0 = eval_sum(SumSpec(Family.S, 2, 1600.0, 0.1, gp), 0.0, table)
+        s0 = eval_sum(SumSpec(Family.S, 2, 1600.0, 0.1, gamma), 0.0, table)
         g0 = eval_sum(SumSpec(Family.Sigma, 2, 1600.0, 0.1), 0.0, primes)
         assert gap == pytest.approx(abs(s0 - 0.9 * g0), rel=1e-12)
         assert math.isfinite(slope)
@@ -277,12 +276,12 @@ class TestAsymGap:
 class TestGrowthLadder:
     @pytest.mark.parametrize("k, x_max", [(2, 1.6e5), (3, 1e9)])
     def test_rungs_match_build_table(self, k, x_max):
-        gp = GammaParam(0.995)
-        rungs = growth_ladder(gp, x_max, 0.1, k)
+        gamma = 0.995
+        rungs = growth_ladder(gamma, x_max, 0.1, k)
         assert [t.x_max for _, t in rungs] == [x_max / 16, x_max / 4, x_max]
         for primes, table in rungs:
-            want = build_table(gp, table.x_max, 0.1, k)
-            assert (table.gamma, table.lambda0, table.k) == (gp, 0.1, k)
+            want = build_table(gamma, table.x_max, 0.1, k)
+            assert (table.gamma, table.lambda0, table.k) == (gamma, 0.1, k)
             assert np.array_equal(table.primes, want.primes)
             assert np.array_equal(table.weights, want.weights)
             assert table.density_ratio == want.density_ratio
@@ -298,9 +297,9 @@ class TestGrowthLadder:
 
 class TestScan:
     def test_tscan_matches_pointwise(self):
-        gp = GammaParam(0.95)
+        gamma = 0.95
         cases = [
-            (SumSpec(Family.S, 2, 3000.0, 0.1, gp), build_table(gp, 3000.0, 0.1, 2)),
+            (SumSpec(Family.S, 2, 3000.0, 0.1, gamma), build_table(gamma, 3000.0, 0.1, 2)),
             (SumSpec(Family.Sigma, 2, 3000.0, 0.1),
              sieve_primes(*window_bounds(3000.0, 0.1, 2))),
             (SumSpec(Family.U, 2, 3000.0, 0.1), None),

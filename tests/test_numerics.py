@@ -22,7 +22,6 @@ from psquintet import numerics
 from psquintet.errors import BudgetExceeded
 from psquintet.numerics import (
     TRUNCATION_TOL,
-    QuadratureSpec,
     SmoothingKernel,
     cf_convergents,
     dirichlet_approx,
@@ -237,17 +236,17 @@ def quadrature_ranges(draw):
 class TestOscillatoryIntegral:
     def test_constant(self):
         got = oscillatory_integral(lambda t, *_: np.ones_like(t),
-                                   QuadratureSpec(0.0, 1.0, 0.0))
+                                   0.0, 1.0, 0.0)
         assert got == pytest.approx(1.0, rel=1e-12)
 
     def test_full_period_cancels(self):
         got = oscillatory_integral(lambda t, *_: np.exp(2j * np.pi * t),
-                                   QuadratureSpec(0.0, 1.0, 1.0))
+                                   0.0, 1.0, 1.0)
         assert abs(got) < 1e-9
 
     def test_fresnel_against_riemann(self):
         f = lambda t, *_: np.exp(2j * np.pi * t * t)
-        got = oscillatory_integral(f, QuadratureSpec(5.0, 10.0, 20.0))
+        got = oscillatory_integral(f, 5.0, 10.0, 20.0)
         n = 10 ** 6
         dt = 5.0 / n
         mid = 5.0 + dt * (np.arange(n) + 0.5)
@@ -256,9 +255,9 @@ class TestOscillatoryIntegral:
 
     def test_thread_count_does_not_change_bits(self):
         f = lambda t, *_: np.exp(2j * np.pi * 37.0 * t) / (1 + t * t)
-        spec = QuadratureSpec(0.0, 3.0, 37.0)
-        a = oscillatory_integral(f, spec, threads=1)
-        b = oscillatory_integral(f, spec, threads=4)
+        spec = (0.0, 3.0, 37.0)
+        a = oscillatory_integral(f, *spec, threads=1)
+        b = oscillatory_integral(f, *spec, threads=4)
         assert a == b
 
     @pytest.mark.parametrize("freq", [32.0, 37.0])
@@ -266,7 +265,7 @@ class TestOscillatoryIntegral:
         # 32 puts exactly 64 cycles in each of the 50 panels, so every panel
         # integral is ~0, far below sup|f| times the panel length
         got = oscillatory_integral(lambda t, *_: np.exp(2j * np.pi * freq * t),
-                                   QuadratureSpec(0.0, 100.0, freq))
+                                   0.0, 100.0, freq)
         assert abs(got) < 1e-9
 
     def test_multi_frequency_closed_form(self):
@@ -278,8 +277,7 @@ class TestOscillatoryIntegral:
             return sum(a * np.exp(2j * np.pi * (nu * t - np.rint(nu * t)))
                        for a, nu in zip(amps, freqs))
 
-        spec = QuadratureSpec(lo, hi, 40.0)
-        got = oscillatory_integral(f, spec)
+        got = oscillatory_integral(f, lo, hi, 40.0)
         with mpmath.workdps(30):
             want = complex(mpmath.fsum(
                 a * (mpmath.expjpi(2 * mpmath.mpf(nu) * hi)
@@ -294,10 +292,10 @@ class TestOscillatoryIntegral:
             calls.append(len(t))
             return np.exp(2j * np.pi * 37.0 * t) / (1 + t * t)
 
-        spec = QuadratureSpec(0.0, 3000.0, 37.0)
-        one = oscillatory_integral(f, spec, threads=1)
+        spec = (0.0, 3000.0, 37.0)
+        one = oscillatory_integral(f, *spec, threads=1)
         chunks = len(calls)
-        three = oscillatory_integral(f, spec, threads=3)
+        three = oscillatory_integral(f, *spec, threads=3)
         assert chunks > 3              # one node level, over > 3 chunks
         assert sorted(calls[chunks:]) == sorted(calls[:chunks])
         assert one == three
@@ -313,7 +311,7 @@ class TestOscillatoryIntegral:
                 calls.append(len(t))
                 return np.ones_like(t, dtype=complex)
 
-            oscillatory_integral(f, QuadratureSpec(0.0, 1.0, freq))
+            oscillatory_integral(f, 0.0, 1.0, freq)
             panels = max(1, math.ceil(freq / 64))
             assert calls == [nodes * panels], freq
 
@@ -333,7 +331,7 @@ class TestOscillatoryIntegral:
             nodes.add(len(off))
             return np.ones_like(t, dtype=complex)
 
-        oscillatory_integral(f, QuadratureSpec(lo, hi, freq))
+        oscillatory_integral(f, lo, hi, freq)
         assert len(nodes) == 1 and max(nodes) <= top
         assert (hi - lo) * freq / sum(panels) <= numerics._PANEL_CYCLES
 
@@ -389,7 +387,7 @@ class TestOscillatoryIntegral:
             assert abs(one - two) <= trunc + rounding, n
             assert abs(one - want) <= trunc + rounding, n
             assert abs(one - two) > rounding or n == rule, n
-        assert one == oscillatory_integral(f, QuadratureSpec(lo, hi, 40.0))
+        assert one == oscillatory_integral(f, lo, hi, 40.0)
 
     def test_deadline_stops_between_chunks(self):
         # 15 chunks; the fourth check raises, and so does every check after
@@ -406,14 +404,26 @@ class TestOscillatoryIntegral:
             return np.exp(2j * np.pi * 37.0 * t)
 
         with pytest.raises(BudgetExceeded):
-            oscillatory_integral(f, QuadratureSpec(0.0, 3000.0, 37.0),
+            oscillatory_integral(f, 0.0, 3000.0, 37.0,
                                  deadline=deadline)
         assert len(calls) == 3
         assert len(ticks) >= 4
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(1.0, 0.0, 1.0)
+    @pytest.mark.parametrize("lo,hi,freq,text", [
+        (1.0, 0.0, 1.0, "need lo < hi"),
+        (1.0, 1.0, 1.0, "need lo < hi"),
+        (math.nan, 1.0, 1.0, "need lo < hi"),
+        (0.0, 1.0, -1.0, "max_frequency must be finite and >= 0"),
+        (0.0, 1.0, math.inf, "max_frequency must be finite and >= 0"),
+        (0.0, 1.0, math.nan, "max_frequency must be finite and >= 0"),
+    ])
+    def test_validation(self, lo, hi, freq, text):
+        def f(t, *_):
+            raise AssertionError("integrand called on a refused range")
+
+        with pytest.raises(ValueError) as exc:
+            oscillatory_integral(f, lo, hi, freq)
+        assert str(exc.value) == text
 
 
 def fsum_phase_sum(base, w, t):
@@ -565,8 +575,7 @@ class TestLatticeHandOff:
             seen.append((t.copy(), mid.copy(), off.copy()))
             return np.exp(2j * np.pi * freq * t)
 
-        spec = QuadratureSpec(lo, hi, freq)
-        oscillatory_integral(f, spec)
+        oscillatory_integral(f, lo, hi, freq)
         n_panels = max(1, math.ceil((hi - lo) * freq / 64))
         edges = np.linspace(lo, hi, n_panels + 1)
         h = (hi - lo) / (2 * n_panels)

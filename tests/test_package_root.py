@@ -13,9 +13,9 @@ from test_cli import _src_env
 
 PUBLIC = set("""
     AdmissibilityError BudgetExceeded CapacityExceeded DegenerateRatio DhParams
-    EmptyWindow Family GammaDecomposition GammaParam GapKind HalfSumArray
-    IoError MomentResult ProblemInstance PsPrimeTable PsQuintetError
-    QuadratureSpec QuintetSolutions SchemaError SmoothingKernel SpecMismatch
+    EmptyWindow Family GammaDecomposition GapKind HalfSumArray IoError
+    MomentResult ProblemInstance PsPrimeTable PsQuintetError QuintetSolutions
+    SchemaError SmoothingKernel SpecMismatch
     SumSpec asym_gap brute_oracle build_table cf_convergents derive_params
     dirichlet_approx eval_sum export_solutions export_table export_tscan
     gamma_direct gamma_integral growth_ladder instance_tables is_ps_prime
@@ -30,12 +30,10 @@ PUBLIC = set("""
 CONSTRUCTORS = {
     "DhParams": "q0, X, Delta, eps, H",
     "GammaDecomposition": "A, B, C_bound, direct=None",
-    "GammaParam": "gamma",
     "HalfSumArray": "sums, index, n_b",
     "MomentResult": "m, value, grid_points, x_max",
     "ProblemInstance": "lambdas, eta, k, gamma, theta_exp, lambda0=0.1",
     "PsPrimeTable": "gamma, x_max, lambda0, k, primes, weights",
-    "QuadratureSpec": "lo, hi, max_frequency",
     "QuintetSolutions": "p, value, weight, max_p, meets_theorem_radius",
     "SmoothingKernel": "epsilon, l",
     "SumSpec": "family, k, x_max, lambda0, gamma=None",
@@ -54,7 +52,7 @@ def _fresh(code: str) -> str:
 
 
 def test_public_names():
-    assert len(psquintet.__all__) == len(PUBLIC) == 49
+    assert len(psquintet.__all__) == len(PUBLIC) == 47
     assert set(psquintet.__all__) == PUBLIC
     assert PUBLIC <= set(dir(psquintet))
 

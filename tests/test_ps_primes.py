@@ -11,12 +11,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from psquintet import ps_primes
-from psquintet.errors import CapacityExceeded
+from psquintet import Family, ProblemInstance, SumSpec, ps_primes
+from psquintet.errors import AdmissibilityError, CapacityExceeded
 from psquintet.ps_primes import (
-    GammaParam,
     PsPrimeTable,
     build_table,
+    check_gamma,
     export_table,
     is_ps_prime,
     ps_prime_count,
@@ -82,8 +82,8 @@ class TestPsMembership:
                 p = int(p)
                 assert is_ps_prime(p, gamma)[0] == ps_oracle(p, gamma), (p, gamma)
 
-    def test_accepts_gamma_param(self):
-        assert is_ps_prime(7, GammaParam(0.9)) == is_ps_prime(7, 0.9)
+    def test_accepts_a_numpy_float(self):
+        assert is_ps_prime(7, np.float64(0.9)) == is_ps_prime(7, 0.9)
 
     @pytest.mark.parametrize("p,member", [(1013, True), (1009, False)])
     def test_power_near_an_integer_escalates(self, p, member):
@@ -117,21 +117,29 @@ def assert_table_matches_oracle(gamma, x_max, lambda0, p):
     assert build_table(gamma, x_max, lambda0, 2).primes.tolist() == want
 
 
-class TestGammaParam:
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            GammaParam(1.0)
-        with pytest.raises(ValueError):
-            GammaParam(0.0)
+class TestCheckGamma:
+    @pytest.mark.parametrize("gamma", [1.0, 0.0, math.nan])
+    def test_range_validation(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must be in \(0,1\)"):
+            check_gamma(gamma)
 
-    def test_admissibility_flags(self):
-        g = GammaParam(0.99)
-        assert g.density_admissible
-        assert g.theorem_admissible(2)
-        assert not g.theorem_admissible(3)
-        assert GammaParam(0.95).density_admissible
-        assert not GammaParam(0.95).theorem_admissible(2)
-        assert not GammaParam(0.85).density_admissible
+    def test_returns_a_float(self):
+        got = check_gamma(np.float64(0.99))
+        assert type(got) is float and got == 0.99
+
+    def test_admissibility(self):
+        # the density bound 2426/2817 of a sum, the theorem bound a/b of an
+        # instance: gamma 0.99 passes both for k = 2, 0.95 only the first
+        lams = (math.sqrt(2), 1.0, 1.0, 1.0, -3.0)
+        SumSpec(Family.S, 2, 100.0, 0.1, 0.99)
+        ProblemInstance(lams, 0.0, 2, 0.99, 0.001)
+        with pytest.raises(AdmissibilityError, match="129/130"):
+            ProblemInstance(lams, 0.0, 3, 0.99, 0.001)
+        SumSpec(Family.S, 2, 100.0, 0.1, 0.95)
+        with pytest.raises(AdmissibilityError, match="71/72"):
+            ProblemInstance(lams, 0.0, 2, 0.95, 0.001)
+        with pytest.raises(AdmissibilityError, match="2426/2817"):
+            SumSpec(Family.S, 2, 100.0, 0.1, 0.85)
 
 
 class TestBuildTable:

@@ -15,7 +15,6 @@ from psquintet import (
     BudgetExceeded,
     CapacityExceeded,
     EmptyWindow,
-    GammaParam,
     HalfSumArray,
     ProblemInstance,
     SpecMismatch,
@@ -33,7 +32,7 @@ from psquintet.ps_primes import PsPrimeTable, export_table, prime_weights
 from psquintet.quintet_search import QuintetSolutions, _search_bytes, within_radius
 from solution_rows import csv_writer_text, rows
 
-GP = GammaParam(0.99)
+GP = 0.99
 SQRT2 = math.sqrt(2)
 # lambda2 = sqrt(3): every slot's residue modulus, unscaled, is then below
 # 1e-13, far below twice any radius used here, so the residue filter drops
@@ -188,7 +187,7 @@ class TestOracleEquivalence:
 
 
 # admissible gamma of the k = 3 and k = 4 theorems (above 129/130, 245/246)
-_THEOREM_GAMMA = {3: GammaParam(0.995), 4: GammaParam(0.997)}
+_THEOREM_GAMMA = {3: 0.995, 4: 0.997}
 # per exponent: the range of a window's top n and its widest span, chosen so
 # that n^2 and n^k cover like magnitudes (about 1e3 to 2e5)
 _WINDOWS = {2: (40, 450, 60), 3: (14, 60, 30), 4: (9, 22, 12)}
@@ -199,14 +198,14 @@ def higher_power_cases(draw, k):
     """(instance, tables, radius): every slot has its own window (lo, hi],
     so its own x_max = hi^kj and lambda0 = (lo/hi)^kj, and eta puts one
     quintuple within radius/2 of zero."""
-    gp = _THEOREM_GAMMA[k]
+    gamma = _THEOREM_GAMMA[k]
     tables = []
     for kj in (2, 2, 2, 2, k):
         top_min, top_max, span = _WINDOWS[kj]
         hi = draw(st.integers(top_min, top_max))
         lo = hi - draw(st.integers(3, min(span, hi - 2)))
         x = float(hi ** kj)
-        tab = build_table(gp, x, lo ** kj / x, kj)
+        tab = build_table(gamma, x, lo ** kj / x, kj)
         assume(0 < len(tab) <= 12)
         tables.append(tab)
     lams = [draw(st.floats(0.5, 3.0)) * draw(st.sampled_from([-1.0, 1.0]))
@@ -217,7 +216,7 @@ def higher_power_cases(draw, k):
     p = [int(draw(st.sampled_from(list(t.primes)))) for t in tables]
     eta = -sum(l * pj ** kj for l, pj, kj in zip(lams, p, (2, 2, 2, 2, k)))
     eta += draw(st.floats(-0.5, 0.5)) * radius
-    return ProblemInstance(tuple(lams), eta, k, gp, 0.001, 0.5), tables, radius
+    return ProblemInstance(tuple(lams), eta, k, gamma, 0.001, 0.5), tables, radius
 
 
 class TestOracleEquivalenceHigherPowers:
@@ -261,14 +260,14 @@ def lattice_cases(draw, k):
     eta that puts the scaled value of the drawn quintuple at -bound or
     +bound, or one unit inside or outside either: its slot-1 term lies that
     far from a point of gZ. Each comes with whether |value| < bound."""
-    gp = _THEOREM_GAMMA.get(k, GP)
+    gamma = _THEOREM_GAMMA.get(k, GP)
     tables = []
     for kj in (2, 2, 2, 2, k):
         top_min, top_max, span = _WINDOWS[kj]
         hi = draw(st.integers(top_min, top_max))
         lo = max(5, hi - draw(st.integers(span // 2, span)))
         x = float(hi ** kj)
-        tab = build_table(gp, x, lo ** kj / x, kj)
+        tab = build_table(gamma, x, lo ** kj / x, kj)
         assume(0 < len(tab) <= 12)
         tables.append(tab)
     lams = [math.ldexp(draw(st.integers(1, 40)) * draw(st.sampled_from([-1, 1])),
@@ -277,7 +276,7 @@ def lattice_cases(draw, k):
         lams[4] = -lams[4]
     # eta = 0 and radius 1 leave S the lambdas' largest denominator, and the
     # etas and radius below have denominators dividing it
-    probe = ProblemInstance(tuple(lams), 0.0, k, gp, 0.001, 0.5)
+    probe = ProblemInstance(tuple(lams), 0.0, k, gamma, 0.001, 0.5)
     g = quintet_search._layout(probe, tables, 1.0).moduli[0]
     assume(g >= 3)
     scale = quintet_search._scaled(probe, 1.0)[3]
@@ -289,7 +288,7 @@ def lattice_cases(draw, k):
     for side, unit in itertools.product((-1, 1), (-1, 0, 1)):
         eta = (side * bound + unit - scaled) / scale
         assert eta * scale == side * bound + unit - scaled
-        instances.append((ProblemInstance(tuple(lams), eta, k, gp, 0.001, 0.5),
+        instances.append((ProblemInstance(tuple(lams), eta, k, gamma, 0.001, 0.5),
                           side * unit == -1))
     return tables, bound / scale, p, instances
 
@@ -332,15 +331,15 @@ class TestResidueFilter:
         # its terms p^2/8 spread over the residues, so it keeps 2 of 9
         # primes, fewer than slot 5's table of p^k, which moves into the
         # left half
-        gp = _THEOREM_GAMMA[k]
-        square = build_table(gp, 3600.0, 1 / 9, 2)
+        gamma = _THEOREM_GAMMA[k]
+        square = build_table(gamma, 3600.0, 1 / 9, 2)
         top = {3: 40, 4: 20}[k]
-        tables = [square] * 4 + [build_table(gp, float(top ** k),
+        tables = [square] * 4 + [build_table(gamma, float(top ** k),
                                              (top // 3 / top) ** k, k)]
         lams = (0.125, 1.0, 1.0, 1.0, {3: -12.0, 4: -1.0}[k])
         p = [37, 37, 37, 37, int(tables[4].primes[-1])]
         eta = 0.25 - sum(l * q ** kj for l, q, kj in zip(lams, p, (2, 2, 2, 2, k)))
-        inst = ProblemInstance(lams, eta, k, gp, 0.001, 0.5)
+        inst = ProblemInstance(lams, eta, k, gamma, 0.001, 0.5)
         lay = quintet_search._layout(inst, tables, 1.0)
         assert lay.slots == (4, 1, 2, 3, 0)
         assert len(lay.primes[4]) == 2 < len(tables[4]) < len(square) == 9
@@ -453,7 +452,7 @@ class TestScanBandEdges:
         got, _, _ = scan_candidates(monkeypatch, inst, self.TABLES, 84.0, 2)
         hits = np.array(sorted(got), dtype=np.int64)
         assert any(p[2] != p[3] and (*p[:2], p[3], p[2], p[4]) in got for p in got)
-        g = inst.gamma.gamma
+        g = inst.gamma
         want = quintet_search._finalize(inst, *index_rows(hits, g), 84.0)
         assert 0 < len(np.unique(np.abs(want.value))) < len(want)
 
@@ -720,7 +719,7 @@ def edge_instance(lams, k, eta_scaled):
 def check_certified(inst, hits, radius, limbs):
     """_finalize and within_radius agree with the Fraction reference, on
     the path named by limbs; returns the result."""
-    slots, at = index_rows(hits, inst.gamma.gamma)
+    slots, at = index_rows(hits, inst.gamma)
     got = quintet_search._finalize(inst, slots, at, radius)
     assert quintet_search._exact(inst, [(p, c) for (p, _), c in zip(slots, at.T)],
                                  radius).limbs == limbs
@@ -737,7 +736,7 @@ class TestScaledCertification:
         @given(dyadic_certify_cases(k))
         def check(case):
             inst, hits, radius = case
-            got = quintet_search._finalize(inst, *index_rows(hits, inst.gamma.gamma),
+            got = quintet_search._finalize(inst, *index_rows(hits, inst.gamma),
                                            radius)
             assert [(p, v, m) for p, v, _, _, m in rows(got)] == \
                 fraction_certify(inst, hits, radius)
@@ -793,7 +792,7 @@ class TestScaledCertification:
                 got = check_certified(inst, hits, radius, shift == 0)
                 kept = hits[0] in [r[0] for r in rows(got)]
                 assert kept == (step == 1)
-                slots, at = index_rows(hits[:1], inst.gamma.gamma)
+                slots, at = index_rows(hits[:1], inst.gamma)
                 ex = quintet_search._exact(
                     inst, [(p, c) for (p, _), c in zip(slots, at.T)], radius)
                 assert ex.value[0] == sign * v / _EDGE_SCALE
@@ -823,18 +822,18 @@ class TestScaledCertification:
                 3: ((SQRT2, 1, 1, 1, -0.25), 961.0, 0.02, 40.0),
                 4: ((SQRT2, 1, 1, 1, -0.02), 961.0, 0.02, 40.0)}[k]
         lams, x, lam0, radius = case
-        gp = _THEOREM_GAMMA.get(k, GP)
-        square = build_table(gp, x, lam0, 2)
-        top = build_table(gp, {2: x, 3: 27000.0, 4: 160000.0}[k], lam0, k)
+        gamma = _THEOREM_GAMMA.get(k, GP)
+        square = build_table(gamma, x, lam0, 2)
+        top = build_table(gamma, {2: x, 3: 27000.0, 4: 160000.0}[k], lam0, k)
         tables = [square] * 4 + [top]
-        inst = ProblemInstance(lams, 1e-30, k, gp, 0.001, lam0)
+        inst = ProblemInstance(lams, 1e-30, k, gamma, 0.001, lam0)
         assert not quintet_search._layout(inst, tables, radius).limbs
         got = search_mitm(inst, tables, radius, threads=2)
         want = brute_oracle(inst, tables, radius)
         assert len(got) > 0 and rows(got) == rows(want)
         hits = [tuple(r) for r in got.p.tolist()]
         check_certified(inst, hits, radius, False)
-        plain = ProblemInstance(lams, 0.0, k, gp, 0.001, lam0)
+        plain = ProblemInstance(lams, 0.0, k, gamma, 0.001, lam0)
         assert quintet_search._layout(plain, tables, radius).limbs
 
 
@@ -842,7 +841,7 @@ def check_table_weights(inst, tables, sols):
     """Every weight of sols is the product, in slot order, of its primes'
     weights in the slot tables, bit for bit; Python's ** and math.log would
     give another weight for some row, so the weights are the tables'."""
-    g = inst.gamma.gamma
+    g = inst.gamma
     want, scalar = np.ones(len(sols)), np.ones(len(sols))
     for tab, col in zip(tables, sols.p.T):
         at = np.searchsorted(tab.primes, col)
@@ -925,7 +924,7 @@ class TestSolutionContract:
         assert keys == sorted(keys)
 
     def test_weights_and_theorem_flag(self):
-        g = GP.gamma
+        g = GP
         exp = (71.0 - 72.0 * g) / 29.0 + self.inst.theta_exp
         for p, value, weight, max_p, meets in rows(self.sols):
             w = math.prod(q ** (1 - g) * math.log(q) for q in p)
@@ -953,14 +952,14 @@ class TestErrors:
             search_mitm(make_inst(lambda0=0.02), [tab] * 4 + [empty], 5.0)
 
     def test_wrong_slot_exponent(self):
-        tab = build_table(GammaParam(0.995), 961.0, 0.1, 2)
+        tab = build_table(0.995, 961.0, 0.1, 2)
         inst995 = ProblemInstance((SQRT2, 1, 1, 1, -3), 0.0, 3,
-                                  GammaParam(0.995), 0.001, 0.1)
+                                  0.995, 0.001, 0.1)
         with pytest.raises(SpecMismatch):
             search_mitm(inst995, [tab] * 5, 5.0)  # slot 5 needs a cube table
 
     def test_wrong_gamma(self):
-        tab = build_table(GammaParam(0.995), 961.0, 0.1, 2)
+        tab = build_table(0.995, 961.0, 0.1, 2)
         with pytest.raises(SpecMismatch):
             search_mitm(make_inst(), [tab] * 5, 5.0)
 
